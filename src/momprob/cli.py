@@ -27,20 +27,7 @@ from .bases import (
     stone_jacobi_operator_route,
 )
 from .determinacy import index_of_determinacy, infinite_index_probe
-from .errors import (
-    CoefficientExhausted,
-    DegenerateHankel,
-    FiniteSupport,
-    InfiniteMass,
-    InsufficientMoments,
-    MomentProblemError,
-    NonFinite,
-    PrecisionLoss,
-    QuadratureFailure,
-    RealPoint,
-    TruncationTooSmall,
-    ZeroMass,
-)
+from .errors import InsufficientMoments, MomentProblemError, RealPoint
 from .jacobi import (
     INCONCLUSIVE,
     ClassifyPolicy,
@@ -74,18 +61,26 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
 
-_VALIDATION_ERRORS = (InsufficientMoments, RealPoint, ValueError, KeyError, TypeError)
-_NUMERICAL_ERRORS = (
-    DegenerateHankel,
-    PrecisionLoss,
-    QuadratureFailure,
-    CoefficientExhausted,
-    FiniteSupport,
-    ZeroMass,
-    InfiniteMass,
-    NonFinite,
-    TruncationTooSmall,
-)
+# Exit code of each exception class the CLI reports; an exception takes the
+# code of the nearest class along its MRO, so a subclass listed here
+# overrides its base.  Unlisted exceptions propagate as programming errors.
+_EXIT_CODES = {
+    MomentProblemError: EXIT_NUMERICAL,
+    InsufficientMoments: EXIT_VALIDATION,
+    RealPoint: EXIT_VALIDATION,
+    ValueError: EXIT_VALIDATION,  # includes json.JSONDecodeError
+    KeyError: EXIT_VALIDATION,
+    TypeError: EXIT_VALIDATION,
+    OSError: EXIT_VALIDATION,
+}
+
+
+def _exit_code(exc: BaseException):
+    """Documented exit code of ``exc``, or None if the CLI does not handle it."""
+    for cls in type(exc).__mro__:
+        if cls in _EXIT_CODES:
+            return _EXIT_CODES[cls]
+    return None
 
 
 def _build_parser():
@@ -298,8 +293,8 @@ def _dispatch(args) -> int:
         z = parse_complex(args.z, J.precision)
         vals = pi_eval(J, z, args.n)
         _emit(args, {
-            "z": format_complex(mp.mpc(z), J.precision),
-            "values": [format_complex(mp.mpc(v), J.precision) for v in vals],
+            "z": format_complex(z, J.precision),
+            "values": [format_complex(v, J.precision) for v in vals],
         })
         return EXIT_OK
 
@@ -314,7 +309,7 @@ def _dispatch(args) -> int:
         if args.csvfile:
             _write_csv(args.csvfile, ns, radii, J.precision)
         _emit(args, {
-            "z": format_complex(mp.mpc(z), J.precision),
+            "z": format_complex(z, J.precision),
             "checkpoints": ns,
             "radii": [format_number(r, J.precision) for r in radii],
         })
@@ -497,21 +492,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except _NUMERICAL_ERRORS as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MomentProblemError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,17 @@
 
 ``hermite_like`` is the closed-form matrix q_k = 0, b_k = sqrt(k/2) (the
 orthonormal recurrence of the weight exp(-t^2), a textbook determinate
-case).  ``lognormal`` is generated from the moment sequence
-s_k = exp(k^2/2), the classical indeterminate example; its coefficients
-have no closed form and are produced through the adaptive Hankel route at
-whatever internal precision the conditioning demands.
+case).  ``lognormal`` belongs to the moment sequence s_k = exp(k^2/2), the
+classical indeterminate example.  Its recurrence is that of the
+Stieltjes-Wigert polynomials with q = 1/e (Koekoek-Lesky-Swarttouw,
+*Hypergeometric Orthogonal Polynomials and Their q-Analogues*, 14.27;
+Christiansen, J. Math. Anal. Appl. 277 (2003)):
+
+    q_k = e^(2k-3/2) (1 + e^-1 - e^-k),    b_k = e^(2k-1) sqrt(1 - e^-k).
+
+The adaptive Hankel route of :mod:`momprob.moments` fed with
+:func:`lognormal_moment` reproduces these values and is kept as the
+independent check in the tests.
 """
 from __future__ import annotations
 
@@ -15,7 +22,6 @@ from typing import Optional
 import mpmath as mp
 
 from .jacobi import JacobiMatrix
-from .moments import _jacobi_from_moment_source
 from .precision import BIGFLOAT, PrecisionConfig, wp
 
 HERMITE_LIKE = "hermite_like"
@@ -44,9 +50,13 @@ def lognormal_moment(k: int, prec: int):
 
 @lru_cache(maxsize=32)
 def _lognormal_coeffs(n: int, bits: int):
-    cfg = PrecisionConfig.bigfloat(bits)
-    J = _jacobi_from_moment_source(lognormal_moment, n, cfg, family=LOGNORMAL)
-    return J._q, J._b
+    """Closed-form q_1..q_n and b_1..b_{n-1}, rounded once to ``bits``."""
+    with wp(bits + 16):
+        e1 = mp.exp(-1)
+        q = [mp.exp(2 * k - mp.mpf(3) / 2) * (1 + e1 - mp.exp(-k)) for k in range(1, n + 1)]
+        b = [mp.exp(2 * k - 1) * mp.sqrt(1 - mp.exp(-k)) for k in range(1, n)]
+    with wp(bits):
+        return tuple(+x for x in q), tuple(+x for x in b)
 
 
 def lognormal(n: int, precision: Optional[PrecisionConfig] = None) -> JacobiMatrix:

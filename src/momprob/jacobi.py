@@ -194,7 +194,7 @@ class DeterminacyVerdict:
             "checkpoints": list(self.checkpoints),
             "radii": [format_number(r, cfg) for r in self.radii],
             "n_used": self.n_used,
-            "z_used": format_complex(mp.mpc(self.z_used), cfg),
+            "z_used": format_complex(self.z_used, cfg),
         }
 
 

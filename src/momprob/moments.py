@@ -182,6 +182,13 @@ def validate_positive(s: MomentSequence, k_max: int) -> bool:
 # ---------------------------------------------------------------------------
 # moments -> Jacobi
 
+# Escalation stops before the working mantissa would pass this multiple of
+# the requested one: 4x, 8x, ..., 256x allows six agreement checks.
+_MAX_WORK_FACTOR = 256
+# Runs that cancellation has reduced to noise still share a bit or two by
+# chance, so agreement below this floor that fails to rise is not a stall.
+_NOISE_BITS = 16
+
 
 def _ldl_recurrence(svals, n):
     """q_1..q_n and b_1^2..b_{n-1}^2 from the Hankel LDL^T factorization.
@@ -228,10 +235,14 @@ def _jacobi_from_moment_source(source, n, cfg, family=None, n_moments=None):
     factorization runs at a working precision that starts at four times the
     requested mantissa and doubles until two consecutive runs agree on every
     coefficient, which certifies the output against Hankel cancellation.
+    Escalation gives up with PrecisionLoss as soon as a doubling fails to
+    raise an agreement of at least ``_NOISE_BITS``, or when the next
+    doubling would pass ``_MAX_WORK_FACTOR`` times the requested mantissa.
     """
     target = cfg.working_bits()
     floor_b2 = mp.mpf(2) ** (-2 * target)
     count = 2 * n + 1 if n_moments is None else n_moments
+    max_bits = _MAX_WORK_FACTOR * target
 
     def compute(p):
         with wp(p):
@@ -240,7 +251,8 @@ def _jacobi_from_moment_source(source, n, cfg, family=None, n_moments=None):
 
     p = 4 * target
     q_prev, b2_prev = compute(p)
-    for _ in range(10):
+    best = -math.inf
+    while True:
         p *= 2
         q_cur, b2_cur = compute(p)
         with wp(p):
@@ -256,12 +268,13 @@ def _jacobi_from_moment_source(source, n, cfg, family=None, n_moments=None):
                 "off-diagonal collapses below resolvable size "
                 "(finite-support input at this precision)"
             )
+        if (best >= _NOISE_BITS and agree <= best) or 2 * p > max_bits:
+            raise PrecisionLoss(
+                f"moments->Jacobi stalled at {max(best, agree):.1f} agreeing bits "
+                f"(target {target}) after escalating to {p} bits"
+            )
+        best = max(best, agree)
         q_prev, b2_prev = q_cur, b2_cur
-    else:
-        raise PrecisionLoss(
-            f"moments->Jacobi stalled at {agree:.1f} agreeing bits "
-            f"(target {target}) after escalating to {p} bits"
-        )
     if cfg.mode == DOUBLE:
         q = [float(x) for x in q_cur]
         b = [math.sqrt(float(x)) for x in b2_cur]

@@ -256,9 +256,13 @@ def parse_complex(s, cfg: PrecisionConfig):
 
 
 def format_complex(z, cfg: PrecisionConfig) -> str:
-    re, im = mp.re(z), mp.im(z)
-    sign = "+" if im >= 0 else "-"
-    return f"{format_number(re, cfg)}{sign}{format_number(abs(im), cfg)}i"
+    """Render ``a+bi`` with both parts at the configured precision."""
+    # mpc() and abs() round to the ambient precision, which may be lower
+    with wp(max(cfg.working_bits(), mp.mp.prec)):
+        z = mp.mpc(z)
+        re, im = z.real, z.imag
+        sign = "+" if im >= 0 else "-"
+        return f"{format_number(re, cfg)}{sign}{format_number(abs(im), cfg)}i"
 
 
 def agreeing_bits(a, b) -> float:

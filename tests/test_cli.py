@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import momprob
-from momprob.cli import main
+from momprob import errors
+from momprob.cli import _exit_code, main
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +77,7 @@ class TestValidateMoments:
         code, _, err = run_cli(capsys, "validate-moments", "--in", "/no/such.json",
                                "--k-max", "2")
         assert code == 2
+        assert err.startswith("error: FileNotFoundError: ")
 
 
 class TestMomentsToJacobi:
@@ -82,7 +85,7 @@ class TestMomentsToJacobi:
         code, _, err = run_cli(capsys, "moments-to-jacobi", "--in",
                                two_atom_moments_file, "--n", "2")
         assert code == 3
-        assert "DegenerateHankel" in err
+        assert err.startswith("error: DegenerateHankel: ")
 
     def test_success(self, capsys, gauss_moments_file):
         code, out, _ = run_cli(capsys, "moments-to-jacobi", "--in",
@@ -159,7 +162,7 @@ class TestMeasurePipelines:
         code, _, err = run_cli(capsys, "measure-to-jacobi", "--in",
                                atomic_measure_file, "--n", "3")
         assert code == 3
-        assert "FiniteSupport" in err
+        assert err.startswith("error: FiniteSupport: ")
 
     def test_transform_and_spectrum(self, capsys, gaussian_measure_file, tmp_path):
         out_file = tmp_path / "damped.json"
@@ -245,6 +248,28 @@ class TestEvaluationCommands:
         assert len(doc["values"]) == 3
         assert doc["values"][0].startswith("1.0")
 
+    def test_pi_eval_carries_configured_precision(self, capsys):
+        # values must carry the configured 256 bits, not the 53 of mpmath's
+        # default context; reference: the orthonormal recurrence of
+        # exp(-t^2), b_k = sqrt(k/2), run independently at 352 bits
+        code, out, _ = run_cli(capsys, "pi-eval", "--family", "hermite_like",
+                               "--z", "0.5+i", "--n", "50")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert len(values) == 50
+        with mp.workprec(352):
+            z = mp.mpc(mp.mpf(1) / 2, 1)
+            b = [mp.sqrt(mp.mpf(k) / 2) for k in range(50)]
+            ref = [mp.mpc(1), z / b[1]]
+            for k in range(2, 50):
+                ref.append((z * ref[-1] - b[k - 1] * ref[-2]) / b[k])
+            for k, (text, want) in enumerate(zip(values, ref)):
+                body = text[:-1]  # "<re><sign><im>i"
+                cut = max(i for i, c in enumerate(body)
+                          if c in "+-" and i > 0 and body[i - 1] != "e")
+                got = mp.mpc(mp.mpf(body[:cut]), mp.mpf(body[cut:]))
+                assert abs(got - want) <= mp.mpf(2) ** -224 * abs(want), f"value {k}"
+
     def test_weyl_radii_list(self, capsys):
         code, out, _ = run_cli(capsys, "weyl-radii", "--family", "hermite_like",
                                "--z", "i", "--n-list", "1,4,16")
@@ -324,6 +349,40 @@ class TestEntryPoint:
         assert code == 0
         doc = json.loads(out)
         assert doc["index"]["kind"] in ("at_least", "not_determinate")
+
+
+class TestExitCodes:
+    # one CLI failure per exception class the exit-code table names; the
+    # missing-file, DegenerateHankel and FiniteSupport cases are tested above
+    @pytest.mark.parametrize("argv, doc, code, name", [
+        (["moments-to-jacobi", "--n", "4"],
+         {"values": ["1", "0", "1"], "precision": {"mode": "rational"}},
+         2, "InsufficientMoments"),
+        (["weyl-radii", "--family", "hermite_like", "--z", "1", "--n-list", "8"],
+         None, 2, "RealPoint"),
+        (["jacobi-to-moments", "--m", "2"], {"b": ["1"]}, 2, "ValueError"),
+        (["measure-to-jacobi", "--n", "1"], {"kind": "atomic", "weights": ["1"]},
+         2, "KeyError"),
+        (["validate-moments", "--k-max", "1"], {"values": 5}, 2, "TypeError"),
+        (["jacobi-to-moments", "--m", "10"], {"q": ["0", "0"], "b": ["1"]},
+         3, "CoefficientExhausted"),
+        (["stone", "--route", "operator", "--family", "hermite_like", "--alpha", "1/2",
+          "--truncation", "3", "--n", "8"], None, 3, "TruncationTooSmall"),
+    ])
+    def test_documented_exit_code(self, capsys, tmp_path, argv, doc, code, name):
+        if doc is not None:
+            argv = argv + ["--in", write_json(tmp_path, "in.json", doc)]
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(f"error: {name}: ")
+
+    def test_table_resolves_along_the_mro(self):
+        validation = (errors.InsufficientMoments, errors.RealPoint)
+        for cls in vars(errors).values():
+            if isinstance(cls, type) and issubclass(cls, errors.MomentProblemError):
+                assert _exit_code(cls("x")) == (2 if cls in validation else 3), cls
+        assert _exit_code(json.JSONDecodeError("x", "", 0)) == 2
+        assert _exit_code(ZeroDivisionError()) is None
 
 
 class TestBadUsage:

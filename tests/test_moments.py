@@ -16,8 +16,10 @@ from momprob import (
     moments_to_jacobi,
     validate_positive,
 )
+from momprob import families, moments
 from momprob.errors import CoefficientExhausted
 from momprob.moments import _jacobi_from_moment_source
+from momprob.precision import agreeing_bits
 
 from oracles import (
     STD_NORMAL_MOMENTS,
@@ -220,17 +222,38 @@ class TestRoundTrip:
 
 class TestLognormalInverse:
     def test_coefficients_reproduce_exact_moments(self):
-        # strong end-to-end check of the adaptive Hankel route: the delivered
-        # 512-bit coefficients must reproduce s_k = exp(k^2/2) through the
-        # fully independent banded-powers route, to near the delivery precision
-        from momprob.families import lognormal
-
-        J = lognormal(20, PrecisionConfig.bigfloat(512))
+        # end-to-end check of the closed-form lognormal family: its 512-bit
+        # coefficients must reproduce s_k = exp(k^2/2) through the independent
+        # banded-powers route, to near the delivery precision
+        J = families.lognormal(20, PrecisionConfig.bigfloat(512))
         s = jacobi_to_moments(J, 39)
         with mp.workprec(700):
             for k, v in enumerate(s.values):
                 exact = mp.exp(mp.mpf(k) ** 2 / 2)
                 assert abs(v - exact) / exact < mp.mpf(10) ** -140
+
+
+class TestLognormalClosedForm:
+    def test_agrees_with_hankel_route(self):
+        # the adaptive Hankel route on the exact moments stays as the oracle
+        cfg = PrecisionConfig.bigfloat(512)
+        J = families.lognormal(30, cfg)
+        H = _jacobi_from_moment_source(families.lognormal_moment, 30, cfg)
+        with mp.workprec(512 + 64):
+            for k, (a, b) in enumerate(zip(J._q + J._b, H._q + H._b)):
+                assert agreeing_bits(a, b) >= 504, f"coefficient {k}"
+
+    def test_never_calls_hankel_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lognormal went through the Hankel route")
+
+        # the adaptive route and the LDL^T kernel under every Hankel route,
+        # looked up in the moments module at call time
+        for name in ("_jacobi_from_moment_source", "_ldl_recurrence"):
+            monkeypatch.setattr(moments, name, refuse)
+        families._lognormal_coeffs.cache_clear()
+        J = families.lognormal(30, PrecisionConfig.bigfloat(512))
+        assert J.n_stored == 30 and J.family == "lognormal"
 
 
 class TestPrecisionEscalation:
@@ -248,6 +271,41 @@ class TestPrecisionEscalation:
 
         with pytest.raises((PrecisionLoss, DegenerateHankel)):
             _jacobi_from_moment_source(jitter_source, 3, cfg)
+
+    def test_source_losing_ten_times_the_target_certifies(self):
+        # below 10t working bits the runs are noise (a point mass whose
+        # location flips with the precision), above it their error is
+        # 2^(10t - p): two checks agree on a bit or so, then 32t certifies
+        t = 53
+        seen = []
+
+        def lossy_source(k, prec):
+            seen.append(prec)
+            with mp.workprec(prec):
+                w = min(mp.mpf(1) / 4, mp.mpf(2) ** (10 * t - prec))
+                return mp.factorial(k) + w * (2 + prec.bit_length() % 2) ** k
+
+        J = _jacobi_from_moment_source(lossy_source, 4, PrecisionConfig.bigfloat(t))
+        assert max(seen) == 32 * t
+        # exponential weight: Laguerre recurrence q_k = 2k - 1, b_k = k
+        assert list(J._q) == [1, 3, 5, 7] and list(J._b) == [1, 2, 3]
+
+    def test_noise_limited_source_stalls_early(self):
+        # a fixed 2^-40 error that changes with the precision holds the
+        # agreement near 38 bits; the first doubling that fails to raise it
+        # must end the escalation, long before the work cap
+        cfg = PrecisionConfig.bigfloat(128)
+        seen = []
+
+        def noisy_source(k, prec):
+            seen.append(prec)
+            with mp.workprec(prec):
+                x = 2 + prec.bit_length() % 2
+                return mp.factorial(k) + mp.mpf(2) ** (-40) * x ** k
+
+        with pytest.raises(PrecisionLoss):
+            _jacobi_from_moment_source(noisy_source, 4, cfg)
+        assert max(seen) == 16 * 128
 
 
 class TestMomentSequenceValidation:
