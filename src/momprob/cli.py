@@ -13,9 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-import mpmath as mp
 
 from . import families
 from .bases import (
@@ -50,10 +47,10 @@ from .precision import (
     DOUBLE,
     RATIONAL,
     PrecisionConfig,
+    convert,
     format_complex,
     format_number,
     parse_complex,
-    wp,
 )
 
 EXIT_OK = 0
@@ -336,7 +333,7 @@ def _dispatch(args) -> int:
         mu = _load_measure(args)
         applied = False
         if args.alpha is not None:
-            mu = mu.gauss_damp(convert_alpha(args.alpha, mu.precision))
+            mu = mu.gauss_damp(convert(args.alpha, mu.precision))
             applied = True
         if args.lift is not None:
             mu, C = mu.power_reweight(args.lift)
@@ -359,7 +356,7 @@ def _dispatch(args) -> int:
                 raise ValueError("operator route needs --truncation N")
             g = [float(x) for x in str(args.g).split(",")]
             J, basis = stone_jacobi_operator_route(
-                J_in, convert_alpha(args.alpha, J_in.precision), g,
+                J_in, convert(args.alpha, J_in.precision), g,
                 N=args.truncation, n=args.n,
             )
             obj = J.to_json()
@@ -369,7 +366,7 @@ def _dispatch(args) -> int:
             _emit(args, obj)
             return EXIT_OK
         mu = _load_measure(args)
-        J = stone_jacobi_measure_route(mu, convert_alpha(args.alpha, mu.precision), args.n)
+        J = stone_jacobi_measure_route(mu, convert(args.alpha, mu.precision), args.n)
         _emit(args, J.to_json())
         return EXIT_OK
 
@@ -408,7 +405,7 @@ def _dispatch(args) -> int:
         mu = _load_measure(args)
         if args.alpha is not None:
             report = infinite_index_probe(
-                mu, convert_alpha(args.alpha, mu.precision), args.n_max,
+                mu, convert(args.alpha, mu.precision), args.n_max,
                 depth=args.depth,
             )
         else:
@@ -434,17 +431,6 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {cmd!r}")
 
 
-def convert_alpha(text, cfg):
-    if cfg.mode == RATIONAL:
-        return Fraction(str(text))
-    with wp(cfg.working_bits()):
-        s = str(text)
-        if "/" in s:
-            f = Fraction(s)
-            return mp.mpf(f.numerator) / f.denominator
-        return mp.mpf(s)
-
-
 def run_pipeline(doc: dict, cfg=None) -> dict:
     """Chained transform -> measure-to-jacobi -> classify from one document.
 
@@ -457,7 +443,8 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
     constants = []
     for item in doc.get("transforms", ()):
         if "gauss_damp" in item:
-            mu = mu.gauss_damp(convert_alpha(item["gauss_damp"], mu.precision))
+            # a JSON number is read by its decimal text, like a flag value
+            mu = mu.gauss_damp(convert(str(item["gauss_damp"]), mu.precision))
         elif "power_lift" in item:
             mu, C = mu.power_reweight(int(item["power_lift"]))
             constants.append(format_number(C, mu.precision))

@@ -17,7 +17,7 @@ reweighted measures is precision-limited.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .errors import FiniteSupport
@@ -90,31 +90,9 @@ def index_of_determinacy(
     for m in range(n_max):
         mu_m, _ = power_reweight(mu0, m) if m else (mu0, None)
         level_depth = _level_depth(mu_m, depth)
-        n_scan = min(base_policy.n_max, level_depth)
-        level_policy = ClassifyPolicy(
-            n_max=n_scan,
-            eps_zero=base_policy.eps_zero,
-            eps_stable=base_policy.eps_stable,
-            window=base_policy.window,
-            z=base_policy.z,
-            start=base_policy.start,
-            bits=base_policy.bits,
-            max_escalations=base_policy.max_escalations,
-        )
         J_m = measure_to_jacobi(mu_m, level_depth, partial=True)
-        available = J_m.n_stored
-        if available < level_policy.n_max:
-            level_policy = ClassifyPolicy(
-                n_max=max(available, 1),
-                eps_zero=base_policy.eps_zero,
-                eps_stable=base_policy.eps_stable,
-                window=base_policy.window,
-                z=base_policy.z,
-                start=base_policy.start,
-                bits=base_policy.bits,
-                max_escalations=base_policy.max_escalations,
-            )
-        verdict = classify(J_m, level_policy)
+        n_scan = min(base_policy.n_max, level_depth, J_m.n_stored)
+        verdict = classify(J_m, replace(base_policy, n_max=n_scan))
         trace.append((m, verdict))
         if verdict.verdict == INDETERMINATE:
             if m == 0:

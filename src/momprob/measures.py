@@ -12,10 +12,10 @@ and the composition laws (alpha-additivity, power-lift inverses) hold
 structurally.  A scalar ``scale`` accumulates normalization constants.
 
 measure -> Jacobi conversion uses the discretized Stieltjes procedure on the
-support points (Lanczos with the diagonal of the points, started from the
-square-root weight vector, with full reorthogonalization), which is the
-numerically benign route; the raw-moment Hankel route exists independently
-in :mod:`momprob.moments` and the two are required to agree.
+support points, computed by the Gragg-Harrod RKPW rotation update (one atom
+at a time, no reorthogonalization), which is the numerically benign route;
+the raw-moment Hankel route exists independently in :mod:`momprob.moments`
+and the two are required to agree.
 """
 from __future__ import annotations
 
@@ -82,25 +82,13 @@ class Multiplier:
 
 
 def _merge_stack(stack, mult: Multiplier):
-    """Append a multiplier, merging with a same-form neighbor exactly."""
+    """Append a multiplier, merged exactly into a same-form neighbor; an
+    entry whose exponent comes out zero is dropped."""
     stack = list(stack)
     if stack and stack[-1].form == mult.form:
-        last = stack.pop()
-        if mult.form == "gauss_damp":
-            merged = Multiplier("gauss_damp", last.param + mult.param)
-        else:
-            merged = Multiplier("power_lift", last.param + mult.param)
-        if merged.form == "power_lift" and merged.param == 0:
-            return tuple(stack)
-        if merged.form == "gauss_damp" and merged.param == 0:
-            return tuple(stack)
-        stack.append(merged)
-        return tuple(stack)
-    if mult.form == "power_lift" and mult.param == 0:
-        return tuple(stack)
-    if mult.form == "gauss_damp" and mult.param == 0:
-        return tuple(stack)
-    stack.append(mult)
+        mult = Multiplier(mult.form, stack.pop().param + mult.param)
+    if mult.param != 0:
+        stack.append(mult)
     return tuple(stack)
 
 
@@ -520,11 +508,12 @@ def moments_of(mu: Measure, m: int):
 def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatrix:
     """Recurrence coefficients of the measure's orthonormal polynomials.
 
-    Discretized Stieltjes procedure: Lanczos with the diagonal matrix of the
-    support points, started from the square-root weight vector, with two
-    passes of classical Gram-Schmidt reorthogonalization per step (Krylov
-    vectors of nearby orthogonal polynomials are highly collinear).  In
-    rational mode the monic recurrence runs exactly instead.
+    Discretized Stieltjes procedure by the Gragg-Harrod RKPW update: the
+    atoms are added one at a time, and each addition updates the Jacobi
+    matrix by a chase of Givens rotations, in O(len(atoms) * n) time and
+    O(n) memory with no reorthogonalization (Gragg & Harrod, Numer. Math. 44,
+    1984; Gautschi, Orthogonal Polynomials, 2004, 2.2.3).  In rational mode
+    the monic recurrence runs exactly instead.
 
     With ``partial=True``, exhausted support truncates the output at the
     deepest resolvable level instead of raising FiniteSupport.
@@ -590,40 +579,45 @@ def _stieltjes_rational(pts, wts, n, cfg, partial=False):
 
 def _stieltjes_float(pts, wts, n, cfg, partial=False):
     bits = cfg.working_bits()
-    guard = bits + 32
-    with wp(guard):
+    with wp(bits + 32):
         t = [to_mpf(p) for p in pts]
         w = [to_mpf(x) for x in wts]
         total = mp.fsum(w)
         if not total > 0:
             raise ZeroMass("measure has nonpositive mass on its support")
+        w = [x / total for x in w]
+        # RKPW: fold the atoms in one at a time; each new atom is chased down
+        # the Jacobi matrix of the atoms before it by Givens rotations kept in
+        # squared form (q holds the diagonal, b2[0] the mass, b2[k] = b_k^2).
+        # Step k of a chase reads and writes entry k only, so chases cut off
+        # at n leave the leading n x n block exact.
+        q, b2 = t[:n], [mp.mpf(0)] * n
+        b2[0] = w[0]
+        for j in range(1, len(t)):
+            lam, pn = t[j], w[j]
+            gam, sig, tk = 1, 0, 0
+            for k in range(min(j + 1, n)):
+                bk = b2[k]
+                rho = bk + pn
+                tsig = sig
+                b2[k] = gam * rho
+                if rho > 0:
+                    gam, sig = bk / rho, pn / rho
+                else:
+                    gam, sig = 1, 0
+                tprev = tk
+                tk = sig * (q[k] - lam) - gam * tprev
+                q[k] -= tk - tprev
+                pn = tk * tk / sig if sig > 0 else tsig * bk
         floor2 = mp.mpf(2) ** (-2 * bits)
-        v = [mp.sqrt(x / total) for x in w]
-        basis = [v]
-        q_out, b_out = [], []
-        for k in range(n):
-            u = [ti * vi for ti, vi in zip(t, basis[k])]
-            qk = mp.fsum(ui * vi for ui, vi in zip(u, basis[k]))
-            q_out.append(qk)
-            if k == n - 1:
-                break
-            # two passes of classical Gram-Schmidt against the whole basis
-            for _ in range(2):
-                for col in basis:
-                    c = mp.fsum(ui * ci for ui, ci in zip(u, col))
-                    u = [ui - c * ci for ui, ci in zip(u, col)]
-            nrm2 = mp.fsum(ui * ui for ui in u)
-            if not nrm2 > floor2:
-                if partial:
-                    break
-                raise FiniteSupport(
-                    f"support numerically exhausted at level {k + 1}: "
-                    "residual norm below resolvable size"
-                )
-            bk = mp.sqrt(nrm2)
-            b_out.append(bk)
-            basis.append([ui / bk for ui in u])
-        q_out = q_out[: len(b_out) + 1]
+        depth = next((k for k in range(1, n) if not b2[k] > floor2), n)
+        if depth < n and not partial:
+            raise FiniteSupport(
+                f"support numerically exhausted at level {depth}: "
+                "residual norm below resolvable size"
+            )
+        q_out = q[:depth]
+        b_out = [mp.sqrt(x) for x in b2[1:depth]]
     if cfg.mode == DOUBLE:
         return JacobiMatrix(
             q=[float(x) for x in q_out], b=[float(x) for x in b_out], precision=cfg

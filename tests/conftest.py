@@ -1,8 +1,10 @@
 import mpmath as mp
 import pytest
 
-from momprob import PrecisionConfig, families, truncation_spectrum
+from momprob import PrecisionConfig, families, measure_to_jacobi, truncation_spectrum
 from momprob.precision import to_mpf
+
+from oracles import lanczos_recurrence
 
 
 def assert_close(a, b, tol, msg=""):
@@ -13,6 +15,21 @@ def assert_close(a, b, tol, msg=""):
         else:
             diff = abs(to_mpf(a) - to_mpf(b))
         assert diff <= tol, f"{msg} |diff| = {mp.nstr(diff, 8)} > {tol}"
+
+
+def assert_matches_lanczos(mu, n, partial=False):
+    """measure_to_jacobi(mu, n) against the Lanczos oracle: same depth, and
+    every entry within 2^-(bits-8) of it relative to max(|entry|, 1)."""
+    pts, wts = mu.effective_atoms()
+    bits = mu.precision.working_bits()
+    J = measure_to_jacobi(mu, n, partial=partial)
+    q_ref, b_ref = lanczos_recurrence(pts, wts, min(n, len(pts)), bits, partial)
+    assert J.n_stored == len(q_ref)
+    assert len(J._b) == len(b_ref)
+    with mp.workprec(bits + 32):
+        for x, y in zip(list(J._q) + list(J._b), q_ref + b_ref):
+            assert abs(mp.mpf(x) - y) <= mp.mpf(2) ** (8 - bits) * max(abs(y), 1)
+    return J
 
 
 @pytest.fixture(scope="session")

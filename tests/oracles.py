@@ -1,12 +1,17 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately naive and separate from the library code:
-classical Gram-Schmidt driven by raw moments in exact rationals, and
-permutation-expansion determinants.  These are the oracles the main routes
-are checked against.
+classical Gram-Schmidt driven by raw moments in exact rationals,
+permutation-expansion determinants, and Lanczos with full
+reorthogonalization on atoms.  These are the oracles the main routes are
+checked against.
 """
 from fractions import Fraction
 from itertools import permutations
+
+import mpmath as mp
+
+from momprob.errors import FiniteSupport
 
 
 def gram_schmidt_recurrence(moments, n):
@@ -43,6 +48,57 @@ def gram_schmidt_recurrence(moments, n):
         if k + 1 <= n - 1:
             b2_out.append(norms2[k + 1] / norms2[k])
     return q_out, b2_out
+
+
+def _mpf(x):
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def lanczos_recurrence(pts, wts, n, bits, partial=False):
+    """(q_1..q_n, b_1..b_{n-1}) of an atomic measure, rounded to ``bits``.
+
+    Lanczos with the diagonal matrix of the points, started from the
+    square-root weight vector, with two passes of classical Gram-Schmidt
+    against the whole basis per step: O(N n^2), computed at bits + 32.  A
+    squared residual norm at or below 2^(-2 bits) ends the recurrence
+    (truncated with ``partial``, FiniteSupport otherwise).
+    """
+    guard = bits + 32
+    with mp.workprec(guard):
+        t = [_mpf(p) for p in pts]
+        w = [_mpf(x) for x in wts]
+        total = mp.fsum(w)
+        floor2 = mp.mpf(2) ** (-2 * bits)
+        v = [mp.sqrt(x / total) for x in w]
+        basis = [v]
+        q_out, b_out = [], []
+        for k in range(n):
+            u = [ti * vi for ti, vi in zip(t, basis[k])]
+            qk = mp.fsum(ui * vi for ui, vi in zip(u, basis[k]))
+            q_out.append(qk)
+            if k == n - 1:
+                break
+            # two passes of classical Gram-Schmidt against the whole basis
+            for _ in range(2):
+                for col in basis:
+                    c = mp.fsum(ui * ci for ui, ci in zip(u, col))
+                    u = [ui - c * ci for ui, ci in zip(u, col)]
+            nrm2 = mp.fsum(ui * ui for ui in u)
+            if not nrm2 > floor2:
+                if partial:
+                    break
+                raise FiniteSupport(
+                    f"support numerically exhausted at level {k + 1}: "
+                    "residual norm below resolvable size"
+                )
+            bk = mp.sqrt(nrm2)
+            b_out.append(bk)
+            basis.append([ui / bk for ui in u])
+        q_out = q_out[: len(b_out) + 1]
+    with mp.workprec(bits):
+        return [+x for x in q_out], [+x for x in b_out]
 
 
 def det_permutation(matrix):

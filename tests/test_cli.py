@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -349,6 +350,63 @@ class TestEntryPoint:
         assert code == 0
         doc = json.loads(out)
         assert doc["index"]["kind"] in ("at_least", "not_determinate")
+
+
+FIVE_ATOMS = {
+    "kind": "atomic",
+    "points": ["-2", "-1/2", "1/4", "1", "3"],
+    "weights": ["1/10", "3/10", "1/5", "1/4", "3/20"],
+    "precision": {"mode": "rational", "bits": 256},
+}
+
+# SHA-256 of stdout as printed while the CLI parsed alpha values with a
+# parser of its own; precision.convert must reproduce every byte.
+ALPHA_STDOUT_SHA256 = {
+    ("transform-1/2", "rational"): "39942801b9fdc0dd47ddbbe1a6571f483ea911a58aac70c325f740da64046c37",
+    ("transform-1/2", "double"): "316de412deeada1aafee651f04f6a7cd051059ba4879894483d3a098a0ccd491",
+    ("transform-1/2", "bigfloat"): "a69c4af50a8331f7082d9d91cdb413d819d62700a1640226602a561cda95ef76",
+    ("transform-0.3", "rational"): "426cef36a3808d9894bfe8b106d7559971f3de8c9703f2c33d8c7f0ff00caca5",
+    ("transform-0.3", "double"): "e68253344018a2dc75d46f3bc94f993223ed73d6cac1a791876ad98272d4f121",
+    ("transform-0.3", "bigfloat"): "52ef7e8431613bbe327089c21554d55c175b7268135e45fac7e1f076ff57e0be",
+    ("stone", "rational"): "49e9274cb9139d7f5a865d5a3158c18379f62bba34009930afdcf5047cf5d0b0",
+    ("stone", "double"): "533ec8d362c3803f9fb83ee26f5a644f32d6891540cced92268d31009e64a901",
+    ("stone", "bigfloat"): "87bbab4021e3f5027dd7880fd850170e32a592d2dcf0fbc37ee1f9b730e48126",
+    ("stone-operator", "rational"): "8b38828689d676ec7520d7c2225e02940c44eb073e40e35da0ef993e1e78534d",
+    ("stone-operator", "double"): "360d44eec1353b97ee7008753cb21fb6be0728f84474752489a6d40dfdeb1eb9",
+    ("stone-operator", "bigfloat"): "4887d959fe311386964eb61ecd1d73c407bee7f4444cc05174609c0baafca81e",
+    ("pipeline", "rational"): "3ea0b213725900c4a24fd156e4ab4c1fcfaad175aafff29aa9f16bf77294596c",
+    ("pipeline", "double"): "a40a8724f23c5af19300551387a60645dd0385b42bc28c49fb12c0fbf5a819e6",
+    ("pipeline", "bigfloat"): "bd27d3229072a2a7a11cd08f07780d4ec2d8e657f44658f56219fa007c169097",
+}
+
+
+ALPHA_COMMANDS = {
+    "transform-1/2": ["transform", "--gauss-damp", "1/2"],
+    "transform-0.3": ["transform", "--gauss-damp", "0.3"],
+    "stone": ["stone", "--alpha", "1/2", "--n", "4"],
+    "stone-operator": ["stone", "--route", "operator", "--family", "hermite_like",
+                       "--alpha", "1/2", "--truncation", "20", "--n", "4"],
+    # a numeric gauss_damp in a pipeline document is read by its decimal text
+    "pipeline": ["pipeline"],
+}
+
+
+class TestAlphaParsing:
+    @pytest.mark.parametrize("mode", ["rational", "double", "bigfloat"])
+    @pytest.mark.parametrize("name", list(ALPHA_COMMANDS))
+    def test_stdout_bytes_unchanged(self, capsys, tmp_path, name, mode):
+        argv = ALPHA_COMMANDS[name]
+        if name == "pipeline":
+            doc = {"measure": FIVE_ATOMS, "transforms": [{"gauss_damp": 0.3}], "n": 4,
+                   "classify": {"n_max": 4, "start": 2}}
+        else:
+            doc = FIVE_ATOMS
+        if "--family" not in argv:
+            argv = argv + ["--in", write_json(tmp_path, "in.json", doc)]
+        code, out, _ = run_cli(capsys, *argv, "--mode", mode)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == ALPHA_STDOUT_SHA256[name, mode]
 
 
 class TestExitCodes:

@@ -19,10 +19,11 @@ from momprob import (
     power_reweight,
     truncation_spectrum,
 )
+from momprob.measures import _merge_stack
 from momprob.moments import MomentSequence
 
-from conftest import assert_close
-from oracles import atomic_moments
+from conftest import assert_close, assert_matches_lanczos
+from oracles import atomic_moments, lanczos_recurrence
 
 
 @pytest.fixture()
@@ -256,6 +257,78 @@ class TestMeasureToJacobi:
     def test_partial_truncates_instead_of_raising(self, two_atom_rational):
         J = measure_to_jacobi(two_atom_rational, 5, partial=True)
         assert J.n_stored == 2
+
+
+class TestMeasureToJacobiAgainstLanczos:
+    """The RKPW kernel against full-reorthogonalization Lanczos (oracles)."""
+
+    @pytest.mark.parametrize("m", [0, -1, -2])
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_lognormal_proxy_reweightings(self, lognormal_proxy40, m, n):
+        nu = power_reweight(lognormal_proxy40, m)[0]
+        assert_matches_lanczos(nu, n)
+
+    def test_reweighted_gaussian_density(self):
+        # the measure behind gram-check: 40 Gauss nodes, (1+t^2)^-1, n = 15
+        from momprob.families import hermite_like
+
+        cfg = PrecisionConfig.bigfloat(256)
+        spec = QuadratureSpec("gauss_from_jacobi", reference=hermite_like(cfg),
+                              n_nodes=40)
+        nu1, _ = power_reweight(Measure.density("gaussian", spec, precision=cfg), -1)
+        assert_matches_lanczos(nu1, 15)
+
+    def test_double_mode(self):
+        mu = Measure.atomic([-2.0, -0.5, 0.25, 1.0, 3.0], [0.1, 0.3, 0.2, 0.25, 0.15],
+                            precision=PrecisionConfig.double())
+        J = assert_matches_lanczos(mu, 5)
+        assert all(type(x) is float for x in list(J._q) + list(J._b))
+
+    @pytest.mark.parametrize("alpha", ["1/2", "1/100", "1e-6"])
+    def test_partial_on_damped_lognormal_proxy(self, lognormal_proxy40, alpha):
+        damped = gauss_damp(lognormal_proxy40, alpha)
+        J = assert_matches_lanczos(damped, 40, partial=True)
+        assert 2 <= J.n_stored < 40
+
+    @pytest.mark.parametrize("weights, depth", [
+        ([1, 3], 2),
+        ([1, Fraction(1, 2 ** 600)], 1),  # b_1^2 below 2^-(2*256): exhausted at once
+    ])
+    def test_partial_on_two_atoms(self, weights, depth):
+        mu = Measure.atomic([-1, 1], weights, precision=PrecisionConfig.bigfloat(256))
+        J = assert_matches_lanczos(mu, 3, partial=True)
+        assert J.n_stored == depth
+
+    def test_exhaustion_raises_without_partial(self, lognormal_proxy40):
+        damped = gauss_damp(lognormal_proxy40, "1/2")
+        pts, wts = damped.effective_atoms()
+        with pytest.raises(FiniteSupport) as oracle:
+            lanczos_recurrence(pts, wts, 8, 512)
+        with pytest.raises(FiniteSupport) as kernel:
+            measure_to_jacobi(damped, 8)
+        assert str(kernel.value) == str(oracle.value)
+
+
+class TestMergeStack:
+    def test_inverse_lifts_leave_empty_stack(self):
+        mu = Measure.atomic([0, 1, 2], [1, 1, 1], precision=PrecisionConfig.bigfloat(128))
+        up, _ = power_reweight(mu, 1)
+        down, _ = power_reweight(up, -1)
+        assert up.transforms == (Multiplier("power_lift", 1),)
+        assert down.transforms == ()
+
+    def test_damping_exponents_add(self):
+        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 4)))
+        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 8)))
+        assert stack == (Multiplier("gauss_damp", Fraction(3, 8)),)
+
+    def test_different_forms_stay_separate(self):
+        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 2)))
+        stack = _merge_stack(stack, Multiplier("power_lift", -1))
+        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 2)))
+        assert [m.form for m in stack] == ["gauss_damp", "power_lift", "gauss_damp"]
+        assert _merge_stack(stack, Multiplier("gauss_damp", 0)) == stack
+        assert _merge_stack(stack, Multiplier("power_lift", 0)) == stack
 
 
 class TestMomentsOf:

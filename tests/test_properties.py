@@ -20,6 +20,8 @@ from momprob import (
     weyl_radius,
 )
 
+from conftest import assert_matches_lanczos
+
 CFG = PrecisionConfig.bigfloat(192)
 
 finite_q = st.lists(st.floats(-2, 2, allow_nan=False), min_size=4, max_size=10)
@@ -139,3 +141,22 @@ def test_verdict_traces_positive_nonincreasing(seed):
     v = classify(J, ClassifyPolicy(n_max=10, start=2, eps_zero=1e-40))
     assert all(r > 0 for r in v.radii)
     assert all(x >= y for x, y in zip(v.radii, v.radii[1:]))
+
+
+@st.composite
+def atomic_measures(draw):
+    """3-12 atoms on the grid k/8 in [-5, 5], integer weights 1..1000, at 128
+    bits or in double mode.  The spread of weights and the grid keep every
+    b_k far above 2^-bits, where the Lanczos oracle resolves it."""
+    ks = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=12, unique=True))
+    wts = draw(st.lists(st.integers(1, 1000), min_size=len(ks), max_size=len(ks)))
+    cfg = draw(st.sampled_from([PrecisionConfig.bigfloat(128), PrecisionConfig.double()]))
+    return Measure.atomic([k / 8 for k in sorted(ks)], wts, precision=cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atomic_measures())
+def test_rkpw_matches_lanczos(mu):
+    n = len(mu.points)
+    assert_matches_lanczos(mu, n)
+    assert_matches_lanczos(mu, n + 2, partial=True)
