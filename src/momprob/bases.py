@@ -123,23 +123,12 @@ def stone_jacobi_operator_route(
                 for i in range(N):
                     eta[i] += coef * v[i]
 
-        def apply_T(vec):
-            out = []
-            for i in range(N):
-                acc = qq[i] * vec[i]
-                if i > 0:
-                    acc += bb[i - 1] * vec[i - 1]
-                if i < N - 1:
-                    acc += bb[i] * vec[i + 1]
-                out.append(acc)
-            return out
-
         # orthonormalize the power orbit with doubled Gram-Schmidt
         basis = []
         u = eta
         for k in range(n):
             if k > 0:
-                u = apply_T(basis[k - 1])
+                u = tridiag.matvec(qq, bb, basis[k - 1])
             for _ in range(2):
                 for col in basis:
                     c = mp.fsum(ui * ci for ui, ci in zip(u, col))
@@ -153,7 +142,7 @@ def stone_jacobi_operator_route(
             basis.append([ui / nrm for ui in u])
 
         q_out, b_out = [], []
-        images = [apply_T(v) for v in basis]
+        images = [tridiag.matvec(qq, bb, v) for v in basis]
         for k in range(n):
             q_out.append(mp.fsum(a_ * b_ for a_, b_ in zip(basis[k], images[k])))
             if k + 1 < n:
@@ -264,23 +253,12 @@ def representation_diagnostic(
         qq = [to_mpf(x) for x in q]
         bb = [to_mpf(x) for x in b]
 
-        def apply_T(vec):
-            out = []
-            for i in range(N):
-                acc = qq[i] * vec[i]
-                if i > 0:
-                    acc += bb[i - 1] * vec[i - 1]
-                if i < N - 1:
-                    acc += bb[i] * vec[i + 1]
-                out.append(acc)
-            return out
-
         v = [to_mpf(x) for x in delta]
         A = mp.matrix(N, n)
         for k in range(n):
             if k > 0:
-                v = apply_T(v)
-            tv = apply_T(v)
+                v = tridiag.matvec(qq, bb, v)
+            tv = tridiag.matvec(qq, bb, v)
             col = [mp.mpc(tv[i], -v[i]) for i in range(N)]  # (T - iI) T^k delta
             nrm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in col))
             for i in range(N):

@@ -58,7 +58,7 @@ class IndexReport:
 
 
 def _level_depth(mu: Measure, requested: Optional[int]) -> int:
-    atoms = mu.effective_atoms()
+    atoms = mu.base_atoms()
     if atoms is None:
         raise FiniteSupport(
             "index scans need a measure with discrete support "

@@ -14,10 +14,12 @@ while a positive limit signals infinitely many solutions (limit circle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
+from . import tridiag
 from .errors import CoefficientExhausted, PrecisionLoss, RealPoint
 from .precision import (
     DOUBLE,
@@ -25,6 +27,7 @@ from .precision import (
     PrecisionConfig,
     format_complex,
     format_number,
+    is_finite_number,
     to_mpf,
     wp,
 )
@@ -65,6 +68,8 @@ class JacobiMatrix:
                 raise ValueError("off-diagonal must be one entry shorter than diagonal")
         elif self._b and len(self._b) != len(self._q) - 1 and len(self._b) != len(self._q):
             raise ValueError("stored off-diagonal length inconsistent with diagonal")
+        if not all(is_finite_number(x) for x in self._q + self._b):
+            raise ValueError("Jacobi matrix entries must be finite")
         for x in self._b:
             if not x > 0:
                 raise ValueError("off-diagonal entries must be strictly positive")
@@ -103,6 +108,10 @@ class JacobiMatrix:
         raise CoefficientExhausted(
             f"off-diagonal entry {k} requested but only {len(self._b)} stored"
         )
+
+    def pairs(self):
+        """Yield (q_k, b_k) for k = 1, 2, ... through ``diag``/``offdiag``."""
+        return ((self.diag(k), self.offdiag(k)) for k in count(1))
 
     def coefficients(self, n: int):
         """First ``n`` diagonal and ``n-1`` off-diagonal entries as lists."""
@@ -198,10 +207,6 @@ class DeterminacyVerdict:
         }
 
 
-def _as_mpc(z):
-    return mp.mpc(z)
-
-
 def pi_eval(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
     """Orthonormal-polynomial values (pi_1(z), ..., pi_n(z)), pi_1 = 1.
 
@@ -215,16 +220,7 @@ def pi_eval(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
     work = bits if bits is not None else cfg.working_bits()
     use_double = cfg.mode == DOUBLE and bits is None
     with wp(work + 16):
-        zz = _as_mpc(z)
-        vals = [mp.mpc(1)]
-        prev, cur = mp.mpc(0), mp.mpc(1)
-        for k in range(1, n):
-            qk = to_mpf(J.diag(k))
-            bk = to_mpf(J.offdiag(k))
-            bkm = to_mpf(J.offdiag(k - 1)) if k > 1 else mp.mpf(0)
-            nxt = ((zz - qk) * cur - bkm * prev) / bk
-            vals.append(nxt)
-            prev, cur = cur, nxt
+        vals = list(islice(_stream(J, mp.mpc(z)), n))
     if use_double:
         return [complex(v) for v in vals]
     with wp(work):
@@ -238,36 +234,37 @@ def weyl_radius(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
     cfg = J.precision
     work = bits if bits is not None else cfg.working_bits()
     with wp(work + 16):
-        if mp.im(_as_mpc(z)) == 0:
+        if mp.im(mp.mpc(z)) == 0:
             raise RealPoint("Weyl radii are defined only off the real axis")
     r = _RadiusScan(J, z, work).radius_at(n)
     with wp(work):
         return +r
 
 
+def _stream(J: JacobiMatrix, z):
+    """pi_1(z), pi_2(z), ... from the matrix's coefficient stream."""
+    pairs = ((to_mpf(q), to_mpf(b)) for q, b in J.pairs())
+    return tridiag.recurrence(pairs, z)
+
+
 class _RadiusScan:
     """Incremental forward pass of the recurrence with a running square sum."""
 
     def __init__(self, J: JacobiMatrix, z, bits: int):
-        self.J = J
         self.bits = bits
         with wp(bits + 16):
-            self.z = _as_mpc(z)
-            self.width = abs(self.z - mp.conj(self.z))
+            z = mp.mpc(z)
+            self.width = abs(z - mp.conj(z))
+            self.values = _stream(J, z)
+            next(self.values)  # pi_1 = 1
             self.total = mp.mpf(1)  # |pi_1|^2
-            self.prev, self.cur = mp.mpc(0), mp.mpc(1)
         self.k = 1
 
     def radius_at(self, n: int):
         with wp(self.bits + 16):
             while self.k < n:
-                k = self.k
-                qk = to_mpf(self.J.diag(k))
-                bk = to_mpf(self.J.offdiag(k))
-                bkm = to_mpf(self.J.offdiag(k - 1)) if k > 1 else mp.mpf(0)
-                nxt = ((self.z - qk) * self.cur - bkm * self.prev) / bk
+                nxt = next(self.values)
                 self.total += mp.re(nxt) ** 2 + mp.im(nxt) ** 2
-                self.prev, self.cur = self.cur, nxt
                 self.k += 1
             return 1 / (self.width * self.total)
 
@@ -318,7 +315,7 @@ def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> Dete
     """
     z = policy.z
     with wp(64):
-        if mp.im(_as_mpc(z)) == 0:
+        if mp.im(mp.mpc(z)) == 0:
             raise RealPoint("classification point must be nonreal")
     cfg = J.precision
     bits = policy.bits if policy.bits is not None else cfg.working_bits()
@@ -337,7 +334,7 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     first eigenvector components; the atomic measure reproduces the moment
     sequence of the matrix through order 2N-1.
     """
-    from . import measures, tridiag  # deferred: measures imports this module
+    from . import measures  # deferred: measures imports this module
 
     if N < 1:
         raise ValueError("truncation size must be positive")

@@ -39,6 +39,7 @@ from .precision import (
     PrecisionConfig,
     convert,
     format_number,
+    is_finite_number,
     pairwise_sum,
     to_fraction,
     to_mpf,
@@ -159,6 +160,8 @@ class Measure(object):
             wts = tuple(weights)
             if len(pts) != len(wts) or not pts:
                 raise ValueError("atomic measure needs matching nonempty points/weights")
+            if not all(is_finite_number(x) for x in pts + wts):
+                raise ValueError("atomic points and weights must be finite")
             for w in wts:
                 if not w > 0:
                     raise ValueError("atomic weights must be strictly positive")

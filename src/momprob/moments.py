@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
+from . import tridiag
 from .errors import (
     CoefficientExhausted,
     DegenerateHankel,
@@ -329,44 +330,25 @@ def jacobi_to_moments(J: JacobiMatrix, m: int) -> MomentSequence:
             f"moments through order {m} need a section of size {size}: {exc}"
         ) from exc
 
-    rational_ok = cfg.mode == RATIONAL and all(
+    exact = cfg.mode == RATIONAL and all(
         isinstance(x, (int, Fraction)) for x in list(q) + list(b)
     )
-    if rational_ok:
-        qv = [Fraction(x) for x in q]
-        bv = [Fraction(x) for x in b]
-        v = [Fraction(0)] * size
-        v[0] = Fraction(1)
-        out = [Fraction(1)]
-        for _ in range(m):
-            v = _tridiag_apply(qv, bv, v)
-            out.append(v[0])
-        return MomentSequence(tuple(out), cfg)
-
+    num = Fraction if exact else to_mpf
     work = cfg.working_bits()
     with wp(work + 16):
-        qv = [to_mpf(x) for x in q]
-        bv = [to_mpf(x) for x in b]
-        v = [mp.mpf(0)] * size
-        v[0] = mp.mpf(1)
-        out = [mp.mpf(1)]
+        qv = [num(x) for x in q]
+        bv = [num(x) for x in b]
+        v = [num(0)] * size
+        v[0] = num(1)
+        out = [v[0]]
         for _ in range(m):
-            v = _tridiag_apply(qv, bv, v)
+            v = tridiag.matvec(qv, bv, v)
             out.append(v[0])
+    if exact:
+        return MomentSequence(tuple(out), cfg)
     if cfg.mode == DOUBLE:
         return MomentSequence(tuple(float(x) for x in out), cfg)
+    # irrational entries leave the rational field, as in truncation_spectrum
+    out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
     with wp(work):
-        return MomentSequence(tuple(+x for x in out), cfg)
-
-
-def _tridiag_apply(q, b, v):
-    n = len(v)
-    out = []
-    for i in range(n):
-        acc = q[i] * v[i]
-        if i > 0:
-            acc += b[i - 1] * v[i - 1]
-        if i < n - 1:
-            acc += b[i] * v[i + 1]
-        out.append(acc)
-    return out
+        return MomentSequence(tuple(+x for x in out), out_cfg)

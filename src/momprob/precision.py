@@ -125,11 +125,6 @@ class PrecisionConfig:
         return cls(mode=mode, bits=bits, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-def workprec(cfg: PrecisionConfig):
-    """Context manager pinning mpmath to the configured mantissa."""
-    return wp(cfg.working_bits())
-
-
 def convert(x, cfg: PrecisionConfig):
     """Coerce ``x`` (number or decimal/ratio string) into cfg's arithmetic."""
     if cfg.mode == RATIONAL:
@@ -137,10 +132,6 @@ def convert(x, cfg: PrecisionConfig):
     if cfg.mode == DOUBLE:
         if isinstance(x, str):
             return float(Fraction(x)) if "/" in x else float(x)
-        if isinstance(x, Fraction):
-            return float(x)
-        if isinstance(x, mp.mpf):
-            return float(x)
         return float(x)
     # bigfloat
     with wp(cfg.bits):

@@ -1,21 +1,30 @@
-"""High-precision eigensolver for symmetric tridiagonal matrices.
+"""Shared kernels for symmetric tridiagonal (Jacobi) matrices.
 
-Eigenvalues are located by Sturm-count bisection (the LDL^T negative-pivot
-count, robust at any mantissa size) and polished with a guarded Newton
-iteration on the characteristic polynomial, so each eigenvalue converges to
-the full working precision at quadratic rate.  Eigenvectors come from the
-classical recurrence identity: for an eigenvalue x of a tridiagonal matrix
-with positive off-diagonal entries, the vector of orthonormal-polynomial
-values (p_0(x), ..., p_{N-1}(x)) is an (unnormalized) eigenvector, and its
-normalization constant yields the Gauss quadrature weight
-w = 1 / sum_k p_k(x)^2 (Golub-Welsch).  Only eigenvalues and first
-components are needed for quadrature, so no dense eigenvector accumulation
-is performed.
+Three kernels live here, each written once for the whole package:
 
-Inputs are plain sequences; everything is evaluated in mpmath arithmetic at
-the precision requested by the caller.
+* the Sturm count (the LDL^T negative-pivot count, robust at any mantissa
+  size), which with a guarded Newton iteration on the characteristic
+  polynomial locates every eigenvalue to the full working precision;
+* :func:`recurrence`, the orthonormal three-term recurrence, streamed from
+  an iterable of coefficient pairs;
+* :func:`matvec`, the product of the matrix with a vector.
+
+Eigenvectors come from the classical recurrence identity: for an eigenvalue
+x of a tridiagonal matrix with positive off-diagonal entries, the vector of
+orthonormal-polynomial values (p_0(x), ..., p_{N-1}(x)) is an
+(unnormalized) eigenvector, and its normalization constant yields the Gauss
+quadrature weight w = 1 / sum_k p_k(x)^2 (Golub-Welsch).  Only eigenvalues
+and first components are needed for quadrature, so no dense eigenvector
+accumulation is performed.
+
+Inputs are plain sequences; the eigensolver works in mpmath arithmetic at
+the precision requested by the caller, while :func:`recurrence` and
+:func:`matvec` use the arithmetic of their arguments (``Fraction``, mpf or
+mpc alike).
 """
 from __future__ import annotations
+
+from itertools import islice
 
 import mpmath as mp
 
@@ -148,21 +157,39 @@ def eigenvalues(q, b, bits: int):
         return [+x for x in out]
 
 
-def poly_values(q, b, x, n: int):
-    """Values (p_0(x), ..., p_{n-1}(x)) of the orthonormal recurrence.
+def recurrence(pairs, x):
+    """Yield p_0(x), p_1(x), ... of the orthonormal recurrence.
 
-    p_0 = 1, b_1 p_1 = (x - q_1) p_0, and
-    b_k p_k = (x - q_k) p_{k-1} - b_{k-1} p_{k-2}.
+    ``pairs`` yields (q_k, b_k) for k = 1, 2, ...; p_0 = 1 and
+    b_k p_k = (x - q_k) p_{k-1} - b_{k-1} p_{k-2}.  Each value is computed
+    when it is asked for, in the precision in force at that moment, and
+    p_k reads only the first k pairs.
     """
-    vals = [mp.mpf(1)]
-    if n == 1:
-        return vals
-    prev, cur = mp.mpf(0), mp.mpf(1)
-    for k in range(n - 1):
-        nxt = ((x - q[k]) * cur - (b[k - 1] * prev if k > 0 else 0)) / b[k]
-        vals.append(nxt)
-        prev, cur = cur, nxt
-    return vals
+    prev, cur, b_prev = 0, x ** 0, 0  # p_0 = 1 in the arithmetic of x
+    yield cur
+    for qk, bk in pairs:
+        prev, cur = cur, ((x - qk) * cur - b_prev * prev) / bk
+        b_prev = bk
+        yield cur
+
+
+def poly_values(q, b, x, n: int):
+    """Values (p_0(x), ..., p_{n-1}(x)) of the orthonormal recurrence."""
+    return list(islice(recurrence(zip(q, b), x), n))
+
+
+def matvec(q, b, v):
+    """T v for the tridiagonal T with diagonal ``q`` and off-diagonal ``b``."""
+    n = len(v)
+    out = []
+    for i in range(n):
+        acc = q[i] * v[i]
+        if i > 0:
+            acc += b[i - 1] * v[i - 1]
+        if i < n - 1:
+            acc += b[i] * v[i + 1]
+        out.append(acc)
+    return out
 
 
 def gauss_rule(q, b, bits: int):

@@ -290,6 +290,21 @@ class TestEvaluationCommands:
         assert abs(vals[4] - 0.75) < 1e-30
 
 
+    def test_jacobi_to_moments_rational_mode_leaves_the_field(self, capsys):
+        # hermite_like has irrational b_k = sqrt(k/2); the moments come back
+        # as big floats at the configured bits, s_2k = (2k-1)!!/2^k
+        code, out, _ = run_cli(capsys, "jacobi-to-moments", "--family",
+                               "hermite_like", "--mode", "rational", "--m", "12")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["precision"]["mode"] == "bigfloat"
+        assert doc["precision"]["bits"] == 256
+        with mp.workprec(256):
+            for k, text in enumerate(doc["values"]):
+                want = 0 if k % 2 else mp.fac2(k - 1) / mp.mpf(2) ** (k // 2)
+                assert abs(mp.mpf(text) - want) <= mp.mpf(2) ** -248 * max(want, 1)
+
+
 class TestEntryPoint:
     def test_installed_console_script(self, tmp_path):
         # run the `momprob` script declared in pyproject.toml the way pip's
@@ -407,6 +422,81 @@ class TestAlphaParsing:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == ALPHA_STDOUT_SHA256[name, mode]
+
+
+# SHA-256 of stdout (for classify, followed by its --csv trace) as printed
+# while bases.py and moments.py each had a tridiagonal matvec of their own
+# and jacobi.py two hand-written recurrence loops; the shared kernels in
+# tridiag.py must reproduce every byte.
+KERNEL_STDOUT_SHA256 = {
+    "pi-eval": "a7a9b9ce71982eb4b613b4cff02ecd5562f6842e6011f89d13266a93007e145e",
+    "pi-eval-double": "6eda0142bc25a0c51cac377e40e1124457c349eeae28232e17b84608087a3594",
+    "pi-eval-lognormal": "49a3c59954961aa6e0ff8c776ec1fd4863be3c2107005d221828f774bc778573",
+    "weyl-radii": "4c00b786788f61bdef9bcfc3264f36c40ce0fc4439424d44262f804d46f8bac9",
+    "classify-csv": "4cdeef2c8e98d4aac6fc99fe53b373dd057836813de136b973f21754edf755c0",
+    "classify-lognormal": "7d5fc71923863df9612a04fb3262b218233eb26b227848ffb4987a88097f011f",
+    "spectrum-double": "1c38f6b247fe2e0f3c88a51ffcd91cc74f8887aed87a3fbb82cd5016165a46ee",
+    "stone-operator": "54b349dfe89057980f4b5fd8b99684a854e910f4b101c86cf594c26eb67b8284",
+    "gram-probe": "fa06b6dcaaafb71e6bbfc0b40c51b9449b8f13b977a0d039d6fffe10ddbb25ac",
+    "jacobi-to-moments-bigfloat": "013208853e2a6f872d29b8de000824325d0a4d637411f9aec10a8b760fb6e517",
+    "jacobi-to-moments-rational": "bba9fc0ca7450c8760e75994aa0dfa964aa192e406b072dcdd64c0c4c78a9871",
+}
+
+HERMITE = ["--family", "hermite_like"]
+KERNEL_COMMANDS = {
+    "pi-eval": ["pi-eval", *HERMITE, "--z", "0.5+i", "--n", "200"],
+    "pi-eval-double": ["pi-eval", *HERMITE, "--mode", "double", "--z", "0.5+i",
+                       "--n", "50"],
+    "pi-eval-lognormal": ["pi-eval", "--family", "lognormal", "--family-n", "40",
+                          "--z", "i", "--n", "40"],
+    "weyl-radii": ["weyl-radii", *HERMITE, "--z", "0.5+i", "--n-max", "1024"],
+    "classify-csv": ["classify", *HERMITE, "--csv", "{csv}"],
+    "classify-lognormal": ["classify", "--family", "lognormal", "--family-n", "60",
+                           "--precision-bits", "512", "--n-max", "60"],
+    "spectrum-double": ["spectrum", *HERMITE, "--mode", "double", "--n", "30"],
+    "stone-operator": ["stone", "--route", "operator", *HERMITE, "--alpha", "1/2",
+                       "--truncation", "40", "--n", "6", "--g", "1,0,1"],
+    "gram-probe": ["gram-check", "--probe", *HERMITE, "--truncation", "30",
+                   "--n", "5", "--g", "1,1"],
+    "jacobi-to-moments-bigfloat": ["jacobi-to-moments", *HERMITE, "--m", "20"],
+    "jacobi-to-moments-rational": ["jacobi-to-moments", "--m", "5", "--in", "{exact}"],
+}
+
+
+class TestKernelOutputs:
+    @pytest.mark.parametrize("name", list(KERNEL_COMMANDS))
+    def test_stdout_bytes_unchanged(self, capsys, tmp_path, name):
+        files = {
+            "csv": str(tmp_path / "trace.csv"),
+            "exact": write_json(tmp_path, "exact.json", {
+                "q": ["0", "1/2", "-1/3"], "b": ["1", "2/3"],
+                "precision": {"mode": "rational", "bits": 256},
+            }),
+        }
+        argv = [arg.format(**files) for arg in KERNEL_COMMANDS[name]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if name == "classify-csv":
+            out += Path(files["csv"]).read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_STDOUT_SHA256[name]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, doc", [
+        (["classify"], {"q": ["0", "0"], "b": ["inf"]}),
+        (["spectrum", "--n", "2"], {"q": ["nan", "0"], "b": ["1"]}),
+        (["measure-to-jacobi", "--n", "1"],
+         {"kind": "atomic", "points": ["0", "inf"], "weights": ["1/2", "1/2"]}),
+        (["measure-to-jacobi", "--n", "1"],
+         {"kind": "atomic", "points": ["0", "1"], "weights": ["1/2", "inf"]}),
+    ], ids=["inf-offdiagonal", "nan-diagonal", "inf-point", "inf-weight"])
+    def test_rejected_at_load(self, capsys, tmp_path, argv, doc):
+        doc = dict(doc, precision={"mode": "bigfloat", "bits": 128})
+        code, out, err = run_cli(capsys, *argv, "--in",
+                                 write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: ")
+        assert "must be finite" in err
 
 
 class TestExitCodes:

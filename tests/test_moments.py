@@ -206,6 +206,18 @@ class TestRoundTrip:
         assert list(J2._q) == q
         assert list(J2._b) == b
 
+    def test_rational_with_irrational_offdiagonals(self, rational):
+        # s = Gaussian moments gives b = (1, sqrt 2, sqrt 3): the way back
+        # leaves the rational field and returns big floats at the rational
+        # config's bits
+        s = MomentSequence.from_values([1, 0, 1, 0, 3, 0, 15, 0, 105], rational)
+        J = moments_to_jacobi(s, 4)
+        back = jacobi_to_moments(J, 6)
+        assert back.precision == PrecisionConfig.bigfloat(rational.bits)
+        with mp.workprec(rational.bits):
+            for got, want in zip(back.values, s.values[:7]):
+                assert abs(got - want) <= mp.mpf(2) ** -(rational.bits - 8) * max(want, 1)
+
     def test_bigfloat_256(self):
         cfg = PrecisionConfig.bigfloat(256)
         rng = random.Random(11)

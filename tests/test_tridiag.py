@@ -1,10 +1,20 @@
 import random
+from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from momprob.tridiag import eigenvalues, eigenvector_columns, gauss_rule, poly_values
+from momprob import CoefficientExhausted, JacobiMatrix, PrecisionConfig, pi_eval
+from momprob.tridiag import (
+    eigenvalues,
+    eigenvector_columns,
+    gauss_rule,
+    matvec,
+    poly_values,
+    recurrence,
+)
 
 
 def random_tridiag(n, seed):
@@ -81,3 +91,80 @@ def test_eigenvector_columns_orthonormal():
                 g = mp.fsum(a * c for a, c in zip(cols[i], cols[j]))
                 target = 1 if i == j else 0
                 assert abs(g - target) < mp.mpf(2) ** -220
+
+
+def random_rational_tridiag(n, seed):
+    rng = random.Random(seed)
+    q = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    b = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n - 1)]
+    return q, b
+
+
+def test_matvec_exact_on_fractions():
+    q, b = random_rational_tridiag(7, 6)
+    T = [[0] * 7 for _ in range(7)]
+    for i in range(7):
+        T[i][i] = q[i]
+        if i < 6:
+            T[i][i + 1] = T[i + 1][i] = b[i]
+    v = [Fraction(k - 3, k + 1) for k in range(7)]
+    got = matvec(q, b, v)
+    assert all(isinstance(x, Fraction) for x in got)
+    assert got == [sum(T[i][j] * v[j] for j in range(7)) for i in range(7)]
+
+
+def test_recurrence_is_an_eigenvector_identity_on_fractions():
+    # (T p)_i = x p_i on every row but the last: the defining identity of
+    # the orthonormal recurrence, checked exactly through the two kernels
+    q, b = random_rational_tridiag(8, 7)
+    x = Fraction(2, 3)
+    p = list(islice(recurrence(zip(q, b), x), 8))
+    assert p[0] == 1 and all(isinstance(v, Fraction) for v in p)
+    Tp = matvec(q, b, p)
+    assert Tp[:7] == [x * v for v in p[:7]]
+
+
+def test_recurrence_agrees_with_poly_values():
+    q, b = random_tridiag(30, 8)
+    with mp.workprec(200):
+        x = mp.mpf("0.3")
+        qq = [mp.mpf(v) for v in q]
+        bb = [mp.mpf(v) for v in b]
+        streamed = list(islice(recurrence(zip(qq, bb), x), 30))
+        assert streamed == poly_values(qq, bb, x, 30)
+        assert len(poly_values(qq, bb, x, 1)) == 1
+
+
+def test_recurrence_reads_only_the_pairs_it_needs():
+    pulled = []
+
+    def pairs():
+        for k in range(1, 4):
+            pulled.append(k)
+            yield Fraction(0), Fraction(k)
+        raise AssertionError("a fourth pair was read")
+
+    values = list(islice(recurrence(pairs(), Fraction(1)), 4))
+    assert pulled == [1, 2, 3]
+    assert values == [1, 1, 0, Fraction(-2, 3)]
+
+
+def test_recurrence_runs_at_the_precision_of_each_request():
+    values = recurrence(iter([(mp.mpf(0), mp.mpf(3))] * 2), mp.mpf(1))
+    next(values)
+    with mp.workprec(200):
+        p1 = next(values)  # 1/3
+    with mp.workprec(20):
+        p2 = next(values)  # (p1 - 3) / 3 = -8/9
+    with mp.workprec(200):
+        assert abs(p1 - mp.mpf(1) / 3) < mp.mpf(2) ** -190
+        assert mp.mpf(2) ** -40 < abs(p2 + mp.mpf(8) / 9) < mp.mpf(2) ** -18
+
+
+def test_pi_eval_exhaustion_boundary():
+    cfg = PrecisionConfig.bigfloat(128)
+    J = JacobiMatrix(q=[0, 1, 0, -1], b=[1, 2, 1], precision=cfg)
+    assert len(pi_eval(J, 1j, J.n_stored)) == 4
+    with pytest.raises(CoefficientExhausted,
+                       match="^off-diagonal entry 4 requested but only 3 stored$"):
+        pi_eval(J, 1j, J.n_stored + 1)
