@@ -440,6 +440,12 @@ KERNEL_STDOUT_SHA256 = {
     "gram-probe": "fa06b6dcaaafb71e6bbfc0b40c51b9449b8f13b977a0d039d6fffe10ddbb25ac",
     "jacobi-to-moments-bigfloat": "013208853e2a6f872d29b8de000824325d0a4d637411f9aec10a8b760fb6e517",
     "jacobi-to-moments-rational": "bba9fc0ca7450c8760e75994aa0dfa964aa192e406b072dcdd64c0c4c78a9871",
+    # printed while measures.py ran a monic recurrence of its own on exact atoms
+    # and forked effective_atoms and moments on the arithmetic mode
+    "measure-to-jacobi-rational": "aecf9f00b2957a1fe124090209175e633fc78075e3a54f03f3cb4852f5dc9ca6",
+    "measure-to-jacobi-lifted-density": "39bf2670b4c03358fecbb6933bb5e8cc55383081e2ab874c2d1c3c48105063da",
+    "measure-to-jacobi-double": "7e16f6b2b9d36fd19642724233c50347dffefadc73ede7e2fe5f0ae2ed38b9fb",
+    "transform-power-lift": "aa976af3819fc3e77e39594635e8a20e1d9bc5791736bcce0f590a060b48f458",
 }
 
 HERMITE = ["--family", "hermite_like"]
@@ -460,19 +466,43 @@ KERNEL_COMMANDS = {
                    "--n", "5", "--g", "1,1"],
     "jacobi-to-moments-bigfloat": ["jacobi-to-moments", *HERMITE, "--m", "20"],
     "jacobi-to-moments-rational": ["jacobi-to-moments", "--m", "5", "--in", "{exact}"],
+    "measure-to-jacobi-rational": ["measure-to-jacobi", "--n", "5", "--in", "{atoms}"],
+    "measure-to-jacobi-lifted-density": ["measure-to-jacobi", "--n", "12",
+                                         "--in", "{density}"],
+    "measure-to-jacobi-double": ["measure-to-jacobi", "--mode", "double", "--n", "5",
+                                 "--in", "{atoms}"],
+    "transform-power-lift": ["transform", "--power-lift", "-1", "--in", "{atoms}"],
+}
+
+# input documents of KERNEL_COMMANDS, by placeholder name
+KERNEL_INPUTS = {
+    "exact": {
+        "q": ["0", "1/2", "-1/3"], "b": ["1", "2/3"],
+        "precision": {"mode": "rational", "bits": 256},
+    },
+    "atoms": {
+        "kind": "atomic",
+        "points": ["-2", "-1/2", "0", "1/3", "3"],
+        "weights": ["1/10", "3/10", "1/5", "1/4", "3/20"],
+        "transforms": [{"power_lift": 2}],
+        "precision": {"mode": "rational", "bits": 256},
+    },
+    "density": {
+        "kind": "density", "weight": "gaussian",
+        "quadrature": {"rule": "gauss_from_jacobi",
+                       "reference": {"family": "hermite_like"}, "n_nodes": 24},
+        "transforms": [{"power_lift": -2}],
+        "precision": {"mode": "bigfloat", "bits": 256},
+    },
 }
 
 
 class TestKernelOutputs:
     @pytest.mark.parametrize("name", list(KERNEL_COMMANDS))
     def test_stdout_bytes_unchanged(self, capsys, tmp_path, name):
-        files = {
-            "csv": str(tmp_path / "trace.csv"),
-            "exact": write_json(tmp_path, "exact.json", {
-                "q": ["0", "1/2", "-1/3"], "b": ["1", "2/3"],
-                "precision": {"mode": "rational", "bits": 256},
-            }),
-        }
+        files = {key: write_json(tmp_path, f"{key}.json", doc)
+                 for key, doc in KERNEL_INPUTS.items()}
+        files["csv"] = str(tmp_path / "trace.csv")
         argv = [arg.format(**files) for arg in KERNEL_COMMANDS[name]]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
