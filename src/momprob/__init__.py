@@ -40,6 +40,7 @@ from .jacobi import (
     classify,
     pi_eval,
     truncation_spectrum,
+    weyl_radii,
     weyl_radius,
 )
 from .measures import (
@@ -129,5 +130,6 @@ __all__ = [
     "stone_jacobi_operator_route",
     "truncation_spectrum",
     "validate_positive",
+    "weyl_radii",
     "weyl_radius",
 ]

@@ -32,7 +32,7 @@ from .jacobi import (
     classify,
     pi_eval,
     truncation_spectrum,
-    weyl_radius,
+    weyl_radii,
 )
 from .measures import Measure, measure_to_jacobi
 from .moments import (
@@ -87,14 +87,16 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, infile=True):
-        if infile:
-            sp.add_argument("--in", dest="infile", help="input JSON file (- for stdin)")
+    def add_common(sp, family=False):
+        sp.add_argument("--in", dest="infile", help="input JSON file (- for stdin)")
         sp.add_argument("--out", dest="outfile", help="output JSON file (default stdout)")
         sp.add_argument("--mode", choices=[RATIONAL, BIGFLOAT, DOUBLE], default=None)
         sp.add_argument("--precision-bits", type=int, default=None)
         sp.add_argument("--strict", action="store_true",
                         help="exit 4 on inconclusive verdicts")
+        if family:
+            sp.add_argument("--family", default=None)
+            sp.add_argument("--family-n", type=int, default=None)
         return sp
 
     sp = add_common(sub.add_parser("validate-moments", help="Hankel positivity check"))
@@ -103,40 +105,32 @@ def _build_parser():
     sp = add_common(sub.add_parser("moments-to-jacobi", help="moments -> recurrence"))
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("jacobi-to-moments", help="recurrence -> moments"))
+    sp = add_common(sub.add_parser("jacobi-to-moments", help="recurrence -> moments"), family=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
 
-    sp = add_common(sub.add_parser("pi-eval", help="orthonormal polynomial values at z"))
+    sp = add_common(sub.add_parser("pi-eval", help="orthonormal polynomial values at z"),
+                    family=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
 
-    sp = add_common(sub.add_parser("weyl-radii", help="nested circle radii at z"))
+    sp = add_common(sub.add_parser("weyl-radii", help="nested circle radii at z"), family=True)
     sp.add_argument("--z", default="i")
     sp.add_argument("--n-list", default=None, help="comma-separated checkpoint list")
     sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
     sp.add_argument("--csv", dest="csvfile", default=None,
                     help="also write an n,radius CSV trace")
 
-    sp = add_common(sub.add_parser("classify", help="determinacy classification"))
+    sp = add_common(sub.add_parser("classify", help="determinacy classification"), family=True)
     sp.add_argument("--z", default="i")
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--eps-zero", type=float, default=None)
     sp.add_argument("--eps-stable", type=float, default=None)
     sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
     sp.add_argument("--csv", dest="csvfile", default=None)
 
-    sp = add_common(sub.add_parser("spectrum", help="Gauss measure of a finite section"))
+    sp = add_common(sub.add_parser("spectrum", help="Gauss measure of a finite section"),
+                    family=True)
     sp.add_argument("--n", type=int, required=True, help="truncation size")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
 
     sp = add_common(sub.add_parser("transform", help="reweight a measure"))
     sp.add_argument("--gauss-damp", dest="alpha", default=None)
@@ -145,28 +139,25 @@ def _build_parser():
     sp = add_common(sub.add_parser("measure-to-jacobi", help="measure -> recurrence"))
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("stone", help="damped-vector basis matrix"))
+    sp = add_common(sub.add_parser("stone", help="damped-vector basis matrix"), family=True)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--route", choices=["measure", "operator"], default="measure")
     sp.add_argument("--g", default="1", help="operator route: comma-separated vector")
     sp.add_argument("--truncation", type=int, default=None,
                     help="operator route: finite-section size N")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
 
     sp = add_common(sub.add_parser("f-basis", help="weighted-polynomial basis matrix"))
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("gram-check", help="orthonormality of the weighted basis"))
+    sp = add_common(sub.add_parser("gram-check", help="orthonormality of the weighted basis"),
+                    family=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--probe", action="store_true",
                     help="representation probe: smallest singular value of the "
                          "shifted power-orbit columns of a Jacobi matrix input")
     sp.add_argument("--truncation", type=int, default=None)
     sp.add_argument("--g", default="1", help="probe vector, comma-separated")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--family-n", type=int, default=None)
 
     sp = add_common(sub.add_parser("index", help="index of determinacy scan"))
     sp.add_argument("--n-max", type=int, required=True)
@@ -178,9 +169,10 @@ def _build_parser():
     return p
 
 
-def _config_from_args(args, fallback=None):
-    if fallback is not None and args.mode is None and args.precision_bits is None:
-        return fallback
+def _config_from_args(args):
+    """Precision set by --mode/--precision-bits, or None to keep the input's."""
+    if args.mode is None and args.precision_bits is None:
+        return None
     mode = args.mode if args.mode is not None else BIGFLOAT
     if mode == BIGFLOAT:
         return PrecisionConfig.bigfloat(args.precision_bits or 256)
@@ -199,30 +191,18 @@ def _read_json(args):
 
 
 def _load_moments(args) -> MomentSequence:
-    obj = _read_json(args)
-    cfg = None
-    if args.mode is not None or args.precision_bits is not None:
-        cfg = _config_from_args(args)
-    return MomentSequence.from_json(obj, precision=cfg)
+    return MomentSequence.from_json(_read_json(args), precision=_config_from_args(args))
 
 
 def _load_jacobi(args) -> JacobiMatrix:
-    cfg = None
-    if args.mode is not None or args.precision_bits is not None:
-        cfg = _config_from_args(args)
-    family = getattr(args, "family", None)
-    if family:
-        return families.make(family, precision=cfg, n=getattr(args, "family_n", None))
-    obj = _read_json(args)
-    return JacobiMatrix.from_json(obj, precision=cfg)
+    cfg = _config_from_args(args)
+    if args.family:
+        return families.make(args.family, precision=cfg, n=args.family_n)
+    return JacobiMatrix.from_json(_read_json(args), precision=cfg)
 
 
 def _load_measure(args) -> Measure:
-    obj = _read_json(args)
-    cfg = None
-    if args.mode is not None or args.precision_bits is not None:
-        cfg = _config_from_args(args)
-    return Measure.from_json(obj, precision=cfg)
+    return Measure.from_json(_read_json(args), precision=_config_from_args(args))
 
 
 def _emit(args, obj) -> None:
@@ -302,7 +282,7 @@ def _dispatch(args) -> int:
             ns = sorted({int(x) for x in args.n_list.split(",")})
         else:
             ns = ClassifyPolicy(n_max=args.n_max or 1024).checkpoints()
-        radii = [weyl_radius(J, z, n) for n in ns]
+        radii = weyl_radii(J, z, ns)
         if args.csvfile:
             _write_csv(args.csvfile, ns, radii, J.precision)
         _emit(args, {
@@ -418,11 +398,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "pipeline":
-        doc = _read_json(args)
-        cfg = None
-        if args.mode is not None or args.precision_bits is not None:
-            cfg = _config_from_args(args)
-        result = run_pipeline(doc, cfg)
+        result = run_pipeline(_read_json(args), _config_from_args(args))
         _emit(args, result)
         if args.strict and result.get("verdict", {}).get("verdict") == INCONCLUSIVE:
             return EXIT_INCONCLUSIVE

@@ -227,18 +227,24 @@ def pi_eval(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
         return [+v for v in vals]
 
 
-def weyl_radius(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
-    """Radius of the n-th nested circle at the nonreal point ``z``."""
-    if n < 1:
+def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int], bits: Optional[int] = None):
+    """Radii of the nested circles at the nonreal point ``z``, one per
+    checkpoint in ``ns``, from a single forward scan up to the largest."""
+    if any(n < 1 for n in ns):
         raise ValueError("n must be positive")
-    cfg = J.precision
-    work = bits if bits is not None else cfg.working_bits()
+    work = bits if bits is not None else J.precision.working_bits()
     with wp(work + 16):
         if mp.im(mp.mpc(z)) == 0:
             raise RealPoint("Weyl radii are defined only off the real axis")
-    r = _RadiusScan(J, z, work).radius_at(n)
+    scan = _RadiusScan(J, z, work)
+    radii = {n: scan.radius_at(n) for n in sorted(set(ns))}
     with wp(work):
-        return +r
+        return [+radii[n] for n in ns]
+
+
+def weyl_radius(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
+    """Radius of the n-th nested circle at the nonreal point ``z``."""
+    return weyl_radii(J, z, [n], bits)[0]
 
 
 def _stream(J: JacobiMatrix, z):

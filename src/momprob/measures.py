@@ -13,9 +13,9 @@ structurally.  A scalar ``scale`` accumulates normalization constants.
 
 measure -> Jacobi conversion uses the discretized Stieltjes procedure on the
 support points, computed by the Gragg-Harrod RKPW rotation update (one atom
-at a time, no reorthogonalization), which is the numerically benign route;
-the raw-moment Hankel route exists independently in :mod:`momprob.moments`
-and the two are required to agree.
+at a time, no reorthogonalization, exact on rational atoms), which is the
+numerically benign route; the raw-moment Hankel route exists independently
+in :mod:`momprob.moments` and the two are required to agree.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .precision import (
     format_number,
     is_finite_number,
     pairwise_sum,
+    sqrt_number,
     to_fraction,
     to_mpf,
     wp,
@@ -67,15 +68,11 @@ class Multiplier:
             raise ValueError(f"unknown multiplier form {self.form!r}")
 
     def value_at(self, t):
-        """Multiplier value at a point, in the ambient mp precision."""
+        """Multiplier value at a point, in the ambient mp precision; a
+        power lift at a Fraction point is an exact Fraction."""
         if self.form == "gauss_damp":
             a = to_mpf(self.param)
             return mp.exp(-2 * a * t * t)
-        return (1 + t * t) ** self.param
-
-    def value_at_fraction(self, t: Fraction):
-        if self.form == "gauss_damp":
-            raise ValueError("gaussian damping is not rational-valued")
         return (1 + t * t) ** self.param
 
     def to_json(self):
@@ -230,18 +227,13 @@ class Measure(object):
             return None
         pts, wts = base
         cfg = self.precision
-        if cfg.mode == RATIONAL and self._stack_is_rational():
-            out = []
-            for t, w in zip(pts, wts):
-                f = to_fraction(w) * self._stack_value_fraction(to_fraction(t))
-                out.append(f * to_fraction(self.scale))
-            return pts, tuple(out)
+        num = to_fraction if cfg.mode == RATIONAL and self._stack_is_rational() else to_mpf
         with wp(cfg.working_bits() + 16):
-            sc = to_mpf(self.scale)
+            sc = num(self.scale)
             out = []
             for t, w in zip(pts, wts):
-                tt = to_mpf(t)
-                v = to_mpf(w) * sc
+                tt = num(t)
+                v = num(w) * sc
                 for m in self.transforms:
                     v = v * m.value_at(tt)
                 out.append(v)
@@ -249,12 +241,6 @@ class Measure(object):
 
     def _stack_is_rational(self):
         return all(m.form == "power_lift" for m in self.transforms)
-
-    def _stack_value_fraction(self, t: Fraction):
-        v = Fraction(1)
-        for m in self.transforms:
-            v *= m.value_at_fraction(t)
-        return v
 
     # -- integration ---------------------------------------------------------
 
@@ -319,24 +305,18 @@ class Measure(object):
         if atoms is None:
             return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
         pts, wts = atoms
-        if cfg.mode == RATIONAL and self._stack_is_rational() and all(
-            isinstance(x, (int, Fraction)) for x in list(pts) + list(wts)
-        ):
-            out = []
-            powers = [Fraction(1)] * len(pts)
-            pts_f = [to_fraction(t) for t in pts]
-            for k in range(m + 1):
-                out.append(pairwise_sum([w * p for w, p in zip(wts, powers)]))
-                powers = [p * t for p, t in zip(powers, pts_f)]
-            return out
+        exact = _exact_atoms(cfg, pts, wts)
+        num = to_fraction if exact else to_mpf
         with wp(cfg.working_bits() + 16):
-            pts_f = [to_mpf(t) for t in pts]
-            wts_f = [to_mpf(w) for w in wts]
-            powers = [mp.mpf(1)] * len(pts_f)
+            pts_f = [num(t) for t in pts]
+            wts_f = [num(w) for w in wts]
+            powers = [num(1)] * len(pts_f)
             out = []
             for k in range(m + 1):
                 out.append(pairwise_sum([w * p for w, p in zip(wts_f, powers)]))
                 powers = [p * t for p, t in zip(powers, pts_f)]
+        if exact:
+            return out
         with wp(cfg.working_bits()):
             return [+x for x in out]
 
@@ -388,7 +368,7 @@ class Measure(object):
         if not isinstance(n, int):
             raise ValueError("power exponent must be an integer")
         if n == 0:
-            return self, _one_like(self)
+            return self, convert(1, self.precision)
         out = self._replace(transforms=_merge_stack(self.transforms, Multiplier("power_lift", n)))
         return out.normalize()
 
@@ -466,12 +446,9 @@ class Measure(object):
         raise ValueError(f"unknown measure kind {kind!r}")
 
 
-def _one_like(mu: Measure):
-    if mu.precision.mode == RATIONAL:
-        return Fraction(1)
-    if mu.precision.mode == DOUBLE:
-        return 1.0
-    return mp.mpf(1)
+def _exact_atoms(cfg: PrecisionConfig, pts, wts) -> bool:
+    """Whether rational-mode atoms are all exact, so the work stays exact."""
+    return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in pts + wts)
 
 
 def _gauss_atoms(spec: QuadratureSpec, cfg: PrecisionConfig):
@@ -515,8 +492,10 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
     atoms are added one at a time, and each addition updates the Jacobi
     matrix by a chase of Givens rotations, in O(len(atoms) * n) time and
     O(n) memory with no reorthogonalization (Gragg & Harrod, Numer. Math. 44,
-    1984; Gautschi, Orthogonal Polynomials, 2004, 2.2.3).  In rational mode
-    the monic recurrence runs exactly instead.
+    1984; Gautschi, Orthogonal Polynomials, 2004, 2.2.3).  The chase is kept
+    in squared form, which needs only + - * /, so exact rational atoms run
+    it in Fraction arithmetic; other input runs it at the working precision
+    plus 32 guard bits and is rounded once.
 
     With ``partial=True``, exhausted support truncates the output at the
     deepest resolvable level instead of raising FiniteSupport.
@@ -537,55 +516,13 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
             )
         n = len(pts)
     cfg = mu.precision
-    if cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in list(pts) + list(wts)):
-        return _stieltjes_rational(pts, wts, n, cfg, partial)
-    return _stieltjes_float(pts, wts, n, cfg, partial)
-
-
-def _stieltjes_rational(pts, wts, n, cfg, partial=False):
-    from .precision import sqrt_number
-
-    t = [to_fraction(p) for p in pts]
-    w = [to_fraction(x) for x in wts]
-    total = sum(w)
-    w = [x / total for x in w]
-    # monic three-term recurrence, exact
-    p_prev = [Fraction(0)] * len(t)
-    p_cur = [Fraction(1)] * len(t)
-    nrm_prev = Fraction(0)
-    nrm_cur = Fraction(1)
-    q_out, b2_out = [], []
-    for k in range(n):
-        tp = [ti * pi for ti, pi in zip(t, p_cur)]
-        a = sum(wi * tpi * pi for wi, tpi, pi in zip(w, tp, p_cur)) / nrm_cur
-        q_out.append(a)
-        if k == n - 1:
-            break
-        beta = nrm_cur / nrm_prev if k > 0 else Fraction(0)
-        nxt = [
-            tpi - a * pi - (beta * ppi if k > 0 else Fraction(0))
-            for tpi, pi, ppi in zip(tp, p_cur, p_prev)
-        ]
-        nrm_next = sum(wi * xi * xi for wi, xi in zip(w, nxt))
-        if nrm_next == 0:
-            if partial:
-                break
-            raise FiniteSupport(
-                f"support exhausted at level {k + 1}: off-diagonal would vanish"
-            )
-        b2_out.append(nrm_next / nrm_cur)
-        p_prev, p_cur = p_cur, nxt
-        nrm_prev, nrm_cur = nrm_cur, nrm_next
-    b_out = [sqrt_number(x, cfg) for x in b2_out]
-    return JacobiMatrix(q=q_out[: len(b_out) + 1], b=b_out, precision=cfg)
-
-
-def _stieltjes_float(pts, wts, n, cfg, partial=False):
+    exact = _exact_atoms(cfg, pts, wts)
+    num = to_fraction if exact else to_mpf
     bits = cfg.working_bits()
     with wp(bits + 32):
-        t = [to_mpf(p) for p in pts]
-        w = [to_mpf(x) for x in wts]
-        total = mp.fsum(w)
+        t = [num(p) for p in pts]
+        w = [num(x) for x in wts]
+        total = sum(w) if exact else mp.fsum(w)
         if not total > 0:
             raise ZeroMass("measure has nonpositive mass on its support")
         w = [x / total for x in w]
@@ -594,7 +531,7 @@ def _stieltjes_float(pts, wts, n, cfg, partial=False):
         # squared form (q holds the diagonal, b2[0] the mass, b2[k] = b_k^2).
         # Step k of a chase reads and writes entry k only, so chases cut off
         # at n leave the leading n x n block exact.
-        q, b2 = t[:n], [mp.mpf(0)] * n
+        q, b2 = t[:n], [num(0)] * n
         b2[0] = w[0]
         for j in range(1, len(t)):
             lam, pn = t[j], w[j]
@@ -612,7 +549,7 @@ def _stieltjes_float(pts, wts, n, cfg, partial=False):
                 tk = sig * (q[k] - lam) - gam * tprev
                 q[k] -= tk - tprev
                 pn = tk * tk / sig if sig > 0 else tsig * bk
-        floor2 = mp.mpf(2) ** (-2 * bits)
+        floor2 = 0 if exact else mp.mpf(2) ** (-2 * bits)
         depth = next((k for k in range(1, n) if not b2[k] > floor2), n)
         if depth < n and not partial:
             raise FiniteSupport(
@@ -620,6 +557,9 @@ def _stieltjes_float(pts, wts, n, cfg, partial=False):
                 "residual norm below resolvable size"
             )
         q_out = q[:depth]
+        if exact:
+            return JacobiMatrix(q=q_out, b=[sqrt_number(x, cfg) for x in b2[1:depth]],
+                                precision=cfg)
         b_out = [mp.sqrt(x) for x in b2[1:depth]]
     if cfg.mode == DOUBLE:
         return JacobiMatrix(

@@ -279,6 +279,24 @@ class TestEvaluationCommands:
         assert doc["checkpoints"] == [1, 4, 16]
         assert doc["radii"][0].startswith("0.5")
 
+    def test_weyl_radii_runs_one_scan(self, capsys, monkeypatch):
+        # checkpoints 8, 16, ..., 8192 from one scan: pairs 1..8191, each read
+        # once through diag and once through offdiag
+        calls = []
+        make = momprob.families.make
+
+        def counted_make(name, precision=None, n=None):
+            J = make(name, precision, n)
+            return momprob.JacobiMatrix(generator=lambda k: calls.append(k) or J.generator(k),
+                                        precision=J.precision, family=J.family)
+
+        monkeypatch.setattr(momprob.families, "make", counted_make)
+        code, out, _ = run_cli(capsys, "weyl-radii", "--family", "hermite_like",
+                               "--n-max", "8192")
+        assert code == 0
+        assert json.loads(out)["checkpoints"][-1] == 8192
+        assert len(calls) == 2 * 8191
+
     def test_jacobi_to_moments(self, capsys):
         code, out, _ = run_cli(capsys, "jacobi-to-moments", "--family",
                                "hermite_like", "--m", "4")

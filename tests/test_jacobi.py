@@ -12,6 +12,7 @@ from momprob import (
     jacobi_to_moments,
     pi_eval,
     truncation_spectrum,
+    weyl_radii,
     weyl_radius,
 )
 from momprob.families import lognormal
@@ -87,6 +88,25 @@ class TestWeylRadius:
     def test_real_point_rejected(self, hermite256):
         with pytest.raises(RealPoint):
             weyl_radius(hermite256, 2.0, 5)
+
+    def test_radii_equal_single_radii_in_caller_order(self, hermite256):
+        ns = [16, 1, 4, 16, 3]
+        assert weyl_radii(hermite256, 0.5 + 1j, ns) == [
+            weyl_radius(hermite256, 0.5 + 1j, n) for n in ns
+        ]
+        with pytest.raises(ValueError):
+            weyl_radii(hermite256, 1j, [4, 0])
+
+    def test_radii_run_one_scan(self, cfg256):
+        from momprob.families import hermite_like
+
+        calls = []
+        gen = hermite_like(cfg256).generator
+        J = JacobiMatrix(generator=lambda k: calls.append(k) or gen(k), precision=cfg256)
+        weyl_radii(J, 1j, ClassifyPolicy(n_max=1024).checkpoints())
+        # p_1..p_1024 read pairs 1..1023 once each: one diag and one offdiag call
+        assert len(calls) == 2 * 1023
+        assert sorted(set(calls)) == list(range(1, 1024))
 
     def test_monotone_decreasing(self, hermite256):
         r50 = weyl_radius(hermite256, 1j, 50)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momprob import (
     FiniteSupport,
@@ -24,6 +25,18 @@ from momprob.moments import MomentSequence
 
 from conftest import assert_close, assert_matches_lanczos
 from oracles import atomic_moments, lanczos_recurrence
+
+
+@st.composite
+def rational_measures(draw):
+    """2-10 rational atoms with rational weights, in rational mode, power
+    reweighted by -1, 0 or 1."""
+    pts = draw(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=2, max_size=10,
+                        unique=True))
+    wts = draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
+                        min_size=len(pts), max_size=len(pts)))
+    mu, _ = Measure.atomic(sorted(pts), wts, precision=PrecisionConfig.rational()).normalize()
+    return power_reweight(mu, draw(st.sampled_from([-1, 0, 1])))[0]
 
 
 @pytest.fixture()
@@ -225,21 +238,17 @@ class TestMeasureToJacobi:
             for k in range(1, 10):
                 assert abs(J.offdiag(k) - mp.sqrt(mp.mpf(k) / 2)) < 1e-10
 
-    def test_route_agreement_with_moment_route(self):
-        cfg = PrecisionConfig.rational()
-        pts = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
-        wts = [Fraction(1, 10), Fraction(2, 10), Fraction(4, 10), Fraction(2, 10), Fraction(1, 10)]
-        mu = Measure.atomic(pts, wts, precision=cfg)
-        J_nodes = measure_to_jacobi(mu, 4)
-        moms = MomentSequence.from_values(moments_of(mu, 8), cfg)
-        J_moms = moments_to_jacobi(moms, 4)
+    @settings(max_examples=40, deadline=None)
+    @given(rational_measures(), st.data())
+    def test_route_agreement_with_moment_route(self, mu, data):
+        # the exact Hankel route is the oracle: the same q and b, entry for
+        # entry; s_0..s_(2n-1) allow every depth up to the number of atoms
+        n = data.draw(st.integers(1, len(mu.points)), label="n")
+        J_nodes = measure_to_jacobi(mu, n)
+        moments = MomentSequence.from_values(moments_of(mu, 2 * n - 1), mu.precision)
+        J_moms = moments_to_jacobi(moments, n)
         assert list(J_nodes._q) == list(J_moms._q)
-        for a, b in zip(J_nodes._b, J_moms._b):
-            if isinstance(a, Fraction) and isinstance(b, Fraction):
-                assert a == b
-            else:
-                with mp.workprec(280):
-                    assert abs(mp.mpf(float(a)) - mp.mpf(float(b))) < 1e-60
+        assert list(J_nodes._b) == list(J_moms._b)
 
     def test_transform_then_convert_path_independent(self):
         cfg = PrecisionConfig.bigfloat(256)
@@ -290,14 +299,23 @@ class TestMeasureToJacobiAgainstLanczos:
         J = assert_matches_lanczos(damped, 40, partial=True)
         assert 2 <= J.n_stored < 40
 
-    @pytest.mark.parametrize("weights, depth", [
-        ([1, 3], 2),
-        ([1, Fraction(1, 2 ** 600)], 1),  # b_1^2 below 2^-(2*256): exhausted at once
-    ])
-    def test_partial_on_two_atoms(self, weights, depth):
-        mu = Measure.atomic([-1, 1], weights, precision=PrecisionConfig.bigfloat(256))
-        J = assert_matches_lanczos(mu, 3, partial=True)
+    @pytest.mark.parametrize("points, weights, depth", [
+        ([-1, 1], [1, 3], 2),
+        ([-1, 1], [1, Fraction(1, 2 ** 600)], 1),  # b_1^2 below 2^-(2*256): exhausted at once
+        # 1 and 1 + 2^-600 collide once rounded to 256 + 32 bits, so the
+        # chase takes its rho <= 0 arm and then its sig <= 0 arm
+        ([1, 1 + Fraction(1, 2 ** 600)], [1, 1], 1),
+        ([0, 1, 1 + Fraction(1, 2 ** 600), 3], [1, 1, 1, 1], 3),
+    ], ids=["weights0-2", "weights1-1", "collision-2-atoms", "collision-4-atoms"])
+    def test_partial_on_two_atoms(self, points, weights, depth):
+        mu = Measure.atomic(points, weights, precision=PrecisionConfig.bigfloat(256))
+        J = assert_matches_lanczos(mu, len(points) + 1, partial=True)
         assert J.n_stored == depth
+        if depth < len(points):
+            with pytest.raises(FiniteSupport):
+                lanczos_recurrence(points, weights, len(points), 256)
+            with pytest.raises(FiniteSupport):
+                measure_to_jacobi(mu, len(points))
 
     def test_exhaustion_raises_without_partial(self, lognormal_proxy40):
         damped = gauss_damp(lognormal_proxy40, "1/2")
