@@ -97,17 +97,6 @@ class TestWeylRadius:
         with pytest.raises(ValueError):
             weyl_radii(hermite256, 1j, [4, 0])
 
-    def test_radii_run_one_scan(self, cfg256):
-        from momprob.families import hermite_like
-
-        calls = []
-        gen = hermite_like(cfg256).generator
-        J = JacobiMatrix(generator=lambda k: calls.append(k) or gen(k), precision=cfg256)
-        weyl_radii(J, 1j, ClassifyPolicy(n_max=1024).checkpoints())
-        # p_1..p_1024 read pairs 1..1023 once each: one diag and one offdiag call
-        assert len(calls) == 2 * 1023
-        assert sorted(set(calls)) == list(range(1, 1024))
-
     def test_monotone_decreasing(self, hermite256):
         r50 = weyl_radius(hermite256, 1j, 50)
         r200 = weyl_radius(hermite256, 1j, 200)
