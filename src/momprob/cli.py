@@ -174,10 +174,11 @@ def _config_from_args(args):
     if args.mode is None and args.precision_bits is None:
         return None
     mode = args.mode if args.mode is not None else BIGFLOAT
+    bits = 256 if args.precision_bits is None else args.precision_bits
     if mode == BIGFLOAT:
-        return PrecisionConfig.bigfloat(args.precision_bits or 256)
+        return PrecisionConfig.bigfloat(bits)
     if mode == RATIONAL:
-        return PrecisionConfig.rational(args.precision_bits or 256)
+        return PrecisionConfig.rational(bits)
     return PrecisionConfig.double()
 
 
@@ -281,7 +282,7 @@ def _dispatch(args) -> int:
         if args.n_list:
             ns = sorted({int(x) for x in args.n_list.split(",")})
         else:
-            ns = ClassifyPolicy(n_max=args.n_max or 1024).checkpoints()
+            ns = ClassifyPolicy(n_max=1024 if args.n_max is None else args.n_max).checkpoints()
         radii = weyl_radii(J, z, ns)
         if args.csvfile:
             _write_csv(args.csvfile, ns, radii, J.precision)

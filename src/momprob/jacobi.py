@@ -177,6 +177,8 @@ class ClassifyPolicy:
     def checkpoints(self):
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
+        if self.start < 1:
+            raise ValueError("start must be positive")
         pts = []
         n = self.start
         while n < self.n_max:

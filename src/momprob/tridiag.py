@@ -3,8 +3,9 @@
 Three kernels live here, each written once for the whole package:
 
 * the Sturm count (the LDL^T negative-pivot count, robust at any mantissa
-  size), which with a guarded Newton iteration on the characteristic
-  polynomial locates every eigenvalue to the full working precision;
+  size), which splits one bisection tree into a bracket per eigenvalue and
+  guards the Newton iteration on the characteristic polynomial that
+  polishes each bracket to the full working precision;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
   an iterable of coefficient pairs;
 * :func:`matvec`, the product of the matrix with a vector.
@@ -69,89 +70,58 @@ def eigenvalues(q, b, bits: int):
     """All eigenvalues of the symmetric tridiagonal matrix, ascending.
 
     ``q`` is the diagonal (length N), ``b`` the positive off-diagonal
-    (length N-1); with b > 0 all eigenvalues are simple.
+    (length N-1); with b > 0 all eigenvalues are simple.  One bisection tree
+    of Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+    brackets every eigenvalue; one guarded Newton loop per bracket polishes
+    it to a step within 2^-(bits+8) max(1, |x|), bisecting instead when a
+    step leaves the bracket or fails to halve.  Both run at ``bits + 24``
+    and the result is rounded once to ``bits``.
     """
     n = len(q)
     if len(b) != n - 1:
         raise ValueError("off-diagonal must be one entry shorter than diagonal")
-    guard = bits + 24
-    with wp(guard):
+    with wp(bits + 24):
         qq = [to_mpf(v) for v in q]
-        bb = [to_mpf(v) for v in b]
+        bb = [abs(to_mpf(v)) for v in b] + [mp.mpf(0)]
         b2 = [v * v for v in bb]
-        if n == 1:
-            return [+qq[0]]
-        # Gershgorin enclosure
-        radius = [mp.mpf(0)] * n
-        for k in range(n):
-            r = mp.mpf(0)
-            if k > 0:
-                r += abs(bb[k - 1])
-            if k < n - 1:
-                r += abs(bb[k])
-            radius[k] = r
-        lo = min(qq[k] - radius[k] for k in range(n))
-        hi = max(qq[k] + radius[k] for k in range(n))
-        span = hi - lo
-        if span == 0:
-            return [+qq[0]] * n
-
         eps = mp.mpf(2) ** (-(bits + 8))
+        # Gershgorin enclosure (bb[-1] = 0 stands in for the missing b at
+        # both ends), widened so neither end is an eigenvalue
+        lo = min(qq[k] - (bb[k - 1] + bb[k]) for k in range(n))
+        hi = max(qq[k] + (bb[k - 1] + bb[k]) for k in range(n))
+        lo, hi = lo - eps * (1 + abs(lo)), hi + eps * (1 + abs(hi))
+        # halves that hold eigenvalues are kept, the upper one pushed first so
+        # brackets come out ascending; 4 * (bits + 24) halvings end a node
+        floor = (hi - lo) * mp.mpf(2) ** (-4 * (bits + 24))
+        brackets, nodes = [], [(lo, hi, 0, n)]
+        while nodes:
+            a, c, ca, cc = nodes.pop()
+            mid = (a + c) / 2
+            if cc - ca == 1 or not a < mid < c or c - a <= floor:
+                brackets += [(a, c)] * (cc - ca)
+                continue
+            cm = _sturm_count(qq, b2, mid)
+            nodes += [node for node in ((mid, c, cm, cc), (a, mid, ca, cm))
+                      if node[3] > node[2]]
         out = []
-        for idx in range(n):
-            a, c = lo - eps * (1 + abs(lo)), hi + eps * (1 + abs(hi))
-            ca, cc = 0, n
-            # isolate: bisect until the bracket holds exactly one eigenvalue
-            # (matters for strongly graded matrices, where neighbor spacing
-            # can be astronomically small relative to the spectral span)
-            it = 0
-            while cc - ca > 1 and it < 4 * guard:
-                mid = (a + c) / 2
-                cm = _sturm_count(qq, b2, mid)
-                if cm <= idx:
-                    a, ca = mid, cm
-                else:
-                    c, cc = mid, cm
-                it += 1
-            # refine the bracket until Newton has a safe basin
-            for _ in range(48):
-                if c - a <= mp.mpf("1e-12") * max(abs(a), abs(c), mp.mpf(1)):
-                    break
-                mid = (a + c) / 2
-                if _sturm_count(qq, b2, mid) <= idx:
-                    a = mid
-                else:
-                    c = mid
-            x = (a + c) / 2
-            # guarded Newton on the characteristic polynomial
-            converged = False
-            for _ in range(max(12, int(mp.log(bits, 2)) + 6)):
+        for idx, (a, c) in enumerate(brackets):
+            x, step = (a + c) / 2, c - a
+            while True:
                 p, dp = _charpoly_and_derivative(qq, b2, x)
-                if dp == 0:
-                    break
-                xn = x - p / dp
-                if not (a <= xn <= c):
-                    if _sturm_count(qq, b2, x) <= idx:
-                        a = x
-                    else:
-                        c = x
-                    xn = (a + c) / 2
-                if abs(xn - x) <= eps * max(mp.mpf(1), abs(xn)):
-                    x = xn
-                    converged = True
-                    break
-                x = xn
-            if not converged:
-                # pure bisection to full precision as a fallback
-                while c - a > eps * max(mp.mpf(1), abs(a), abs(c)):
-                    mid = (a + c) / 2
-                    if mid == a or mid == c:
+                if dp:  # a zero slope falls through to a bisection step
+                    xn = x - p / dp
+                    # convergence first: at the noise floor Newton and the
+                    # Sturm count can disagree by an ulp
+                    if abs(xn - x) <= eps * max(1, abs(xn)):
+                        x = xn
                         break
-                    if _sturm_count(qq, b2, mid) <= idx:
-                        a = mid
-                    else:
-                        c = mid
-                x = (a + c) / 2
+                    if a < xn < c and 2 * abs(xn - x) <= step:
+                        x, step = xn, abs(xn - x)
+                        continue
+                a, c = (x, c) if _sturm_count(qq, b2, x) <= idx else (a, x)
+                x, step = (a + c) / 2, (c - a) / 2
+                if c - a <= eps * max(1, abs(x)):
+                    break
             out.append(x)
     with wp(bits):
         return [+x for x in out]

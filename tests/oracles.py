@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive and separate from the library code:
 classical Gram-Schmidt driven by raw moments in exact rationals,
-permutation-expansion determinants, and Lanczos with full
-reorthogonalization on atoms.  These are the oracles the main routes are
-checked against.
+permutation-expansion determinants, Lanczos with full
+reorthogonalization on atoms, and the per-index Sturm bisection
+eigensolver.  These are the oracles the main routes are checked against.
 """
 from fractions import Fraction
 from itertools import permutations
@@ -12,6 +12,8 @@ from itertools import permutations
 import mpmath as mp
 
 from momprob.errors import FiniteSupport
+from momprob.precision import to_mpf, wp
+from momprob.tridiag import _charpoly_and_derivative, _sturm_count
 
 
 def gram_schmidt_recurrence(moments, n):
@@ -99,6 +101,103 @@ def lanczos_recurrence(pts, wts, n, bits, partial=False):
         q_out = q_out[: len(b_out) + 1]
     with mp.workprec(bits):
         return [+x for x in q_out], [+x for x in b_out]
+
+
+def sturm_newton_eigenvalues(q, b, bits: int):
+    """All eigenvalues of the symmetric tridiagonal matrix, ascending.
+
+    ``q`` is the diagonal (length N), ``b`` the positive off-diagonal
+    (length N-1); with b > 0 all eigenvalues are simple.
+
+    The library's eigensolver before its shared bisection tree: every index
+    bisects from the Gershgorin interval until isolated, refines for up to
+    48 more Sturm counts, runs a guarded Newton loop and falls back to
+    bisection, about 43 Sturm counts per eigenvalue.
+    """
+    n = len(q)
+    if len(b) != n - 1:
+        raise ValueError("off-diagonal must be one entry shorter than diagonal")
+    guard = bits + 24
+    with wp(guard):
+        qq = [to_mpf(v) for v in q]
+        bb = [to_mpf(v) for v in b]
+        b2 = [v * v for v in bb]
+        if n == 1:
+            return [+qq[0]]
+        # Gershgorin enclosure
+        radius = [mp.mpf(0)] * n
+        for k in range(n):
+            r = mp.mpf(0)
+            if k > 0:
+                r += abs(bb[k - 1])
+            if k < n - 1:
+                r += abs(bb[k])
+            radius[k] = r
+        lo = min(qq[k] - radius[k] for k in range(n))
+        hi = max(qq[k] + radius[k] for k in range(n))
+        span = hi - lo
+        if span == 0:
+            return [+qq[0]] * n
+
+        eps = mp.mpf(2) ** (-(bits + 8))
+        out = []
+        for idx in range(n):
+            a, c = lo - eps * (1 + abs(lo)), hi + eps * (1 + abs(hi))
+            ca, cc = 0, n
+            # isolate: bisect until the bracket holds exactly one eigenvalue
+            # (matters for strongly graded matrices, where neighbor spacing
+            # can be astronomically small relative to the spectral span)
+            it = 0
+            while cc - ca > 1 and it < 4 * guard:
+                mid = (a + c) / 2
+                cm = _sturm_count(qq, b2, mid)
+                if cm <= idx:
+                    a, ca = mid, cm
+                else:
+                    c, cc = mid, cm
+                it += 1
+            # refine the bracket until Newton has a safe basin
+            for _ in range(48):
+                if c - a <= mp.mpf("1e-12") * max(abs(a), abs(c), mp.mpf(1)):
+                    break
+                mid = (a + c) / 2
+                if _sturm_count(qq, b2, mid) <= idx:
+                    a = mid
+                else:
+                    c = mid
+            x = (a + c) / 2
+            # guarded Newton on the characteristic polynomial
+            converged = False
+            for _ in range(max(12, int(mp.log(bits, 2)) + 6)):
+                p, dp = _charpoly_and_derivative(qq, b2, x)
+                if dp == 0:
+                    break
+                xn = x - p / dp
+                if not (a <= xn <= c):
+                    if _sturm_count(qq, b2, x) <= idx:
+                        a = x
+                    else:
+                        c = x
+                    xn = (a + c) / 2
+                if abs(xn - x) <= eps * max(mp.mpf(1), abs(xn)):
+                    x = xn
+                    converged = True
+                    break
+                x = xn
+            if not converged:
+                # pure bisection to full precision as a fallback
+                while c - a > eps * max(mp.mpf(1), abs(a), abs(c)):
+                    mid = (a + c) / 2
+                    if mid == a or mid == c:
+                        break
+                    if _sturm_count(qq, b2, mid) <= idx:
+                        a = mid
+                    else:
+                        c = mid
+                x = (a + c) / 2
+            out.append(x)
+    with wp(bits):
+        return [+x for x in out]
 
 
 def det_permutation(matrix):

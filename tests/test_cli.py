@@ -564,6 +564,13 @@ class TestExitCodes:
          3, "CoefficientExhausted"),
         (["stone", "--route", "operator", "--family", "hermite_like", "--alpha", "1/2",
           "--truncation", "3", "--n", "8"], None, 3, "TruncationTooSmall"),
+        # zero-valued flags are invalid values, not requests for the default
+        (["classify", "--family", "hermite_like", "--precision-bits", "0"], None, 2,
+         "ValueError"),
+        (["weyl-radii", "--family", "hermite_like", "--n-max", "0"], None, 2, "ValueError"),
+        (["pipeline"], {"measure": {"kind": "atomic", "points": ["0", "1"],
+                                    "weights": ["1/2", "1/2"]},
+                        "n": 2, "classify": {"start": 0}}, 2, "ValueError"),
     ])
     def test_documented_exit_code(self, capsys, tmp_path, argv, doc, code, name):
         if doc is not None:

@@ -144,6 +144,12 @@ class TestClassify:
         with pytest.raises(RealPoint):
             classify(hermite256, ClassifyPolicy(z=1.0))
 
+    @pytest.mark.parametrize("start", [0, -1])
+    def test_nonpositive_start_rejected(self, hermite256, start):
+        # doubling from start < 1 never reaches n_max
+        with pytest.raises(ValueError, match="^start must be positive$"):
+            classify(hermite256, ClassifyPolicy(n_max=64, start=start))
+
     def test_verdict_serializes(self, hermite256):
         v = classify(hermite256, ClassifyPolicy(n_max=1000))
         obj = v.to_json()

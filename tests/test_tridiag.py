@@ -5,8 +5,10 @@ from itertools import islice
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from momprob import CoefficientExhausted, JacobiMatrix, PrecisionConfig, pi_eval
+from momprob import CoefficientExhausted, JacobiMatrix, PrecisionConfig, pi_eval, tridiag
+from momprob.families import hermite_like, lognormal
 from momprob.tridiag import (
     eigenvalues,
     eigenvector_columns,
@@ -15,6 +17,7 @@ from momprob.tridiag import (
     poly_values,
     recurrence,
 )
+from oracles import sturm_newton_eigenvalues
 
 
 def random_tridiag(n, seed):
@@ -43,6 +46,76 @@ def test_single_entry():
     assert eigenvalues([4.5], [], 64) == [mp.mpf("4.5")]
     nodes, w = gauss_rule([4.5], [], 64)
     assert nodes == [mp.mpf("4.5")] and w == [mp.mpf(1)]
+    with mp.workprec(300):
+        third = mp.mpf(1) / 3
+    [got] = eigenvalues([third], [], 64)
+    with mp.workprec(64):
+        assert got == +third and got._mpf_[1].bit_length() == 64
+
+
+def hermite_section(n, bits):
+    return hermite_like(PrecisionConfig.bigfloat(bits)).coefficients(n)
+
+
+def lognormal_section(n, bits):
+    return lognormal(n, PrecisionConfig.bigfloat(bits)).coefficients(n)
+
+
+# the spectrum sizes and precisions the library solves on its hot paths:
+# truncation_spectrum at 256 bits, double mode (53), the Stone operator route
+# (coefficients at 256, eigenvalues at 288) and the graded lognormal section
+ORACLE_CASES = [
+    pytest.param(hermite_section, 60, 256, 256, id="hermite-60-256"),
+    pytest.param(hermite_section, 60, 53, 53, id="hermite-60-53"),
+    pytest.param(hermite_section, 60, 256, 288, id="hermite-60-288"),
+    pytest.param(lognormal_section, 40, 512, 512, id="lognormal-40-512"),
+    pytest.param(hermite_section, 120, 256, 256, id="hermite-120-256"),
+]
+
+
+@pytest.mark.parametrize("section, n, coeff_bits, bits", ORACLE_CASES)
+def test_eigenvalues_bit_identical_to_oracle(section, n, coeff_bits, bits):
+    q, b = section(n, coeff_bits)
+    assert eigenvalues(q, b, bits) == sturm_newton_eigenvalues(q, b, bits)
+
+
+@st.composite
+def positive_b_sections(draw):
+    n = draw(st.integers(1, 12))
+    q = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    b = draw(st.lists(st.floats(1e-3, 3), min_size=n - 1, max_size=n - 1))
+    return q, b, draw(st.sampled_from([53, 128, 256]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_b_sections())
+def test_eigenvalues_match_oracle_on_random_sections(section):
+    q, b, bits = section
+    got, ref = eigenvalues(q, b, bits), sturm_newton_eigenvalues(q, b, bits)
+    assert len(got) == len(ref) == len(q)
+    # below 1 in magnitude both solvers stop on an absolute step of
+    # 2^-(bits+8), so a node at or near 0 (q = 0 with odd N has one at 0)
+    # is fixed only to that absolute size and may differ in its last bits
+    for x, y in zip(got, ref):
+        assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
+
+
+@pytest.mark.parametrize("section, n, bits, budget", [
+    (hermite_section, 60, 256, 4),
+    (lognormal_section, 40, 512, 10),
+])
+def test_sturm_count_budget(monkeypatch, section, n, bits, budget):
+    calls = []
+    count = tridiag._sturm_count
+
+    def counted(*args):
+        calls.append(1)
+        return count(*args)
+
+    monkeypatch.setattr(tridiag, "_sturm_count", counted)
+    q, b = section(n, bits)
+    assert len(eigenvalues(q, b, bits)) == n
+    assert len(calls) <= budget * n
 
 
 def test_two_by_two_closed_form():
