@@ -3,7 +3,8 @@
 Three kernels live here, each written once for the whole package:
 
 * the Sturm count (the LDL^T negative-pivot count, robust at any mantissa
-  size), which splits one bisection tree into a bracket per eigenvalue and
+  size and monotone in IEEE doubles), which drives one bisection tree, run
+  in doubles for split points and in mpf for a bracket per eigenvalue, and
   guards the Newton iteration on the characteristic polynomial that
   polishes each bracket to the full working precision;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
@@ -18,13 +19,15 @@ quadrature weight w = 1 / sum_k p_k(x)^2 (Golub-Welsch).  Only eigenvalues
 and first components are needed for quadrature, so no dense eigenvector
 accumulation is performed.
 
-Inputs are plain sequences; the eigensolver works in mpmath arithmetic at
-the precision requested by the caller, while :func:`recurrence` and
-:func:`matvec` use the arithmetic of their arguments (``Fraction``, mpf or
-mpc alike).
+Inputs are plain sequences; the eigensolver decides in mpmath arithmetic at
+the precision requested by the caller (doubles only choose where it counts),
+and its absolute floors scale with min(1, |T|), so a section scaled by 2^k
+keeps its relative accuracy.  :func:`recurrence` and :func:`matvec` use the
+arithmetic of their arguments (``Fraction``, mpf or mpc alike).
 """
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 import mpmath as mp
@@ -32,21 +35,58 @@ import mpmath as mp
 from .precision import to_mpf, wp
 
 
-def _sturm_count(q, b2, x):
-    """Number of eigenvalues strictly below ``x`` (negative LDL^T pivots)."""
-    count = 0
-    d = q[0] - x
-    if d == 0:
-        d = mp.mpf(2) ** (-mp.mp.prec * 2)
-    if d < 0:
-        count += 1
-    for k in range(1, len(q)):
-        d = (q[k] - x) - b2[k - 1] / d
+def _sturm_count(q, b2, x, unit=1):
+    """Number of eigenvalues strictly below ``x`` (negative LDL^T pivots).
+
+    Runs in the arithmetic of ``x``; a zero pivot is replaced by the least
+    normal double, or by ``unit`` * 2^-(2 prec) in mpf.
+    """
+    tiny = 2.0 ** -1022 if isinstance(x, float) else unit * mp.ldexp(1, -2 * mp.mp.prec)
+    count, d = 0, 1
+    for k, qk in enumerate(q):
+        d = qk - x - b2[k - 1] / d if k else qk - x
         if d == 0:
-            d = mp.mpf(2) ** (-mp.mp.prec * 2)
-        if d < 0:
-            count += 1
+            d = tiny
+        count += d < 0
     return count
+
+
+def _bisect(q, b2, unit, nodes, floor, isolate):
+    """Leaves of one bisection tree of Sturm counts, ascending.
+
+    ``nodes`` are (a, c, count(a), count(c)), lowest last.  A node is split
+    at its midpoint, keeping the halves that hold eigenvalues, until it holds
+    one (with ``isolate``), its midpoint equals an end or it is no wider
+    than ``floor``.
+    """
+    leaves = []
+    while nodes:
+        a, c, ca, cc = node = nodes.pop()
+        mid = (a + c) / 2
+        if (isolate and cc - ca == 1) or not a < mid < c or c - a <= floor:
+            leaves.append(node)
+            continue
+        cm = _sturm_count(q, b2, mid, unit)
+        nodes += [node for node in ((mid, c, cm, cc), (a, mid, ca, cm))
+                  if node[3] > node[2]]
+    return leaves
+
+
+def _double_estimates(q, b2, lo, hi):
+    """One estimate per eigenvalue from the tree in machine doubles, or None.
+
+    The tree bisects [lo, hi] to adjacent doubles (at most 4 * 53 halvings);
+    a leaf holding one eigenvalue gives its midpoint, one holding more gives
+    None for each.  All are None if an entry, a square or hi - lo overflows.
+    """
+    n = len(q)
+    qf, b2f, lof, hif = [float(v) for v in q], [float(v) for v in b2], float(lo), float(hi)
+    if not all(map(math.isfinite, qf + b2f + [hif - lof])):
+        return [None] * n
+    leaves = _bisect(qf, b2f, 1, [(lof, hif, 0, n)], (hif - lof) * 2.0 ** -212, False)
+    est = [(mp.mpf(a) + c) / 2 if cc - ca == 1 else None
+           for a, c, ca, cc in leaves for _ in range(cc - ca)]
+    return est if len(est) == n else [None] * n
 
 
 def _charpoly_and_derivative(q, b2, x):
@@ -71,11 +111,14 @@ def eigenvalues(q, b, bits: int):
 
     ``q`` is the diagonal (length N), ``b`` the positive off-diagonal
     (length N-1); with b > 0 all eigenvalues are simple.  One bisection tree
-    of Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-    brackets every eigenvalue; one guarded Newton loop per bracket polishes
-    it to a step within 2^-(bits+8) max(1, |x|), bisecting instead when a
-    step leaves the bracket or fails to halve.  Both run at ``bits + 24``
-    and the result is rounded once to ``bits``.
+    of Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) runs
+    in doubles to an estimate per eigenvalue, then in mpf from one count at
+    each midpoint between neighbouring estimates until every eigenvalue has
+    a bracket.  One guarded Newton loop per bracket, started at its estimate
+    if inside, polishes it to a step within 2^-(bits+8) max(unit, |x|),
+    unit = min(1, |T|), bisecting when a step leaves the bracket or fails to
+    halve.  The mpf passes run at ``bits + 24``; the result is rounded to
+    ``bits``.
     """
     n = len(q)
     if len(b) != n - 1:
@@ -89,38 +132,35 @@ def eigenvalues(q, b, bits: int):
         # both ends), widened so neither end is an eigenvalue
         lo = min(qq[k] - (bb[k - 1] + bb[k]) for k in range(n))
         hi = max(qq[k] + (bb[k - 1] + bb[k]) for k in range(n))
-        lo, hi = lo - eps * (1 + abs(lo)), hi + eps * (1 + abs(hi))
-        # halves that hold eigenvalues are kept, the upper one pushed first so
-        # brackets come out ascending; 4 * (bits + 24) halvings end a node
-        floor = (hi - lo) * mp.mpf(2) ** (-4 * (bits + 24))
-        brackets, nodes = [], [(lo, hi, 0, n)]
-        while nodes:
-            a, c, ca, cc = nodes.pop()
-            mid = (a + c) / 2
-            if cc - ca == 1 or not a < mid < c or c - a <= floor:
-                brackets += [(a, c)] * (cc - ca)
-                continue
-            cm = _sturm_count(qq, b2, mid)
-            nodes += [node for node in ((mid, c, cm, cc), (a, mid, ca, cm))
-                      if node[3] > node[2]]
+        unit = min(1, max(abs(lo), abs(hi))) or mp.mpf(1)  # 1 for T = 0
+        lo, hi = lo - eps * (unit + abs(lo)), hi + eps * (unit + abs(hi))
+        est = _double_estimates(qq, b2, lo, hi)
+        cuts = [(x + y) / 2 for x, y in zip(est, est[1:]) if x is not None and y is not None]
+        points = [lo] + [x for x in cuts if lo < x < hi] + [hi]
+        counts = [0] + [_sturm_count(qq, b2, x, unit) for x in points[1:-1]] + [n]
+        nodes = [node for node in zip(points, points[1:], counts, counts[1:]) if node[3] > node[2]]
+        floor = mp.ldexp(hi - lo, -4 * (bits + 24))  # a node's last halving
+        brackets = [(a, c) for a, c, ca, cc in _bisect(qq, b2, unit, nodes[::-1], floor, True)
+                    for _ in range(cc - ca)]
         out = []
         for idx, (a, c) in enumerate(brackets):
-            x, step = (a + c) / 2, c - a
+            x = est[idx] if est[idx] is not None and a < est[idx] < c else (a + c) / 2
+            step = c - a
             while True:
                 p, dp = _charpoly_and_derivative(qq, b2, x)
                 if dp:  # a zero slope falls through to a bisection step
                     xn = x - p / dp
                     # convergence first: at the noise floor Newton and the
                     # Sturm count can disagree by an ulp
-                    if abs(xn - x) <= eps * max(1, abs(xn)):
+                    if abs(xn - x) <= eps * max(unit, abs(xn)):
                         x = xn
                         break
                     if a < xn < c and 2 * abs(xn - x) <= step:
                         x, step = xn, abs(xn - x)
                         continue
-                a, c = (x, c) if _sturm_count(qq, b2, x) <= idx else (a, x)
+                a, c = (x, c) if _sturm_count(qq, b2, x, unit) <= idx else (a, x)
                 x, step = (a + c) / 2, (c - a) / 2
-                if c - a <= eps * max(1, abs(x)):
+                if c - a <= eps * max(unit, abs(x)):
                     break
             out.append(x)
     with wp(bits):

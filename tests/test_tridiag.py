@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momprob import CoefficientExhausted, JacobiMatrix, PrecisionConfig, pi_eval, tridiag
+from momprob import (
+    CoefficientExhausted,
+    JacobiMatrix,
+    PrecisionConfig,
+    pi_eval,
+    tridiag,
+    truncation_spectrum,
+)
 from momprob.families import hermite_like, lognormal
 from momprob.tridiag import (
     eigenvalues,
@@ -100,22 +107,113 @@ def test_eigenvalues_match_oracle_on_random_sections(section):
         assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
 
 
-@pytest.mark.parametrize("section, n, bits, budget", [
-    (hermite_section, 60, 256, 4),
-    (lognormal_section, 40, 512, 10),
-])
-def test_sturm_count_budget(monkeypatch, section, n, bits, budget):
-    calls = []
-    count = tridiag._sturm_count
+def counting_kernels(monkeypatch):
+    """Wrap the Sturm count and the charpoly; return the per-kind call counts."""
+    calls = {"float": 0, "mpf": 0, "charpoly": 0}
+    count, charpoly = tridiag._sturm_count, tridiag._charpoly_and_derivative
 
-    def counted(*args):
-        calls.append(1)
-        return count(*args)
+    def counted(q, b2, x, *rest):
+        calls["float" if isinstance(x, float) else "mpf"] += 1
+        return count(q, b2, x, *rest)
+
+    def counted_charpoly(*args):
+        calls["charpoly"] += 1
+        return charpoly(*args)
 
     monkeypatch.setattr(tridiag, "_sturm_count", counted)
+    monkeypatch.setattr(tridiag, "_charpoly_and_derivative", counted_charpoly)
+    return calls
+
+
+@pytest.mark.parametrize("section, n, bits, newton_budget", [
+    pytest.param(hermite_section, 60, 256, 5, id="hermite-60-256"),
+    pytest.param(lognormal_section, 40, 512, 6, id="lognormal-40-512"),
+])
+def test_sturm_count_budget(monkeypatch, section, n, bits, newton_budget):
     q, b = section(n, bits)
+    calls = counting_kernels(monkeypatch)
     assert len(eigenvalues(q, b, bits)) == n
-    assert len(calls) <= budget * n
+    assert calls["mpf"] <= 2 * n
+    assert calls["charpoly"] <= newton_budget * n
+    assert calls["float"] <= 64 * n
+
+
+def scaled(values, s):
+    with mp.workprec(64):
+        return [mp.ldexp(mp.mpf(v), s) for v in values]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("exponent", [-400, -2000, 2000])
+def test_eigenvalues_scale_with_the_matrix(exponent, bits):
+    # the Gershgorin widening, the Newton stops and the zero-pivot stand-in
+    # scale with min(1, |T|), so a scaled section keeps its relative accuracy
+    q, b = random_tridiag(5, 9)
+    ref = eigenvalues(q, b, bits)
+    got = eigenvalues(scaled(q, exponent), scaled(b, exponent), bits)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    norm = max(abs(x) for x in ref)
+    with mp.workprec(bits + 64):
+        for x, y in zip(got, ref):
+            assert abs(x - mp.ldexp(y, exponent)) <= mp.ldexp(norm, exponent - (bits - 8))
+
+
+def test_truncation_spectrum_of_a_tiny_section():
+    J = JacobiMatrix(q=[0] * 5, b=[mp.mpf(2) ** -400] * 4,
+                     precision=PrecisionConfig.bigfloat(256))
+    points = truncation_spectrum(J, 5).points
+    # the path graph's eigenvalues 2 cos(j pi / 6), scaled by 2^-400
+    with mp.workprec(300):
+        for x, c in zip(points, [-mp.sqrt(3), -1, 0, 1, mp.sqrt(3)]):
+            assert abs(x - mp.ldexp(c, -400)) <= mp.mpf(2) ** -(400 + 248)
+
+
+# sections the double pass cannot serve: b^2 overflows a double, entries
+# beyond the double range, a cluster below double resolution and a zero
+# off-diagonal with repeated eigenvalues
+def hermite_scaled(power):
+    q, b = hermite_section(6, 256)
+    with mp.workprec(300):
+        return [v * mp.mpf(10) ** power for v in q], [v * mp.mpf(10) ** power for v in b]
+
+
+def b_squared_overflows():
+    return hermite_scaled(200)
+
+
+def entries_overflow():
+    return hermite_scaled(400)
+
+
+def cluster():
+    # two copies of [[1, 1], [1, 2]], one shifted by 2^-80 and coupled by
+    # 2^-100: each eigenvalue of the block appears twice, about 2^-81 apart
+    return [1, 2, 1 + mp.mpf(2) ** -80, 2], [1, mp.mpf(2) ** -100, 1]
+
+
+NO_DOUBLE_CASES = [
+    pytest.param(b_squared_overflows, id="b-squared-overflows"),
+    pytest.param(entries_overflow, id="entries-overflow"),
+    pytest.param(cluster, id="cluster-below-double-ulp"),
+    pytest.param(lambda: ([1, 2, 1, 2], [1, 0, 1]), id="zero-off-diagonal"),
+]
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("make", NO_DOUBLE_CASES)
+def test_eigenvalues_without_double_estimates(monkeypatch, make, bits):
+    q, b = make()
+    ref = sturm_newton_eigenvalues(q, b, bits)
+    calls = counting_kernels(monkeypatch)
+    got = eigenvalues(q, b, bits)
+    assert len(got) == len(ref) == len(q)
+    for x, y in zip(got, ref):
+        assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
+    if make in (b_squared_overflows, entries_overflow):
+        assert calls["float"] == 0
+    if make is cluster:
+        # the pairs lie below double resolution, so the mpf tree isolates them
+        assert calls["mpf"] > len(q)
 
 
 def test_two_by_two_closed_form():
