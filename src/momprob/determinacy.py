@@ -14,6 +14,15 @@ with the inconclusive verdict truncating the report at AtLeast(m) after m
 clean determinate levels.  The result is an estimate with an explicit
 diagnostic trace, never a certificate: numerical classification of deeply
 reweighted measures is precision-limited.
+
+Level 0 comes from the atoms by the RKPW chase of
+:func:`~momprob.measures.measure_to_jacobi`.  When a level's matrix is the
+whole N x N matrix of the N-atom support, the next level follows from it by
+one exact O(N) (1+t^2) Christoffel step
+(:func:`~momprob.measures.christoffel_step`).  A level that stops short of
+the support (partial resolution, or a ``depth`` cap), or a rational-mode
+level with an inexact entry, is followed by a new RKPW run on the
+reweighted atoms instead.
 """
 from __future__ import annotations
 
@@ -28,7 +37,13 @@ from .jacobi import (
     DeterminacyVerdict,
     classify,
 )
-from .measures import Measure, gauss_damp, measure_to_jacobi, power_reweight
+from .measures import (
+    Measure,
+    christoffel_levels,
+    gauss_damp,
+    measure_to_jacobi,
+    power_reweight,
+)
 
 NOT_DETERMINATE = "not_determinate"
 FINITE = "finite"
@@ -57,17 +72,14 @@ class IndexReport:
         return "NotDeterminate"
 
 
-def _level_depth(mu: Measure, requested: Optional[int]) -> int:
+def _support_size(mu: Measure) -> int:
     atoms = mu.base_atoms()
     if atoms is None:
         raise FiniteSupport(
             "index scans need a measure with discrete support "
             "(atomic or gauss_from_jacobi quadrature)"
         )
-    available = len(atoms[0])
-    if requested is None:
-        return available
-    return min(requested, available)
+    return len(atoms[0])
 
 
 def index_of_determinacy(
@@ -80,19 +92,31 @@ def index_of_determinacy(
 
     ``depth`` caps how many recurrence coefficients are extracted per level
     (default: as many as the support resolves).  Levels are evaluated in
-    order; the first non-determinate level ends the scan.
+    order; the first non-determinate level ends the scan.  Level 0 runs the
+    RKPW chase on the atoms.  Each later level is one (1+t^2) Christoffel
+    step from the level before when that level holds the whole support
+    (``n_stored`` equals the number of atoms), and a new RKPW run on the
+    reweighted atoms otherwise; in rational mode, steps also need exact
+    entries to start from (see :func:`~momprob.measures.christoffel_levels`).
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     base_policy = policy if policy is not None else ClassifyPolicy()
     mu0, _ = mu.normalize()
+    n_atoms = _support_size(mu0)
+    level_depth = n_atoms if depth is None else min(depth, n_atoms)
+    J = measure_to_jacobi(mu0, level_depth, partial=True)
+    lifts = None  # Christoffel steps from the last RKPW level, while levels stay whole
     trace = []
     for m in range(n_max):
-        mu_m, _ = power_reweight(mu0, m) if m else (mu0, None)
-        level_depth = _level_depth(mu_m, depth)
-        J_m = measure_to_jacobi(mu_m, level_depth, partial=True)
-        n_scan = min(base_policy.n_max, level_depth, J_m.n_stored)
-        verdict = classify(J_m, replace(base_policy, n_max=n_scan))
+        if m:
+            lifts = (lifts or christoffel_levels(J)) if J.n_stored == n_atoms else None
+            if lifts is None:
+                J = measure_to_jacobi(power_reweight(mu0, m)[0], level_depth, partial=True)
+            else:
+                J = next(lifts)
+        n_scan = min(base_policy.n_max, J.n_stored)
+        verdict = classify(J, replace(base_policy, n_max=n_scan))
         trace.append((m, verdict))
         if verdict.verdict == INDETERMINATE:
             if m == 0:

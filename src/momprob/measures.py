@@ -15,7 +15,10 @@ measure -> Jacobi conversion uses the discretized Stieltjes procedure on the
 support points, computed by the Gragg-Harrod RKPW rotation update (one atom
 at a time, no reorthogonalization, exact on rational atoms), which is the
 numerically benign route; the raw-moment Hankel route exists independently
-in :mod:`momprob.moments` and the two are required to agree.
+in :mod:`momprob.moments` and the two are required to agree.  Multiplying
+a measure by 1 + t^2 maps the whole Jacobi matrix of its atoms to the new
+one by an exact O(n) Christoffel step (:func:`christoffel_step`), which
+index scans use between levels instead of a new RKPW run.
 """
 from __future__ import annotations
 
@@ -305,7 +308,7 @@ class Measure(object):
         if atoms is None:
             return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
         pts, wts = atoms
-        exact = _exact_atoms(cfg, pts, wts)
+        exact = _all_exact(cfg, pts, wts)
         num = to_fraction if exact else to_mpf
         with wp(cfg.working_bits() + 16):
             pts_f = [num(t) for t in pts]
@@ -446,9 +449,10 @@ class Measure(object):
         raise ValueError(f"unknown measure kind {kind!r}")
 
 
-def _exact_atoms(cfg: PrecisionConfig, pts, wts) -> bool:
-    """Whether rational-mode atoms are all exact, so the work stays exact."""
-    return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in pts + wts)
+def _all_exact(cfg: PrecisionConfig, xs, ys) -> bool:
+    """Whether cfg is rational and every entry of ``xs + ys`` is an int or a
+    Fraction, so the work on them stays exact."""
+    return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in xs + ys)
 
 
 def _gauss_atoms(spec: QuadratureSpec, cfg: PrecisionConfig):
@@ -516,7 +520,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
             )
         n = len(pts)
     cfg = mu.precision
-    exact = _exact_atoms(cfg, pts, wts)
+    exact = _all_exact(cfg, pts, wts)
     num = to_fraction if exact else to_mpf
     bits = cfg.working_bits()
     with wp(bits + 32):
@@ -549,21 +553,92 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
                 tk = sig * (q[k] - lam) - gam * tprev
                 q[k] -= tk - tprev
                 pn = tk * tk / sig if sig > 0 else tsig * bk
-        floor2 = 0 if exact else mp.mpf(2) ** (-2 * bits)
-        depth = next((k for k in range(1, n) if not b2[k] > floor2), n)
-        if depth < n and not partial:
-            raise FiniteSupport(
-                f"support numerically exhausted at level {depth}: "
-                "residual norm below resolvable size"
-            )
-        q_out = q[:depth]
-        if exact:
-            return JacobiMatrix(q=q_out, b=[sqrt_number(x, cfg) for x in b2[1:depth]],
-                                precision=cfg)
-        b_out = [mp.sqrt(x) for x in b2[1:depth]]
-    if cfg.mode == DOUBLE:
-        return JacobiMatrix(
-            q=[float(x) for x in q_out], b=[float(x) for x in b_out], precision=cfg
+    return _jacobi_from_squares(q, b2[1:], cfg, partial)
+
+
+def christoffel_step(q, b2):
+    """(q, b^2) of (1+t^2) mu from (q, b^2) of mu, with the mass left out.
+
+    Multiplying by 1 + t^2 maps J to R J R^-1, where J^2 + I = R^T R is the
+    banded Cholesky factorization (Galant, Math. Comp. 25, 1971; Kautsky &
+    Golub, Linear Algebra Appl. 52/53, 1983).  With d the pivots of
+    J^2 + I and g_i = b_i R_(i,i+1) / R_ii, the new entries are
+    q'_i = q_i + g_i - g_(i-1) and b'_i^2 = b_i^2 d_(i+1) / d_i, read off in
+    O(n) with only + - * /, so Fraction input gives the exact result.  The
+    map is exact when J is the whole N x N matrix of an N-atom measure; on a
+    truncated matrix its last rows are wrong.
+    """
+    n = len(q)
+    d, q_out = [], []
+    g1 = h1 = 0  # g and h = q_i + q_(i+1) - g_(i-1) of the row before
+    for i in range(n):
+        b2i = b2[i] if i < n - 1 else 0
+        b2m = b2[i - 1] if i else 0
+        di = q[i] * q[i] + b2m + b2i + 1 - g1 * h1
+        if i > 1:
+            di -= b2[i - 2] * b2m / d[i - 2]
+        h1 = q[i] + q[i + 1] - g1 if i < n - 1 else 0
+        gi = b2i * h1 / di
+        q_out.append(q[i] + gi - g1)
+        d.append(di)
+        g1 = gi
+    return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)]
+
+
+def christoffel_levels(J: JacobiMatrix):
+    """The Jacobi matrices of (1+t^2)^m mu for m = 1, 2, ..., as an iterator.
+
+    ``J`` must be the whole N x N matrix of an N-atom measure mu, which
+    makes every step exact.  Its entries are squared once; the levels are
+    carried unrounded between steps (exactly for exact rational entries, at
+    the working precision plus 32 guard bits otherwise) and each is rounded
+    once, as :func:`measure_to_jacobi` rounds its output.  A rational-mode
+    ``J`` with an entry that is not exact (a b rounded from an irrational
+    root) gives None: steps from it could not be exact, and RKPW on the
+    atoms is.
+    """
+    cfg = J.precision
+    q, b = J.coefficients(J.n_stored)
+    exact = _all_exact(cfg, q, b)
+    if cfg.mode == RATIONAL and not exact:
+        return None
+    num = to_fraction if exact else to_mpf
+    with wp(cfg.working_bits() + 32):
+        q, b2 = [num(x) for x in q], [num(x) ** 2 for x in b]
+    return _christoffel_chain(q, b2, cfg)
+
+
+def _christoffel_chain(q, b2, cfg):
+    """One rounded level per Christoffel step from the unrounded (q, b2)."""
+    while True:
+        with wp(cfg.working_bits() + 32):
+            q, b2 = christoffel_step(q, b2)
+        yield _jacobi_from_squares(q, b2, cfg, partial=True)
+
+
+def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMatrix:
+    """The Jacobi matrix with diagonal ``q`` and squared off-diagonal ``b2``.
+
+    The entries are exact (rational mode with int or Fraction entries) or
+    carry 32 guard bits over ``cfg``; they are rounded once to ``cfg``.  A
+    square at or below 2^-(2 bits) ends the resolvable support: with
+    ``partial`` the output stops there, otherwise FiniteSupport is raised.
+    """
+    exact = _all_exact(cfg, q, b2)
+    bits = cfg.working_bits()
+    floor2 = 0 if exact else mp.ldexp(1, -2 * bits)
+    depth = next((k for k, x in enumerate(b2, 1) if not x > floor2), len(q))
+    if depth < len(q) and not partial:
+        raise FiniteSupport(
+            f"support numerically exhausted at level {depth}: "
+            "residual norm below resolvable size"
         )
+    q, b2 = q[:depth], b2[:depth - 1]
+    if exact:
+        return JacobiMatrix(q=q, b=[sqrt_number(x, cfg) for x in b2], precision=cfg)
+    with wp(bits + 32):
+        b = [mp.sqrt(x) for x in b2]
+    if cfg.mode == DOUBLE:
+        return JacobiMatrix(q=[float(x) for x in q], b=[float(x) for x in b], precision=cfg)
     with wp(bits):
-        return JacobiMatrix(q=[+x for x in q_out], b=[+x for x in b_out], precision=cfg)
+        return JacobiMatrix(q=[+x for x in q], b=[+x for x in b], precision=cfg)

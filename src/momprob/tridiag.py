@@ -132,7 +132,10 @@ def eigenvalues(q, b, bits: int):
         # both ends), widened so neither end is an eigenvalue
         lo = min(qq[k] - (bb[k - 1] + bb[k]) for k in range(n))
         hi = max(qq[k] + (bb[k - 1] + bb[k]) for k in range(n))
-        unit = min(1, max(abs(lo), abs(hi))) or mp.mpf(1)  # 1 for T = 0
+        if lo == hi:  # T = c I (T = 0 included): every eigenvalue is c
+            with wp(bits):
+                return [+lo] * n
+        unit = min(1, max(abs(lo), abs(hi)))
         lo, hi = lo - eps * (unit + abs(lo)), hi + eps * (unit + abs(hi))
         est = _double_estimates(qq, b2, lo, hi)
         cuts = [(x + y) / 2 for x, y in zip(est, est[1:]) if x is not None and y is not None]

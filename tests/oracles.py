@@ -13,7 +13,6 @@ import mpmath as mp
 
 from momprob.errors import FiniteSupport
 from momprob.precision import to_mpf, wp
-from momprob.tridiag import _charpoly_and_derivative, _sturm_count
 
 
 def gram_schmidt_recurrence(moments, n):
@@ -103,6 +102,35 @@ def lanczos_recurrence(pts, wts, n, bits, partial=False):
         return [+x for x in q_out], [+x for x in b_out]
 
 
+def _sturm_count(q, b2, x):
+    """Number of eigenvalues strictly below ``x`` (negative LDL^T pivots)."""
+    count = 0
+    d = q[0] - x
+    if d == 0:
+        d = mp.mpf(2) ** (-mp.mp.prec * 2)
+    if d < 0:
+        count += 1
+    for k in range(1, len(q)):
+        d = (q[k] - x) - b2[k - 1] / d
+        if d == 0:
+            d = mp.mpf(2) ** (-mp.mp.prec * 2)
+        if d < 0:
+            count += 1
+    return count
+
+
+def _charpoly_and_derivative(q, b2, x):
+    """(p_N(x), p_N'(x)) from p_k = (q_k - x) p_{k-1} - b_{k-1}^2 p_{k-2}."""
+    pm1, p = mp.mpf(1), q[0] - x
+    dm1, dp = mp.mpf(0), mp.mpf(-1)
+    for k in range(1, len(q)):
+        pn = (q[k] - x) * p - b2[k - 1] * pm1
+        dn = (q[k] - x) * dp - p - b2[k - 1] * dm1
+        pm1, p = p, pn
+        dm1, dp = dp, dn
+    return p, dp
+
+
 def sturm_newton_eigenvalues(q, b, bits: int):
     """All eigenvalues of the symmetric tridiagonal matrix, ascending.
 
@@ -112,7 +140,9 @@ def sturm_newton_eigenvalues(q, b, bits: int):
     The library's eigensolver before its shared bisection tree: every index
     bisects from the Gershgorin interval until isolated, refines for up to
     48 more Sturm counts, runs a guarded Newton loop and falls back to
-    bisection, about 43 Sturm counts per eigenvalue.
+    bisection, about 43 Sturm counts per eigenvalue.  The Sturm count and
+    the characteristic polynomial are its own copies, so a fault in the
+    library's kernels cannot move both sides of a comparison alike.
     """
     n = len(q)
     if len(b) != n - 1:

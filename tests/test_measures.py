@@ -20,11 +20,11 @@ from momprob import (
     power_reweight,
     truncation_spectrum,
 )
-from momprob.measures import _merge_stack
+from momprob.measures import _merge_stack, christoffel_levels, christoffel_step
 from momprob.moments import MomentSequence
 
 from conftest import assert_close, assert_matches_lanczos
-from oracles import atomic_moments, lanczos_recurrence
+from oracles import atomic_moments, gram_schmidt_recurrence, lanczos_recurrence
 
 
 @st.composite
@@ -325,6 +325,40 @@ class TestMeasureToJacobiAgainstLanczos:
         with pytest.raises(FiniteSupport) as kernel:
             measure_to_jacobi(damped, 8)
         assert str(kernel.value) == str(oracle.value)
+
+
+class TestChristoffelStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=2, max_size=10,
+                    unique=True), st.data())
+    def test_step_equals_gram_schmidt_of_lifted_moments(self, pts, data):
+        # exact (q, b^2) at full depth before and after multiplying the
+        # weights by 1 + t^2, both from the Gram-Schmidt oracle
+        wts = data.draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
+                                 min_size=len(pts), max_size=len(pts)), label="weights")
+        n = len(pts)
+        lifted = [w * (1 + t * t) for t, w in zip(pts, wts)]
+        q, b2 = gram_schmidt_recurrence(atomic_moments(pts, wts, 2 * n), n)
+        assert christoffel_step(q, b2) == gram_schmidt_recurrence(
+            atomic_moments(pts, lifted, 2 * n), n)
+
+    def test_rational_levels_stay_exact(self):
+        # b = 1/2 at level 0; level 1 has b^2 = 2/9, so its b is a rounded
+        # root, but the steps carry the exact squares on
+        mu = Measure.atomic([0, 1], [1, 1], precision=PrecisionConfig.rational())
+        levels = christoffel_levels(measure_to_jacobi(mu, 2))
+        for m in (1, 2, 3):
+            J, ref = next(levels), measure_to_jacobi(power_reweight(mu, m)[0], 2)
+            assert all(type(x) is Fraction for x in J._q)
+            assert J._q == ref._q and J._b == ref._b
+        assert type(J._b[0]) is mp.mpf
+
+    def test_rounded_rational_start_gives_no_steps(self):
+        # b_1^2 = 3/16 here: its root is rounded, so the steps could not be exact
+        mu = Measure.atomic([-1, 1], [1, 3], precision=PrecisionConfig.rational())
+        J = measure_to_jacobi(mu, 2)
+        assert type(J._b[0]) is mp.mpf
+        assert christoffel_levels(J) is None
 
 
 class TestMergeStack:

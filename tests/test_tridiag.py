@@ -60,6 +60,16 @@ def test_single_entry():
         assert got == +third and got._mpf_[1].bit_length() == 64
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("c", [0, -3, Fraction(5, 7)], ids=["zero", "minus-3", "5/7"])
+def test_multiple_of_the_identity(c, bits):
+    # b = 0 and equal diagonal: every eigenvalue is c, not a bisection leaf
+    # near it (the zero matrix gave 1.5e-128 at 64 bits)
+    with mp.workprec(bits):
+        expected = mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
+    assert eigenvalues([c] * 3, [0, 0], bits) == [expected] * 3
+
+
 def hermite_section(n, bits):
     return hermite_like(PrecisionConfig.bigfloat(bits)).coefficients(n)
 
