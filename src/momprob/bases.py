@@ -75,24 +75,23 @@ def stone_jacobi_operator_route(
     g_coords: Sequence,
     N: int,
     n: int,
-    max_ratio: int = 4,
 ) -> Tuple[JacobiMatrix, BasisAtTruncation]:
     """Damped-vector basis from the operator side, at truncation size N.
 
     Builds the N x N section T, forms eta = exp(-alpha*T^2) g through the
     spectral decomposition of T (exact at working precision), orthonormalizes
     the power orbit {T^k eta} with doubled classical Gram-Schmidt, and reads
-    off the tridiagonal entries.  Requires n <= N/max_ratio: power orbits are
-    polluted by the truncation boundary well before N steps, and the default
+    off the tridiagonal entries.  Requires n <= N/4: power orbits are
+    polluted by the truncation boundary well before N steps, and the
     factor-of-4 margin is what keeps the two routes in agreement.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-    if n * max_ratio > N:
+    if n * 4 > N:
         raise TruncationTooSmall(
-            f"operator route needs n <= N/{max_ratio} (got n={n}, N={N}); "
+            f"operator route needs n <= N/4 (got n={n}, N={N}); "
             "enlarge the truncation or reduce the output size"
         )
     cfg = J.precision

@@ -37,10 +37,10 @@ from .jacobi import (
 from .measures import Measure, measure_to_jacobi
 from .moments import (
     MomentSequence,
+    _all_positive,
     hankel_determinants,
     jacobi_to_moments,
     moments_to_jacobi,
-    validate_positive,
 )
 from .precision import (
     BIGFLOAT,
@@ -87,13 +87,14 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, family=False):
+    def add_common(sp, family=False, verdict=False):
         sp.add_argument("--in", dest="infile", help="input JSON file (- for stdin)")
         sp.add_argument("--out", dest="outfile", help="output JSON file (default stdout)")
         sp.add_argument("--mode", choices=[RATIONAL, BIGFLOAT, DOUBLE], default=None)
         sp.add_argument("--precision-bits", type=int, default=None)
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 4 on inconclusive verdicts")
+        if verdict:
+            sp.add_argument("--strict", action="store_true",
+                            help="exit 4 on inconclusive verdicts")
         if family:
             sp.add_argument("--family", default=None)
             sp.add_argument("--family-n", type=int, default=None)
@@ -120,7 +121,8 @@ def _build_parser():
     sp.add_argument("--csv", dest="csvfile", default=None,
                     help="also write an n,radius CSV trace")
 
-    sp = add_common(sub.add_parser("classify", help="determinacy classification"), family=True)
+    sp = add_common(sub.add_parser("classify", help="determinacy classification"),
+                    family=True, verdict=True)
     sp.add_argument("--z", default="i")
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--eps-zero", type=float, default=None)
@@ -159,13 +161,14 @@ def _build_parser():
     sp.add_argument("--truncation", type=int, default=None)
     sp.add_argument("--g", default="1", help="probe vector, comma-separated")
 
-    sp = add_common(sub.add_parser("index", help="index of determinacy scan"))
+    sp = add_common(sub.add_parser("index", help="index of determinacy scan"), verdict=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--alpha", default=None,
                     help="damp the measure first (infinite-index probe)")
     sp.add_argument("--depth", type=int, default=None)
 
-    sp = add_common(sub.add_parser("pipeline", help="transform -> convert -> classify"))
+    add_common(sub.add_parser("pipeline", help="transform -> convert -> classify"),
+               verdict=True)
     return p
 
 
@@ -219,18 +222,22 @@ def _parse_policy_point(text) -> complex:
     return complex(parse_complex(text, PrecisionConfig.double()))
 
 
-def _policy_from_args(args):
-    kw = {}
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    if getattr(args, "eps_zero", None) is not None:
-        kw["eps_zero"] = args.eps_zero
-    if getattr(args, "eps_stable", None) is not None:
-        kw["eps_stable"] = args.eps_stable
-    if getattr(args, "window", None) is not None:
-        kw["window"] = args.window
-    if getattr(args, "z", None):
-        kw["z"] = _parse_policy_point(args.z)
+# ClassifyPolicy fields that classify's flags and a pipeline document's
+# "classify" entry may set, with their parsers
+_POLICY_KEYS = {
+    "n_max": int,
+    "eps_zero": float,
+    "eps_stable": float,
+    "window": int,
+    "z": _parse_policy_point,
+    "start": int,
+}
+
+
+def _policy(given: dict, **kw) -> ClassifyPolicy:
+    """ClassifyPolicy with the fields ``given`` sets; the rest keep their defaults."""
+    kw.update((key, parse(given[key])) for key, parse in _POLICY_KEYS.items()
+              if given.get(key) is not None)
     return ClassifyPolicy(**kw)
 
 
@@ -247,9 +254,8 @@ def _dispatch(args) -> int:
     if cmd == "validate-moments":
         s = _load_moments(args)
         dets = hankel_determinants(s, args.k_max)
-        ok = validate_positive(s, args.k_max)
         _emit(args, {
-            "positive": bool(ok),
+            "positive": _all_positive(dets, s.precision),
             "determinants": [format_number(d, s.precision) for d in dets],
         })
         return EXIT_OK
@@ -295,8 +301,7 @@ def _dispatch(args) -> int:
 
     if cmd == "classify":
         J = _load_jacobi(args)
-        policy = _policy_from_args(args)
-        verdict = classify(J, policy)
+        verdict = classify(J, _policy(vars(args)))
         if args.csvfile:
             _write_csv(args.csvfile, verdict.checkpoints, verdict.radii, J.precision)
         _emit(args, verdict.to_json(J.precision))
@@ -391,7 +396,7 @@ def _dispatch(args) -> int:
             )
         else:
             report = index_of_determinacy(mu, args.n_max, depth=args.depth)
-        _emit(args, report.to_json())
+        _emit(args, report.to_json(mu.precision))
         if args.strict and report.kind == "at_least" and any(
             v.verdict == INCONCLUSIVE for _, v in report.per_level
         ):
@@ -429,16 +434,7 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
             raise ValueError(f"unknown transform entry {item!r}")
     n = int(doc.get("n", 16))
     J = measure_to_jacobi(mu, n)
-    pol = doc.get("classify", {})
-    policy = ClassifyPolicy(
-        n_max=int(pol.get("n_max", n)),
-        eps_zero=float(pol.get("eps_zero", 1e-3)),
-        eps_stable=float(pol.get("eps_stable", 1e-6)),
-        window=int(pol.get("window", 3)),
-        z=_parse_policy_point(pol.get("z", "1j")),
-        start=int(pol.get("start", 8)),
-    )
-    verdict = classify(J, policy)
+    verdict = classify(J, _policy(doc.get("classify", {}), n_max=n))
     out = {
         "jacobi": J.to_json(),
         "verdict": verdict.to_json(mu.precision),

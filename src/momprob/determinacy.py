@@ -26,7 +26,7 @@ reweighted atoms instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import FiniteSupport
@@ -44,6 +44,7 @@ from .measures import (
     measure_to_jacobi,
     power_reweight,
 )
+from .precision import PrecisionConfig
 
 NOT_DETERMINATE = "not_determinate"
 FINITE = "finite"
@@ -58,9 +59,9 @@ class IndexReport:
     n: Optional[int]
     per_level: Tuple[Tuple[int, DeterminacyVerdict], ...]
 
-    def to_json(self) -> dict:
+    def to_json(self, cfg: PrecisionConfig) -> dict:
         levels = [
-            {"level": m, **verdict.to_json()} for m, verdict in self.per_level
+            {"level": m, **verdict.to_json(cfg)} for m, verdict in self.per_level
         ]
         return {"index": {"kind": self.kind, "n": self.n}, "per_level": levels}
 
@@ -83,16 +84,14 @@ def _support_size(mu: Measure) -> int:
 
 
 def index_of_determinacy(
-    mu: Measure,
-    n_max: int,
-    policy: Optional[ClassifyPolicy] = None,
-    depth: Optional[int] = None,
+    mu: Measure, n_max: int, depth: Optional[int] = None
 ) -> IndexReport:
     """Scan mu_m = (1+x^2)^m mu for m < n_max and assemble the index report.
 
     ``depth`` caps how many recurrence coefficients are extracted per level
     (default: as many as the support resolves).  Levels are evaluated in
-    order; the first non-determinate level ends the scan.  Level 0 runs the
+    order, each classified by the default policy up to its stored depth;
+    the first non-determinate level ends the scan.  Level 0 runs the
     RKPW chase on the atoms.  Each later level is one (1+t^2) Christoffel
     step from the level before when that level holds the whole support
     (``n_stored`` equals the number of atoms), and a new RKPW run on the
@@ -101,7 +100,6 @@ def index_of_determinacy(
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    base_policy = policy if policy is not None else ClassifyPolicy()
     mu0, _ = mu.normalize()
     n_atoms = _support_size(mu0)
     level_depth = n_atoms if depth is None else min(depth, n_atoms)
@@ -115,8 +113,7 @@ def index_of_determinacy(
                 J = measure_to_jacobi(power_reweight(mu0, m)[0], level_depth, partial=True)
             else:
                 J = next(lifts)
-        n_scan = min(base_policy.n_max, J.n_stored)
-        verdict = classify(J, replace(base_policy, n_max=n_scan))
+        verdict = classify(J, ClassifyPolicy(n_max=J.n_stored))
         trace.append((m, verdict))
         if verdict.verdict == INDETERMINATE:
             if m == 0:
@@ -129,7 +126,6 @@ def index_of_determinacy(
 
 
 def infinite_index_probe(mu_g: Measure, alpha, n_max: int,
-                         policy: Optional[ClassifyPolicy] = None,
                          depth: Optional[int] = None) -> IndexReport:
     """Index scan of the Gaussian-damped measure exp(-2*alpha*t^2) mu.
 
@@ -140,4 +136,4 @@ def infinite_index_probe(mu_g: Measure, alpha, n_max: int,
     if not alpha > 0:
         raise ValueError("the infinite-index probe requires alpha > 0")
     damped = gauss_damp(mu_g, alpha)
-    return index_of_determinacy(damped, n_max, policy=policy, depth=depth)
+    return index_of_determinacy(damped, n_max, depth=depth)

@@ -25,6 +25,8 @@ from .precision import (
     DOUBLE,
     RATIONAL,
     PrecisionConfig,
+    convert,
+    document_precision,
     format_complex,
     format_number,
     is_finite_number,
@@ -36,14 +38,17 @@ DETERMINATE = "determinate"
 INDETERMINATE = "indeterminate"
 INCONCLUSIVE = "inconclusive"
 
+# Precision doublings the classifier may make before it gives up.
+_MAX_ESCALATIONS = 3
+
 
 class JacobiMatrix:
-    """Stored truncation of a Jacobi matrix, optionally with a closed form.
+    """Stored truncation of a Jacobi matrix, or a closed form.
 
     ``q`` holds the main diagonal (1-indexed in all public APIs), ``b`` the
-    off-diagonal, which must be strictly positive.  ``generator`` may supply
-    ``(q_k, b_k)`` for arbitrary ``k`` when a closed-form family is known;
-    stored entries take precedence over generated ones.
+    off-diagonal, which must be strictly positive.  Alternatively
+    ``generator`` supplies ``(q_k, b_k)`` for arbitrary ``k`` when a
+    closed-form family is known; a matrix is either stored or generated.
     """
 
     __slots__ = ("_q", "_b", "generator", "precision", "family")
@@ -61,13 +66,13 @@ class JacobiMatrix:
         self.generator = generator
         self.precision = precision if precision is not None else PrecisionConfig()
         self.family = family
-        if generator is None:
-            if not self._q:
-                raise ValueError("a Jacobi matrix needs at least one diagonal entry")
-            if len(self._b) != len(self._q) - 1:
-                raise ValueError("off-diagonal must be one entry shorter than diagonal")
-        elif self._b and len(self._b) != len(self._q) - 1 and len(self._b) != len(self._q):
-            raise ValueError("stored off-diagonal length inconsistent with diagonal")
+        if generator is not None:
+            if self._q or self._b:
+                raise ValueError("a Jacobi matrix is either stored or generated, not both")
+        elif not self._q:
+            raise ValueError("a Jacobi matrix needs at least one diagonal entry")
+        elif len(self._b) != len(self._q) - 1:
+            raise ValueError("off-diagonal must be one entry shorter than diagonal")
         if not all(is_finite_number(x) for x in self._q + self._b):
             raise ValueError("Jacobi matrix entries must be finite")
         for x in self._b:
@@ -141,15 +146,9 @@ class JacobiMatrix:
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "JacobiMatrix":
         from . import families  # registry lives one level up; cheap import
 
-        cfg = precision
-        if cfg is None and "precision" in obj:
-            cfg = PrecisionConfig.from_json(obj["precision"])
-        if cfg is None:
-            cfg = PrecisionConfig()
+        cfg = document_precision(obj, precision)
         if "family" in obj and not obj.get("q"):
             return families.make(obj["family"], precision=cfg, n=obj.get("n"))
-        from .precision import convert
-
         q = [convert(x, cfg) for x in obj.get("q", [])]
         b = [convert(x, cfg) for x in obj.get("b", [])]
         return cls(q=q, b=b, precision=cfg, family=obj.get("family"))
@@ -171,8 +170,6 @@ class ClassifyPolicy:
     window: int = 3
     z: complex = 1j
     start: int = 8
-    bits: Optional[int] = None
-    max_escalations: int = 3
 
     def checkpoints(self):
         if self.n_max < 1:
@@ -198,8 +195,7 @@ class DeterminacyVerdict:
     n_used: int
     z_used: complex
 
-    def to_json(self, cfg: Optional[PrecisionConfig] = None) -> dict:
-        cfg = cfg or PrecisionConfig()
+    def to_json(self, cfg: PrecisionConfig) -> dict:
         return {
             "verdict": self.verdict,
             "checkpoints": list(self.checkpoints),
@@ -209,7 +205,7 @@ class DeterminacyVerdict:
         }
 
 
-def pi_eval(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
+def pi_eval(J: JacobiMatrix, z, n: int):
     """Orthonormal-polynomial values (pi_1(z), ..., pi_n(z)), pi_1 = 1.
 
     The three-term recurrence b_k pi_{k+1} = (z - q_k) pi_k - b_{k-1} pi_{k-1}
@@ -219,22 +215,21 @@ def pi_eval(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
     if n < 1:
         raise ValueError("n must be positive")
     cfg = J.precision
-    work = bits if bits is not None else cfg.working_bits()
-    use_double = cfg.mode == DOUBLE and bits is None
+    work = cfg.working_bits()
     with wp(work + 16):
         vals = list(islice(_stream(J, mp.mpc(z)), n))
-    if use_double:
+    if cfg.mode == DOUBLE:
         return [complex(v) for v in vals]
     with wp(work):
         return [+v for v in vals]
 
 
-def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int], bits: Optional[int] = None):
+def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
     """Radii of the nested circles at the nonreal point ``z``, one per
     checkpoint in ``ns``, from a single forward scan up to the largest."""
     if any(n < 1 for n in ns):
         raise ValueError("n must be positive")
-    work = bits if bits is not None else J.precision.working_bits()
+    work = J.precision.working_bits()
     with wp(work + 16):
         if mp.im(mp.mpc(z)) == 0:
             raise RealPoint("Weyl radii are defined only off the real axis")
@@ -244,9 +239,9 @@ def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int], bits: Optional[int] = None
         return [+radii[n] for n in ns]
 
 
-def weyl_radius(J: JacobiMatrix, z, n: int, bits: Optional[int] = None):
+def weyl_radius(J: JacobiMatrix, z, n: int):
     """Radius of the n-th nested circle at the nonreal point ``z``."""
-    return weyl_radii(J, z, [n], bits)[0]
+    return weyl_radii(J, z, [n])[0]
 
 
 def _stream(J: JacobiMatrix, z):
@@ -325,9 +320,8 @@ def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> Dete
     with wp(64):
         if mp.im(mp.mpc(z)) == 0:
             raise RealPoint("classification point must be nonreal")
-    cfg = J.precision
-    bits = policy.bits if policy.bits is not None else cfg.working_bits()
-    for _ in range(policy.max_escalations + 1):
+    bits = J.precision.working_bits()
+    for _ in range(_MAX_ESCALATIONS + 1):
         try:
             return _classify_once(J, policy, bits, z)
         except _Escalate:

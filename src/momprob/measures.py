@@ -41,6 +41,7 @@ from .precision import (
     RATIONAL,
     PrecisionConfig,
     convert,
+    document_precision,
     format_number,
     is_finite_number,
     pairwise_sum,
@@ -78,8 +79,8 @@ class Multiplier:
             return mp.exp(-2 * a * t * t)
         return (1 + t * t) ** self.param
 
-    def to_json(self):
-        return {self.form: format_number(self.param)}
+    def to_json(self, cfg: PrecisionConfig):
+        return {self.form: format_number(self.param, cfg)}
 
 
 def _merge_stack(stack, mult: Multiplier):
@@ -117,28 +118,20 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-_WEIGHTS = {}
-
-
-def register_weight(name: str, fn: Callable, support):
-    _WEIGHTS[name] = (fn, support)
+_WEIGHTS = {
+    "gaussian": (lambda t: mp.exp(-t * t) / mp.sqrt(mp.pi), REAL_LINE),
+    "std_normal": (lambda t: mp.exp(-t * t / 2) / mp.sqrt(2 * mp.pi), REAL_LINE),
+    "lognormal-density": (
+        lambda t: mp.exp(-mp.log(t) ** 2 / 2) / (t * mp.sqrt(2 * mp.pi)) if t > 0 else mp.mpf(0),
+        (0, mp.inf),
+    ),
+}
 
 
 def weight_function(name: str):
     if name not in _WEIGHTS:
         raise ValueError(f"unknown weight {name!r} (have: {sorted(_WEIGHTS)})")
     return _WEIGHTS[name]
-
-
-register_weight("gaussian", lambda t: mp.exp(-t * t) / mp.sqrt(mp.pi), REAL_LINE)
-register_weight(
-    "std_normal", lambda t: mp.exp(-t * t / 2) / mp.sqrt(2 * mp.pi), REAL_LINE
-)
-register_weight(
-    "lognormal-density",
-    lambda t: mp.exp(-mp.log(t) ** 2 / 2) / (t * mp.sqrt(2 * mp.pi)) if t > 0 else mp.mpf(0),
-    (0, mp.inf),
-)
 
 
 class Measure(object):
@@ -396,7 +389,7 @@ class Measure(object):
             else:
                 obj["quadrature"] = {"rule": q.rule, "max_subdiv": q.max_subdiv, "tol": q.tol}
         if self.transforms:
-            obj["transforms"] = [m.to_json() for m in self.transforms]
+            obj["transforms"] = [m.to_json(cfg) for m in self.transforms]
         if self.scale != 1:
             obj["scale"] = format_number(self.scale, cfg)
         obj["precision"] = cfg.to_json()
@@ -404,13 +397,7 @@ class Measure(object):
 
     @classmethod
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "Measure":
-        from . import families
-
-        cfg = precision
-        if cfg is None and "precision" in obj:
-            cfg = PrecisionConfig.from_json(obj["precision"])
-        if cfg is None:
-            cfg = PrecisionConfig()
+        cfg = document_precision(obj, precision)
         kind = obj.get("kind")
         transforms = []
         for item in obj.get("transforms", ()):
@@ -429,11 +416,7 @@ class Measure(object):
         if kind == "density":
             qobj = obj.get("quadrature", {"rule": "adaptive"})
             if qobj.get("rule") == "gauss_from_jacobi":
-                refobj = qobj.get("reference", {})
-                if "family" in refobj and not refobj.get("q"):
-                    ref = families.make(refobj["family"], precision=cfg, n=refobj.get("n"))
-                else:
-                    ref = JacobiMatrix.from_json(refobj, precision=cfg)
+                ref = JacobiMatrix.from_json(qobj.get("reference", {}), precision=cfg)
                 spec = QuadratureSpec("gauss_from_jacobi", reference=ref,
                                       n_nodes=int(qobj.get("n_nodes", 40)))
             else:

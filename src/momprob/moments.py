@@ -42,6 +42,7 @@ from .precision import (
     PrecisionConfig,
     agreeing_bits,
     convert,
+    document_precision,
     format_number,
     is_finite_number,
     sqrt_number,
@@ -94,11 +95,7 @@ class MomentSequence:
 
     @classmethod
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "MomentSequence":
-        cfg = precision
-        if cfg is None and "precision" in obj:
-            cfg = PrecisionConfig.from_json(obj["precision"])
-        if cfg is None:
-            cfg = PrecisionConfig()
+        cfg = document_precision(obj, precision)
         return cls.from_values(obj["values"], cfg, normalized=obj.get("normalized", True))
 
 
@@ -173,11 +170,14 @@ def hankel_determinants(s: MomentSequence, k_max: int):
 
 def validate_positive(s: MomentSequence, k_max: int) -> bool:
     """Strict positivity of D_0 ... D_{k_max} (solvability of the problem)."""
-    dets = hankel_determinants(s, k_max)
-    cfg = s.precision
-    if cfg.mode == RATIONAL:
-        return all(d > 0 for d in dets)
-    return all(d > cfg.abs_tol for d in dets)
+    return _all_positive(hankel_determinants(s, k_max), s.precision)
+
+
+def _all_positive(dets, cfg: PrecisionConfig) -> bool:
+    """Whether every determinant is positive: above zero in rational mode,
+    above ``cfg.abs_tol`` otherwise."""
+    floor = 0 if cfg.mode == RATIONAL else cfg.abs_tol
+    return all(d > floor for d in dets)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def _ldl_recurrence(svals, n):
     return q, b2
 
 
-def _jacobi_from_moment_source(source, n, cfg, family=None, n_moments=None):
+def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
     """Adaptive-precision moments -> Jacobi for regenerable moment values.
 
     ``source(k, prec)`` must return s_k accurately at ``prec`` bits.  The
@@ -283,7 +283,7 @@ def _jacobi_from_moment_source(source, n, cfg, family=None, n_moments=None):
         with wp(target):
             q = [+x for x in q_cur]
             b = [mp.sqrt(x) for x in b2_cur]
-    return JacobiMatrix(q=q, b=b, precision=cfg, family=family)
+    return JacobiMatrix(q=q, b=b, precision=cfg)
 
 
 def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:

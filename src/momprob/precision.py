@@ -17,7 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath as mp
 
@@ -94,8 +94,8 @@ class PrecisionConfig:
         return cls(mode=RATIONAL, bits=bits)
 
     @classmethod
-    def bigfloat(cls, bits: int = 256, abs_tol: float = 0.0, rel_tol: float = 0.0) -> "PrecisionConfig":
-        return cls(mode=BIGFLOAT, bits=bits, abs_tol=abs_tol, rel_tol=rel_tol)
+    def bigfloat(cls, bits: int = 256) -> "PrecisionConfig":
+        return cls(mode=BIGFLOAT, bits=bits)
 
     @classmethod
     def double(cls) -> "PrecisionConfig":
@@ -123,6 +123,15 @@ class PrecisionConfig:
         abs_tol = float(obj.get("abs_tol", 0.0))
         rel_tol = float(obj.get("rel_tol", 0.0))
         return cls(mode=mode, bits=bits, abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def document_precision(obj: dict, override: Optional[PrecisionConfig]) -> PrecisionConfig:
+    """``override``, else the document's ``precision`` entry, else the default."""
+    if override is not None:
+        return override
+    if "precision" in obj:
+        return PrecisionConfig.from_json(obj["precision"])
+    return PrecisionConfig()
 
 
 def convert(x, cfg: PrecisionConfig):

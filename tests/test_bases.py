@@ -103,8 +103,7 @@ class TestStoneOperatorRoute:
 
         N, n = 48, 6
         g = [1, 0.5, -0.25]
-        J_op, _ = stone_jacobi_operator_route(hermite256, mp.mpf(1) / 4, g, N=N, n=n,
-                                              max_ratio=4)
+        J_op, _ = stone_jacobi_operator_route(hermite256, mp.mpf(1) / 4, g, N=N, n=n)
         # build the weighted spectral atoms by hand
         from momprob.tridiag import eigenvalues, eigenvector_columns
 

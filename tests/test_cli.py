@@ -12,6 +12,7 @@ import pytest
 import momprob
 from momprob import errors
 from momprob.cli import _exit_code, main
+from momprob.precision import convert
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,17 @@ class TestValidateMoments:
         doc = json.loads(out)
         assert doc["positive"] is True
         assert doc["determinants"] == ["1", "1", "2", "12", "288"]
+
+    def test_each_hankel_section_factored_once(self, capsys, monkeypatch,
+                                               gauss_moments_file):
+        calls = []
+        det = momprob.moments._det_pivoted
+        monkeypatch.setattr(momprob.moments, "_det_pivoted",
+                            lambda rows: calls.append(len(rows)) or det(rows))
+        code, _, _ = run_cli(capsys, "validate-moments", "--in", gauss_moments_file,
+                             "--k-max", "4")
+        assert code == 0
+        assert calls == [1, 2, 3, 4, 5]
 
     def test_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "validate-moments", "--in", "/no/such.json",
@@ -384,6 +396,20 @@ class TestEntryPoint:
         doc = json.loads(out)
         assert doc["index"]["kind"] in ("at_least", "not_determinate")
 
+    def test_index_radii_at_measure_precision(self, capsys, tmp_path):
+        doc = {**FIVE_ATOMS, "precision": {"mode": "bigfloat", "bits": 512}}
+        path = write_json(tmp_path, "atoms512.json", doc)
+        code, out, _ = run_cli(capsys, "index", "--in", path, "--n-max", "2")
+        assert code == 0
+        mu = momprob.Measure.from_json(doc)
+        report = momprob.index_of_determinacy(mu, 2)
+        printed = json.loads(out)["per_level"]
+        assert len(printed) == len(report.per_level)
+        for level, (_, verdict) in zip(printed, report.per_level):
+            assert [convert(r, mu.precision) for r in level["radii"]] == [
+                convert(r, mu.precision) for r in verdict.radii
+            ]
+
 
 FIVE_ATOMS = {
     "kind": "atomic",
@@ -400,7 +426,8 @@ ALPHA_STDOUT_SHA256 = {
     ("transform-1/2", "bigfloat"): "a69c4af50a8331f7082d9d91cdb413d819d62700a1640226602a561cda95ef76",
     ("transform-0.3", "rational"): "426cef36a3808d9894bfe8b106d7559971f3de8c9703f2c33d8c7f0ff00caca5",
     ("transform-0.3", "double"): "e68253344018a2dc75d46f3bc94f993223ed73d6cac1a791876ad98272d4f121",
-    ("transform-0.3", "bigfloat"): "52ef7e8431613bbe327089c21554d55c175b7268135e45fac7e1f076ff57e0be",
+    # the gauss_damp exponent is written at the measure's 256 bits
+    ("transform-0.3", "bigfloat"): "aa991b4c835863039065cca90ab619e65ab349037f49c30d1c305bfa4dde37f0",
     ("stone", "rational"): "49e9274cb9139d7f5a865d5a3158c18379f62bba34009930afdcf5047cf5d0b0",
     ("stone", "double"): "533ec8d362c3803f9fb83ee26f5a644f32d6891540cced92268d31009e64a901",
     ("stone", "bigfloat"): "87bbab4021e3f5027dd7880fd850170e32a592d2dcf0fbc37ee1f9b730e48126",
@@ -603,3 +630,14 @@ class TestBadUsage:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "moments-to-jacobi")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "hermite_like", "--n", "2"],
+        ["pi-eval", "--family", "hermite_like", "--z", "i", "--n", "2"],
+        ["transform", "--gauss-damp", "1/2", "--in", "{atoms}"],
+    ], ids=["spectrum", "pi-eval", "transform"])
+    def test_strict_only_where_a_verdict_is_printed(self, capsys, atomic_measure_file, argv):
+        argv = [arg.format(atoms=atomic_measure_file) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--strict")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --strict" in err

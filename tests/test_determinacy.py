@@ -88,7 +88,7 @@ class TestIndexScan:
     def test_report_serializes(self, lognormal_proxy40):
         nu1, _ = power_reweight(lognormal_proxy40, -1)
         report = index_of_determinacy(nu1, 3)
-        obj = report.to_json()
+        obj = report.to_json(nu1.precision)
         assert obj["index"] == {"kind": "finite", "n": 1}
         assert len(obj["per_level"]) == 2
         assert str(report) == "Finite(1)"

@@ -39,6 +39,10 @@ class TestJacobiMatrix:
         with pytest.raises(CoefficientExhausted):
             J.offdiag(2)
 
+    def test_stored_and_generated_rejected(self, cfg256):
+        with pytest.raises(ValueError, match="either stored or generated"):
+            JacobiMatrix(q=[0], generator=lambda k: (0, 1), precision=cfg256)
+
     def test_generator_supplies_arbitrary_depth(self, hermite256):
         with mp.workprec(256):
             assert abs(hermite256.offdiag(1000) - mp.sqrt(mp.mpf(500))) < 1e-60
@@ -152,7 +156,7 @@ class TestClassify:
 
     def test_verdict_serializes(self, hermite256):
         v = classify(hermite256, ClassifyPolicy(n_max=1000))
-        obj = v.to_json()
+        obj = v.to_json(hermite256.precision)
         assert obj["verdict"] == "determinate"
         assert len(obj["radii"]) == len(obj["checkpoints"])
 

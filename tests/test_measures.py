@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -405,6 +406,15 @@ class TestJsonRoundtrip:
         with mp.workprec(128):
             for a, b in zip(w1, w2):
                 assert abs(a - b) < mp.mpf(2) ** -100
+
+    def test_gauss_damp_exponent_at_configured_precision(self):
+        # the exponent is written at the measure's 256 bits, so it reloads
+        # bit-exactly instead of from 18 digits
+        mu = Measure.atomic([0, 1], [1, 1], precision=PrecisionConfig.bigfloat(256))
+        with mp.workprec(256):
+            mu = gauss_damp(mu, mp.mpf(1) / 3)
+        back = Measure.from_json(json.loads(json.dumps(mu.to_json())))
+        assert back.transforms == mu.transforms
 
     def test_density_with_family_reference(self, gaussian_measure):
         obj = gaussian_measure.to_json()
