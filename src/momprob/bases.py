@@ -35,8 +35,8 @@ class BasisAtTruncation:
     source: str
     N: int
 
-    def gram_defect(self, bits: int = 256) -> float:
-        """max |<v_i, v_j> - delta_ij| over the stored columns."""
+    def gram_defect(self, bits: int) -> float:
+        """max |<v_i, v_j> - delta_ij| over the stored columns, summed at ``bits`` + 16."""
         worst = mp.mpf(0)
         cols = self.vectors
         with wp(bits + 16):

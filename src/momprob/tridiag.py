@@ -2,11 +2,12 @@
 
 Three kernels live here, each written once for the whole package:
 
-* the Sturm count (the LDL^T negative-pivot count, robust at any mantissa
-  size and monotone in IEEE doubles), which drives one bisection tree, run
-  in doubles for split points and in mpf for a bracket per eigenvalue, and
-  guards the Newton iteration on the characteristic polynomial that
-  polishes each bracket to the full working precision;
+* the Sturm count (the LDL^T negative-pivot count): in IEEE doubles it
+  drives a bisection tree to an estimate per eigenvalue; in Python ints
+  scaled by a power of two, one pivot pass gives the count and the
+  Newton step at once, and runs the tree to a bracket per eigenvalue and
+  the guarded Newton loop that polishes each bracket to the full working
+  precision;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
   an iterable of coefficient pairs;
 * :func:`matvec`, the product of the matrix with a vector.
@@ -19,10 +20,10 @@ quadrature weight w = 1 / sum_k p_k(x)^2 (Golub-Welsch).  Only eigenvalues
 and first components are needed for quadrature, so no dense eigenvector
 accumulation is performed.
 
-Inputs are plain sequences; the eigensolver decides in mpmath arithmetic at
-the precision requested by the caller (doubles only choose where it counts),
-and its absolute floors scale with min(1, |T|), so a section scaled by 2^k
-keeps its relative accuracy.  :func:`recurrence` and :func:`matvec` use the
+Inputs are plain sequences; the eigensolver decides in fixed point scaled
+to the grading of the matrix (doubles only choose where it counts), and its
+absolute floors scale with min(1, |T|), so a section scaled by 2^k keeps its
+relative accuracy.  :func:`recurrence` and :func:`matvec` use the
 arithmetic of their arguments (``Fraction``, mpf or mpc alike).
 """
 from __future__ import annotations
@@ -35,38 +36,61 @@ import mpmath as mp
 from .precision import to_mpf, wp
 
 
-def _sturm_count(q, b2, x, unit=1):
+def _sturm_count(q, b2, x):
     """Number of eigenvalues strictly below ``x`` (negative LDL^T pivots).
 
-    Runs in the arithmetic of ``x``; a zero pivot is replaced by the least
-    normal double, or by ``unit`` * 2^-(2 prec) in mpf.
+    Runs in machine doubles; a zero pivot is replaced by the least normal
+    double.
     """
-    tiny = 2.0 ** -1022 if isinstance(x, float) else unit * mp.ldexp(1, -2 * mp.mp.prec)
-    count, d = 0, 1
+    count, d = 0, 1.0
     for k, qk in enumerate(q):
         d = qk - x - b2[k - 1] / d if k else qk - x
         if d == 0:
-            d = tiny
+            d = 2.0 ** -1022
         count += d < 0
     return count
 
 
-def _bisect(q, b2, unit, nodes, floor, isolate):
-    """Leaves of one bisection tree of Sturm counts, ascending.
+def _pivots(q, b2, x, frac):
+    """Negative-pivot count at ``x`` and S = p'(x)/p(x), p the char. polynomial.
 
-    ``nodes`` are (a, c, count(a), count(c)), lowest last.  A node is split
-    at its midpoint, keeping the halves that hold eigenvalues, until it holds
-    one (with ``isolate``), its midpoint equals an end or it is no wider
-    than ``floor``.
+    Python ints: ``q`` and ``x`` scaled by one power of two 2^t, ``b2`` by
+    2^(2t); the slopes d'_k are held at 2^frac and S comes back at
+    2^(2 frac - t), so the Newton step 1/S is 2^(2 frac) // S at 2^t.  The
+    pivots d_k = q_k - x - b_{k-1}^2/d_{k-1} factor p(x) = prod d_k, so
+    S = sum d'_k/d_k with d'_k = -1 + (b_{k-1}^2/d_{k-1}) (d'_{k-1}/d_{k-1})
+    (Li & Zeng, SIAM J. Sci. Comput. 15, 1994).  A zero pivot is replaced
+    by 1.
+    """
+    one = 1 << frac
+    d = q[0] - x or 1
+    count = d < 0
+    total = ratio = -(one << frac) // d  # d'_0 / d_0, d'_0 = -1
+    for qk, b2k in zip(q[1:], b2):
+        r = b2k // d
+        d = qk - x - r or 1
+        count += d < 0
+        ratio = (((r * ratio) >> frac) - one << frac) // d
+        total += ratio
+    return count, total
+
+
+def _bisect(count, nodes, floor, isolate):
+    """Leaves of one bisection tree of counts, ascending.
+
+    ``nodes`` are (a, c, count(a), count(c)), lowest last, in doubles or in
+    scaled ints.  A node is split at its midpoint, keeping the halves that
+    hold eigenvalues, until it holds one (with ``isolate``), its midpoint
+    equals an end or it is no wider than ``floor``.
     """
     leaves = []
     while nodes:
         a, c, ca, cc = node = nodes.pop()
-        mid = (a + c) / 2
+        mid = (a + c) / 2 if isinstance(a, float) else (a + c) >> 1
         if (isolate and cc - ca == 1) or not a < mid < c or c - a <= floor:
             leaves.append(node)
             continue
-        cm = _sturm_count(q, b2, mid, unit)
+        cm = count(mid)
         nodes += [node for node in ((mid, c, cm, cc), (a, mid, ca, cm))
                   if node[3] > node[2]]
     return leaves
@@ -83,27 +107,18 @@ def _double_estimates(q, b2, lo, hi):
     qf, b2f, lof, hif = [float(v) for v in q], [float(v) for v in b2], float(lo), float(hi)
     if not all(map(math.isfinite, qf + b2f + [hif - lof])):
         return [None] * n
-    leaves = _bisect(qf, b2f, 1, [(lof, hif, 0, n)], (hif - lof) * 2.0 ** -212, False)
+    leaves = _bisect(lambda x: _sturm_count(qf, b2f, x), [(lof, hif, 0, n)],
+                     (hif - lof) * 2.0 ** -212, False)
     est = [(mp.mpf(a) + c) / 2 if cc - ca == 1 else None
            for a, c, ca, cc in leaves for _ in range(cc - ca)]
     return est if len(est) == n else [None] * n
 
 
-def _charpoly_and_derivative(q, b2, x):
-    """Characteristic polynomial of the leading sections, with derivative.
-
-    Returns (p_N(x), p_N'(x)) from the standard three-term recursion
-    p_k = (q_k - x) p_{k-1} - b_{k-1}^2 p_{k-2}.  Magnitudes can be huge;
-    mpmath's unbounded exponent makes rescaling unnecessary.
-    """
-    pm1, p = mp.mpf(1), q[0] - x
-    dm1, dp = mp.mpf(0), mp.mpf(-1)
-    for k in range(1, len(q)):
-        pn = (q[k] - x) * p - b2[k - 1] * pm1
-        dn = (q[k] - x) * dp - p - b2[k - 1] * dm1
-        pm1, p = p, pn
-        dm1, dp = dp, dn
-    return p, dp
+def _fixed(v, shift):
+    """floor(v 2^shift) for an mpf or float ``v``, exactly."""
+    sign, man, exp, _ = mp.mpf(v)._mpf_
+    man, exp = -man if sign else man, exp + shift
+    return man << exp if exp >= 0 else man >> -exp
 
 
 def eigenvalues(q, b, bits: int):
@@ -112,13 +127,20 @@ def eigenvalues(q, b, bits: int):
     ``q`` is the diagonal (length N), ``b`` the positive off-diagonal
     (length N-1); with b > 0 all eigenvalues are simple.  One bisection tree
     of Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) runs
-    in doubles to an estimate per eigenvalue, then in mpf from one count at
-    each midpoint between neighbouring estimates until every eigenvalue has
-    a bracket.  One guarded Newton loop per bracket, started at its estimate
-    if inside, polishes it to a step within 2^-(bits+8) max(unit, |x|),
-    unit = min(1, |T|), bisecting when a step leaves the bracket or fails to
-    halve.  The mpf passes run at ``bits + 24``; the result is rounded to
-    ``bits``.
+    in doubles to an estimate per eigenvalue.  The rest runs in Python ints,
+    where one pivot pass (:func:`_pivots`) gives the count and the Newton
+    step at once: counts at the midpoints between neighbouring estimates and
+    a tree from them until every eigenvalue has a bracket, then one guarded
+    Newton loop per bracket, started at its estimate if inside, bisecting
+    when a step leaves the bracket or fails to halve.  A loop stops on a
+    step or bracket within 2^-(bits+8) max(unit, |x|), unit = min(1, |T|);
+    every int loop also stops on a bracket one int unit wide.
+
+    The int scale follows the grading as well as the norm: with |T| < 2^e
+    and every nonzero entry at least 2^m, T 2^-e is held with frac = bits +
+    32 + 2 (e - m) fraction bits, so x is the int x 2^(frac - e).  Inputs
+    are rounded to ``bits + 24`` in mpf, which also gives the Gershgorin
+    bounds; the result is rounded to ``bits``.
     """
     n = len(q)
     if len(b) != n - 1:
@@ -135,39 +157,53 @@ def eigenvalues(q, b, bits: int):
         if lo == hi:  # T = c I (T = 0 included): every eigenvalue is c
             with wp(bits):
                 return [+lo] * n
-        unit = min(1, max(abs(lo), abs(hi)))
+        norm = max(abs(lo), abs(hi))
+        unit = min(1, norm)
         lo, hi = lo - eps * (unit + abs(lo)), hi + eps * (unit + abs(hi))
         est = _double_estimates(qq, b2, lo, hi)
-        cuts = [(x + y) / 2 for x, y in zip(est, est[1:]) if x is not None and y is not None]
-        points = [lo] + [x for x in cuts if lo < x < hi] + [hi]
-        counts = [0] + [_sturm_count(qq, b2, x, unit) for x in points[1:-1]] + [n]
-        nodes = [node for node in zip(points, points[1:], counts, counts[1:]) if node[3] > node[2]]
-        floor = mp.ldexp(hi - lo, -4 * (bits + 24))  # a node's last halving
-        brackets = [(a, c) for a, c, ca, cc in _bisect(qq, b2, unit, nodes[::-1], floor, True)
-                    for _ in range(cc - ca)]
-        out = []
-        for idx, (a, c) in enumerate(brackets):
-            x = est[idx] if est[idx] is not None and a < est[idx] < c else (a + c) / 2
-            step = c - a
-            while True:
-                p, dp = _charpoly_and_derivative(qq, b2, x)
-                if dp:  # a zero slope falls through to a bisection step
-                    xn = x - p / dp
-                    # convergence first: at the noise floor Newton and the
-                    # Sturm count can disagree by an ulp
-                    if abs(xn - x) <= eps * max(unit, abs(xn)):
-                        x = xn
-                        break
-                    if a < xn < c and 2 * abs(xn - x) <= step:
-                        x, step = xn, abs(xn - x)
-                        continue
-                a, c = (x, c) if _sturm_count(qq, b2, x, unit) <= idx else (a, x)
-                x, step = (a + c) / 2, (c - a) / 2
-                if c - a <= eps * max(unit, abs(x)):
+        # the int scale 2^shift (exact exponents: mag(v) = floor(log2|v|) + 1)
+        e = mp.mag(norm)
+        m = min(mp.mag(v) for v in qq + bb if v) - 1
+        frac = bits + 32 + 2 * (e - m)
+        shift = frac - e
+        Q = [_fixed(v, shift) for v in qq]
+        B2 = [_fixed(v, 2 * shift) for v in b2]
+        # lo rounds down and hi up, so both stay outside the spectrum
+        lo, hi, unit = _fixed(lo, shift), -_fixed(-hi, shift), _fixed(unit, shift)
+        est = [None if x is None else _fixed(x, shift) for x in est]
+
+    def count(x):
+        return _pivots(Q, B2, x, frac)[0]
+
+    cuts = [(x + y) >> 1 for x, y in zip(est, est[1:]) if x is not None and y is not None]
+    points = [lo] + [x for x in cuts if lo < x < hi] + [hi]
+    counts = [0] + [count(x) for x in points[1:-1]] + [n]
+    nodes = [node for node in zip(points, points[1:], counts, counts[1:]) if node[3] > node[2]]
+    brackets = [(a, c) for a, c, ca, cc in _bisect(count, nodes[::-1], 1, True)
+                for _ in range(cc - ca)]
+    out = []
+    for idx, (a, c) in enumerate(brackets):
+        x = est[idx] if est[idx] is not None and a < est[idx] < c else (a + c) >> 1
+        step = c - a
+        while True:
+            below, slope = _pivots(Q, B2, x, frac)
+            if slope:  # a zero slope falls through to a bisection step
+                xn = x - (1 << 2 * frac) // slope
+                # convergence first: at the noise floor Newton and the
+                # count can disagree by a unit
+                if abs(xn - x) <= max(unit, abs(xn)) >> (bits + 8):
+                    x = xn
                     break
-            out.append(x)
+                if a < xn < c and 2 * abs(xn - x) <= step:
+                    x, step = xn, abs(xn - x)
+                    continue
+            a, c = (x, c) if below <= idx else (a, x)
+            x, step = (a + c) >> 1, (c - a) >> 1
+            if c - a <= max(1, max(unit, abs(x)) >> (bits + 8)):
+                break
+        out.append(x)
     with wp(bits):
-        return [+x for x in out]
+        return [mp.mpf((x, -shift)) for x in out]
 
 
 def recurrence(pairs, x):

@@ -118,20 +118,32 @@ def test_eigenvalues_match_oracle_on_random_sections(section):
 
 
 def counting_kernels(monkeypatch):
-    """Wrap the Sturm count and the charpoly; return the per-kind call counts."""
-    calls = {"float": 0, "mpf": 0, "charpoly": 0}
-    count, charpoly = tridiag._sturm_count, tridiag._charpoly_and_derivative
+    """Wrap the double Sturm count and the int pivot pass; return call counts.
 
-    def counted(q, b2, x, *rest):
-        calls["float" if isinstance(x, float) else "mpf"] += 1
-        return count(q, b2, x, *rest)
+    "float" counts double Sturm counts.  Pivot passes up to the end of the
+    isolating tree are bracket-stage counts, kept under "mpf", the key of the
+    working-precision counts they replace; later ones are Newton passes.
+    """
+    calls = {"float": 0, "mpf": 0, "newton": 0}
+    newton = [False]
+    sturm, pivots, bisect = tridiag._sturm_count, tridiag._pivots, tridiag._bisect
 
-    def counted_charpoly(*args):
-        calls["charpoly"] += 1
-        return charpoly(*args)
+    def counted(*args):
+        calls["float"] += 1
+        return sturm(*args)
+
+    def counted_pivots(*args):
+        calls["newton" if newton[0] else "mpf"] += 1
+        return pivots(*args)
+
+    def counted_bisect(count, nodes, floor, isolate):
+        leaves = bisect(count, nodes, floor, isolate)
+        newton[0] = isolate
+        return leaves
 
     monkeypatch.setattr(tridiag, "_sturm_count", counted)
-    monkeypatch.setattr(tridiag, "_charpoly_and_derivative", counted_charpoly)
+    monkeypatch.setattr(tridiag, "_pivots", counted_pivots)
+    monkeypatch.setattr(tridiag, "_bisect", counted_bisect)
     return calls
 
 
@@ -140,11 +152,13 @@ def counting_kernels(monkeypatch):
     pytest.param(lognormal_section, 40, 512, 6, id="lognormal-40-512"),
 ])
 def test_sturm_count_budget(monkeypatch, section, n, bits, newton_budget):
+    # bracket-stage int passes within the old mpf count cap, Newton passes
+    # (which also guard the bracket) within the old charpoly caps
     q, b = section(n, bits)
     calls = counting_kernels(monkeypatch)
     assert len(eigenvalues(q, b, bits)) == n
     assert calls["mpf"] <= 2 * n
-    assert calls["charpoly"] <= newton_budget * n
+    assert calls["newton"] <= newton_budget * n
     assert calls["float"] <= 64 * n
 
 
@@ -166,6 +180,17 @@ def test_eigenvalues_scale_with_the_matrix(exponent, bits):
     with mp.workprec(bits + 64):
         for x, y in zip(got, ref):
             assert abs(x - mp.ldexp(y, exponent)) <= mp.ldexp(norm, exponent - (bits - 8))
+
+
+@pytest.mark.parametrize("exponent", [-400, 400])
+def test_graded_section_scales_exactly(exponent):
+    # scaling by a power of two is exact, so a fixed-point scale that follows
+    # the grading as well as the norm gives exactly the scaled nodes
+    q, b = lognormal_section(40, 512)
+    ref = eigenvalues(q, b, 512)
+    got = eigenvalues([mp.ldexp(v, exponent) for v in q],
+                      [mp.ldexp(v, exponent) for v in b], 512)
+    assert got == [mp.ldexp(x, exponent) for x in ref]
 
 
 def test_truncation_spectrum_of_a_tiny_section():
