@@ -15,10 +15,12 @@ clean determinate levels.  The result is an estimate with an explicit
 diagnostic trace, never a certificate: numerical classification of deeply
 reweighted measures is precision-limited.
 
-Level 0 comes from the atoms by the RKPW chase of
-:func:`~momprob.measures.measure_to_jacobi`.  When a level's matrix is the
-whole N x N matrix of the N-atom support, the next level follows from it by
-one exact O(N) (1+t^2) Christoffel step
+Level 0 comes from :func:`~momprob.measures.measure_to_jacobi`: a
+``truncation_spectrum`` measure with only power lifts takes |p| Christoffel
+steps from its section at 64 guard bits (for p < 0, the forward step on the
+index-reversed matrix); other measures run the RKPW chase on their atoms.
+When a level's matrix is the whole N x N matrix of the N-atom support, the
+next level follows from it by one exact O(N) (1+t^2) Christoffel step
 (:func:`~momprob.measures.christoffel_step`).  A level that stops short of
 the support (partial resolution, or a ``depth`` cap), or a rational-mode
 level with an inexact entry, is followed by a new RKPW run on the
@@ -91,11 +93,12 @@ def index_of_determinacy(
     ``depth`` caps how many recurrence coefficients are extracted per level
     (default: as many as the support resolves).  Levels are evaluated in
     order, each classified by the default policy up to its stored depth;
-    the first non-determinate level ends the scan.  Level 0 runs the
-    RKPW chase on the atoms.  Each later level is one (1+t^2) Christoffel
-    step from the level before when that level holds the whole support
-    (``n_stored`` equals the number of atoms), and a new RKPW run on the
-    reweighted atoms otherwise; in rational mode, steps also need exact
+    the first non-determinate level ends the scan.  Level 0 takes steps from
+    the section of a ``truncation_spectrum`` measure with only power lifts,
+    and runs RKPW on the atoms otherwise.  Each later level is one (1+t^2)
+    Christoffel step from the level before when that level holds the whole
+    support (``n_stored`` equals the number of atoms), and a new RKPW run on
+    the reweighted atoms otherwise; in rational mode, steps also need exact
     entries to start from (see :func:`~momprob.measures.christoffel_levels`).
     """
     if n_max < 1:

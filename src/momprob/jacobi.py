@@ -187,7 +187,7 @@ class ClassifyPolicy:
 
 @dataclass(frozen=True)
 class DeterminacyVerdict:
-    """Classifier outcome with its full radius diagnostic trace."""
+    """Classifier outcome with its radius trace, rounded to the working precision."""
 
     verdict: str
     radii: tuple
@@ -281,6 +281,7 @@ def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int, z):
     scan_lo = _RadiusScan(J, z, bits)
     scan_hi = _RadiusScan(J, z, 2 * bits)
     trace = []
+    verdict = INCONCLUSIVE
     for i, n_cp in enumerate(ns):
         r_lo = scan_lo.radius_at(n_cp)
         r = scan_hi.radius_at(n_cp)
@@ -288,17 +289,18 @@ def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int, z):
             raise _Escalate
         trace.append(r)
         if r < policy.eps_zero:
-            return DeterminacyVerdict(
-                DETERMINATE, tuple(trace), tuple(ns[: i + 1]), n_cp, z
-            )
+            verdict = DETERMINATE
+            break
         if i + 1 >= policy.window:
             last = trace[i + 1 - policy.window : i + 1]
             spread = (max(last) - min(last)) / r
             if spread < policy.eps_stable and r > policy.eps_zero:
-                return DeterminacyVerdict(
-                    INDETERMINATE, tuple(trace), tuple(ns[: i + 1]), n_cp, z
-                )
-    return DeterminacyVerdict(INCONCLUSIVE, tuple(trace), tuple(ns), ns[-1], z)
+                verdict = INDETERMINATE
+                break
+    cfg = J.precision
+    with wp(cfg.working_bits()):  # all that is certified, as in weyl_radii
+        radii = tuple(float(r) if cfg.mode == DOUBLE else +r for r in trace)
+    return DeterminacyVerdict(verdict, radii, tuple(ns[:len(trace)]), ns[len(trace) - 1], z)
 
 
 def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> DeterminacyVerdict:
@@ -334,7 +336,8 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
 
     Atoms sit at the section's eigenvalues with weights equal to squared
     first eigenvector components; the atomic measure reproduces the moment
-    sequence of the matrix through order 2N-1.
+    sequence of the matrix through order 2N-1.  It keeps the section for
+    ``measure_to_jacobi`` of its power lifts; its JSON drops the section.
     """
     from . import measures  # deferred: measures imports this module
 
@@ -342,7 +345,8 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
         raise ValueError("truncation size must be positive")
     q, b = J.coefficients(N)
     cfg = J.precision
-    bits = cfg.working_bits()
-    nodes, weights = tridiag.gauss_rule(q, b, bits)
+    nodes, weights = tridiag.gauss_rule(q, b, cfg.working_bits())
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
-    return measures.Measure.atomic(nodes, weights, precision=out_cfg)
+    mu = measures.Measure.atomic(nodes, weights, precision=out_cfg)
+    mu._section = (q, b)
+    return mu

@@ -17,8 +17,9 @@ at a time, no reorthogonalization, exact on rational atoms), which is the
 numerically benign route; the raw-moment Hankel route exists independently
 in :mod:`momprob.moments` and the two are required to agree.  Multiplying
 a measure by 1 + t^2 maps the whole Jacobi matrix of its atoms to the new
-one by an exact O(n) Christoffel step (:func:`christoffel_step`), which
-index scans use between levels instead of a new RKPW run.
+one by an exact O(n) Christoffel step (:func:`christoffel_step`), and
+:func:`inverse_christoffel_step` divides; a ``truncation_spectrum`` measure
+keeps its section, so its power lifts need no RKPW run.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import mpmath as mp
 
+from . import tridiag
 from .errors import (
     FiniteSupport,
     InfiniteMass,
@@ -138,7 +140,7 @@ class Measure(object):
     """Immutable finite measure with a lazy multiplicative transform stack."""
 
     __slots__ = ("kind", "points", "weights", "weight_name", "support",
-                 "quadrature", "transforms", "scale", "precision", "_atoms")
+                 "quadrature", "transforms", "scale", "precision", "_atoms", "_section")
 
     def __init__(self, kind, points=None, weights=None, weight_name=None,
                  support=None, quadrature=None, transforms=(), scale=1,
@@ -148,6 +150,7 @@ class Measure(object):
         self.transforms = tuple(transforms)
         self.scale = scale
         self._atoms = None
+        self._section = None  # (q, b) of the N x N section; truncation_spectrum sets it
         if kind == "atomic":
             pts = tuple(points)
             wts = tuple(weights)
@@ -195,8 +198,8 @@ class Measure(object):
         )
         base.update(kw)
         out = Measure(**base)
-        # base support atoms are transform-independent; share the cache
-        out._atoms = self._atoms
+        # base support atoms and their section are transform-independent
+        out._atoms, out._section = self._atoms, self._section
         return out
 
     # -- support atoms -------------------------------------------------------
@@ -212,8 +215,9 @@ class Measure(object):
         if self.quadrature.rule != "gauss_from_jacobi":
             return None
         if self._atoms is None:
-            spectrum = _gauss_atoms(self.quadrature, self.precision)
-            object.__setattr__(self, "_atoms", spectrum)
+            q, b = self.quadrature.reference.coefficients(self.quadrature.n_nodes)
+            nodes, weights = tridiag.gauss_rule(q, b, self.precision.working_bits())
+            self._atoms = tuple(nodes), tuple(weights)
         return self._atoms
 
     def effective_atoms(self):
@@ -438,16 +442,6 @@ def _all_exact(cfg: PrecisionConfig, xs, ys) -> bool:
     return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in xs + ys)
 
 
-def _gauss_atoms(spec: QuadratureSpec, cfg: PrecisionConfig):
-    from . import tridiag
-
-    N = spec.n_nodes
-    q, b = spec.reference.coefficients(N)
-    bits = cfg.working_bits()
-    nodes, weights = tridiag.gauss_rule(q, b, bits)
-    return tuple(nodes), tuple(weights)
-
-
 # ---------------------------------------------------------------------------
 # module-level operation wrappers (the functional surface of the module)
 
@@ -475,7 +469,12 @@ def moments_of(mu: Measure, m: int):
 def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatrix:
     """Recurrence coefficients of the measure's orthonormal polynomials.
 
-    Discretized Stieltjes procedure by the Gragg-Harrod RKPW update: the
+    A ``truncation_spectrum`` measure with only power lifts, of total
+    exponent p, takes |p| Christoffel steps (inverse ones for p < 0) from
+    its kept N x N section at 64 guard bits (32 lose 20 of 512 bits on the
+    graded lognormal section).  Atoms read from JSON (which drops the
+    section), gauss_damp stacks and gauss_from_jacobi densities run the
+    discretized Stieltjes procedure by the Gragg-Harrod RKPW update: the
     atoms are added one at a time, and each addition updates the Jacobi
     matrix by a chase of Givens rotations, in O(len(atoms) * n) time and
     O(n) memory with no reorthogonalization (Gragg & Harrod, Numer. Math. 44,
@@ -489,20 +488,27 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
     """
     if n < 1:
         raise ValueError("n must be positive")
-    atoms = mu.effective_atoms()
+    atoms = mu.base_atoms()
     if atoms is None:
         raise QuadratureFailure(
             "measure->Jacobi needs discrete support (atomic measure or a "
             "gauss_from_jacobi quadrature recipe)"
         )
-    pts, wts = atoms
-    if len(pts) < n:
+    if len(atoms[0]) < n:
         if not partial:
             raise FiniteSupport(
-                f"{len(pts)} support points cannot carry {n} recurrence levels"
+                f"{len(atoms[0])} support points cannot carry {n} recurrence levels"
             )
-        n = len(pts)
+        n = len(atoms[0])
     cfg = mu.precision
+    if mu._section is not None and mu._stack_is_rational():
+        p = sum(m.param for m in mu.transforms)
+        q, b2 = _squared(*mu._section, cfg, 64)
+        with wp(cfg.working_bits() + 64):
+            for _ in range(abs(p)):
+                q, b2 = (christoffel_step if p > 0 else inverse_christoffel_step)(q, b2)
+        return _jacobi_from_squares(q[:n], b2[:n - 1], cfg, partial)
+    pts, wts = mu.effective_atoms()
     exact = _all_exact(cfg, pts, wts)
     num = to_fraction if exact else to_mpf
     bits = cfg.working_bits()
@@ -568,27 +574,39 @@ def christoffel_step(q, b2):
     return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)]
 
 
+def inverse_christoffel_step(q, b2):
+    """(q, b^2) of mu / (1+t^2) from those of mu: U^-1 J U, J^2 + I = U U^T.
+
+    With U upper triangular and P the index reversal, (PJP)^2 + I = R^T R for
+    R = P U^T P, so U^-1 J U = P (R PJP R^-1) P: the forward step, reversed.
+    """
+    q, b2 = christoffel_step(q[::-1], b2[::-1])
+    return q[::-1], b2[::-1]
+
+
 def christoffel_levels(J: JacobiMatrix):
     """The Jacobi matrices of (1+t^2)^m mu for m = 1, 2, ..., as an iterator.
 
     ``J`` must be the whole N x N matrix of an N-atom measure mu, which
-    makes every step exact.  Its entries are squared once; the levels are
-    carried unrounded between steps (exactly for exact rational entries, at
-    the working precision plus 32 guard bits otherwise) and each is rounded
-    once, as :func:`measure_to_jacobi` rounds its output.  A rational-mode
-    ``J`` with an entry that is not exact (a b rounded from an irrational
-    root) gives None: steps from it could not be exact, and RKPW on the
-    atoms is.
+    makes every step exact.  The levels are carried unrounded between steps
+    (exactly for exact rational entries, with 32 guard bits otherwise) and
+    each is rounded once.  A rational-mode ``J`` with an inexact entry (a b
+    rounded from an irrational root) gives None: steps from it could not be
+    exact, and RKPW on the atoms is.
     """
-    cfg = J.precision
-    q, b = J.coefficients(J.n_stored)
+    squares = _squared(*J.coefficients(J.n_stored), J.precision, 32)
+    return None if squares is None else _christoffel_chain(*squares, J.precision)
+
+
+def _squared(q, b, cfg: PrecisionConfig, guard: int):
+    """(q, b^2), exact for exact rational-mode entries (None for inexact
+    ones) and at the working precision plus ``guard`` bits otherwise."""
     exact = _all_exact(cfg, q, b)
     if cfg.mode == RATIONAL and not exact:
         return None
     num = to_fraction if exact else to_mpf
-    with wp(cfg.working_bits() + 32):
-        q, b2 = [num(x) for x in q], [num(x) ** 2 for x in b]
-    return _christoffel_chain(q, b2, cfg)
+    with wp(cfg.working_bits() + guard):
+        return [num(x) for x in q], [num(x) ** 2 for x in b]
 
 
 def _christoffel_chain(q, b2, cfg):
@@ -603,7 +621,7 @@ def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMa
     """The Jacobi matrix with diagonal ``q`` and squared off-diagonal ``b2``.
 
     The entries are exact (rational mode with int or Fraction entries) or
-    carry 32 guard bits over ``cfg``; they are rounded once to ``cfg``.  A
+    carry guard bits over ``cfg``; they are rounded once to ``cfg``.  A
     square at or below 2^-(2 bits) ends the resolvable support: with
     ``partial`` the output stops there, otherwise FiniteSupport is raised.
     """

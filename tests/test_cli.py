@@ -434,9 +434,11 @@ ALPHA_STDOUT_SHA256 = {
     ("stone-operator", "rational"): "8b38828689d676ec7520d7c2225e02940c44eb073e40e35da0ef993e1e78534d",
     ("stone-operator", "double"): "360d44eec1353b97ee7008753cb21fb6be0728f84474752489a6d40dfdeb1eb9",
     ("stone-operator", "bigfloat"): "4887d959fe311386964eb61ecd1d73c407bee7f4444cc05174609c0baafca81e",
-    ("pipeline", "rational"): "3ea0b213725900c4a24fd156e4ab4c1fcfaad175aafff29aa9f16bf77294596c",
-    ("pipeline", "double"): "a40a8724f23c5af19300551387a60645dd0385b42bc28c49fb12c0fbf5a819e6",
-    ("pipeline", "bigfloat"): "bd27d3229072a2a7a11cd08f07780d4ec2d8e657f44658f56219fa007c169097",
+    # the verdict's radii are printed at the working precision, not the
+    # doubled scan precision (Python floats in double mode)
+    ("pipeline", "rational"): "9025545a974d9cea7ebbc418aafecb1de5337c133c4a1ee25931935dd48660d3",
+    ("pipeline", "double"): "8e60fc92531168ac7d9680d36f0c6921fa2eef61455f92586ef5f2d1b5e44f56",
+    ("pipeline", "bigfloat"): "6afe6fb75552fdf17c7e3977686c7ad7c4bdeaff3655506954743d4381a9870a",
 }
 
 
@@ -478,8 +480,10 @@ KERNEL_STDOUT_SHA256 = {
     "pi-eval-double": "6eda0142bc25a0c51cac377e40e1124457c349eeae28232e17b84608087a3594",
     "pi-eval-lognormal": "49a3c59954961aa6e0ff8c776ec1fd4863be3c2107005d221828f774bc778573",
     "weyl-radii": "4c00b786788f61bdef9bcfc3264f36c40ce0fc4439424d44262f804d46f8bac9",
-    "classify-csv": "4cdeef2c8e98d4aac6fc99fe53b373dd057836813de136b973f21754edf755c0",
-    "classify-lognormal": "7d5fc71923863df9612a04fb3262b218233eb26b227848ffb4987a88097f011f",
+    # the verdict's radii are printed at the working precision, not the
+    # doubled scan precision
+    "classify-csv": "3e54e2b77d6bd9cc539d573819a82acd8a296974569c2f36244a3c5faa2bfa55",
+    "classify-lognormal": "0c702cc23a687083285bbf06a35e5f902467f0654a3e69a0938e20f88f4f1599",
     "spectrum-double": "1c38f6b247fe2e0f3c88a51ffcd91cc74f8887aed87a3fbb82cd5016165a46ee",
     "stone-operator": "54b349dfe89057980f4b5fd8b99684a854e910f4b101c86cf594c26eb67b8284",
     "gram-probe": "fa06b6dcaaafb71e6bbfc0b40c51b9449b8f13b977a0d039d6fffe10ddbb25ac",

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import mpmath as mp
@@ -21,7 +22,10 @@ from momprob import (
     measure_to_jacobi,
     normalize,
     power_reweight,
+    truncation_spectrum,
 )
+
+from conftest import assert_matches_lanczos
 
 
 @pytest.fixture(scope="module")
@@ -105,32 +109,57 @@ class TestInfiniteIndexProbe:
         assert all(v.verdict == DETERMINATE for _, v in report.per_level)
 
 
+def routed_to_jacobi(monkeypatch, nu, *args, **kwargs):
+    """measure_to_jacobi(nu, ...) and the route that built it: "rkpw" when
+    the chase read the reweighted atoms, "section" when Christoffel steps
+    from the stored section did."""
+    reads = []
+    real_atoms = Measure.effective_atoms
+
+    def counting_atoms(self):
+        reads.append(self)
+        return real_atoms(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Measure, "effective_atoms", counting_atoms)
+        J = measure_to_jacobi(nu, *args, **kwargs)
+    return J, "rkpw" if reads else "section"
+
+
 def recorded_scan(monkeypatch, mu, n_max, depth=None):
-    """index_of_determinacy with the matrix of every level and the measures
-    passed to measure_to_jacobi recorded."""
-    levels, rkpw = [], []
-    real_classify, real_to_jacobi = determinacy.classify, determinacy.measure_to_jacobi
+    """index_of_determinacy with the matrix of every level and the route of
+    every measure_to_jacobi call recorded."""
+    levels, routes = [], []
+    real_classify = determinacy.classify
 
     def recording_classify(J, policy):
         levels.append(J)
         return real_classify(J, policy)
 
-    def counting_to_jacobi(nu, *args, **kwargs):
-        rkpw.append(nu)
-        return real_to_jacobi(nu, *args, **kwargs)
+    def routing_to_jacobi(nu, *args, **kwargs):
+        J, route = routed_to_jacobi(monkeypatch, nu, *args, **kwargs)
+        routes.append(route)
+        return J
 
     with monkeypatch.context() as patch:
         patch.setattr(determinacy, "classify", recording_classify)
-        patch.setattr(determinacy, "measure_to_jacobi", counting_to_jacobi)
+        patch.setattr(determinacy, "measure_to_jacobi", routing_to_jacobi)
         report = index_of_determinacy(mu, n_max, depth=depth)
-    return report, levels, rkpw
+    return report, levels, routes
+
+
+def without_section(mu):
+    """The same measure with no section, so measure_to_jacobi runs RKPW."""
+    out = mu._replace()
+    out._section = None
+    return out
 
 
 def per_level_rkpw_scan(mu, n_max, depth=None):
     """(verdict, n_used) per level of the scan with every level converted
     from the reweighted atoms by measure_to_jacobi."""
     policy = ClassifyPolicy()
-    mu0, _ = normalize(mu)
+    mu0 = without_section(normalize(mu)[0])
     n_atoms = len(mu0.base_atoms()[0])
     n = n_atoms if depth is None else min(depth, n_atoms)
     out = []
@@ -158,7 +187,7 @@ def assert_row_scaled_close(J, ref, bits):
                 assert abs(b[i] - rb[i]) <= tol * scale, f"b_{i + 1}"
 
 
-def lognormal_case(proxy, power):
+def atomic_case(proxy, power):
     bits = proxy.precision.bits
     twice = Measure.atomic(proxy.points, proxy.weights,
                            precision=PrecisionConfig.bigfloat(2 * bits))
@@ -172,21 +201,61 @@ def damped_gaussian_case(gaussian):
     return gauss_damp(gaussian, alpha), gauss_damp(twice, alpha), bits
 
 
-class TestChristoffelScan:
-    """One RKPW run per scan, then (1+t^2) steps while a level holds the
-    whole support; per-level RKPW otherwise."""
+@pytest.fixture(scope="module")
+def hermite_proxy40(hermite256):
+    return truncation_spectrum(hermite256, 40)
 
-    @pytest.mark.parametrize("case, n_max", [
-        pytest.param(lambda proxy, g: lognormal_case(proxy, -1), 4, id="nu-1"),
-        pytest.param(lambda proxy, g: lognormal_case(proxy, -2), 4, id="nu-2"),
-        pytest.param(lambda proxy, g: lognormal_case(proxy, -3), 5, id="nu-3"),
-        pytest.param(lambda proxy, g: damped_gaussian_case(g), 3, id="damped-gaussian"),
+
+class TestSectionRoute:
+    """A truncation_spectrum measure with only power lifts gets its Jacobi
+    matrix by Christoffel steps from its section, not by RKPW."""
+
+    @pytest.mark.parametrize("power", [-3, -2, -1, 1])
+    @pytest.mark.parametrize("proxy", ["lognormal", "hermite"])
+    def test_steps_against_rkpw_at_twice_the_bits(
+            self, monkeypatch, lognormal_proxy40, hermite_proxy40, proxy, power):
+        mu = {"lognormal": lognormal_proxy40, "hermite": hermite_proxy40}[proxy]
+        nu, twice, bits = atomic_case(mu, power)
+        J, route = routed_to_jacobi(monkeypatch, nu, 40)
+        assert route == "section"
+        assert_row_scaled_close(J, measure_to_jacobi(twice, 40), bits)
+        assert_matches_lanczos(nu, 40)
+
+    def test_leading_rows_of_the_section_route(self, monkeypatch, lognormal_proxy40):
+        nu, _ = power_reweight(lognormal_proxy40, -2)
+        J, route = routed_to_jacobi(monkeypatch, nu, 12)
+        assert route == "section" and J.n_stored == 12
+        full = measure_to_jacobi(nu, 40)
+        assert J.coefficients(12) == full.coefficients(12)
+
+    def test_json_round_trip_drops_the_section(self, monkeypatch, lognormal_proxy40):
+        nu, _ = power_reweight(lognormal_proxy40, -1)
+        back = Measure.from_json(nu.to_json())
+        assert "section" not in json.dumps(nu.to_json())
+        assert routed_to_jacobi(monkeypatch, back, 40)[1] == "rkpw"
+
+    def test_gauss_from_jacobi_density_runs_rkpw(self, monkeypatch, gaussian_measure):
+        nu, _ = power_reweight(gaussian_measure, -1)
+        assert routed_to_jacobi(monkeypatch, nu, 60)[1] == "rkpw"
+
+
+class TestChristoffelScan:
+    """Level 0 by steps from the section of a truncation_spectrum measure
+    and RKPW otherwise, then (1+t^2) steps while a level holds the whole
+    support; per-level RKPW otherwise."""
+
+    @pytest.mark.parametrize("case, n_max, route", [
+        pytest.param(lambda proxy, g: atomic_case(proxy, -1), 4, "section", id="nu-1"),
+        pytest.param(lambda proxy, g: atomic_case(proxy, -2), 4, "section", id="nu-2"),
+        pytest.param(lambda proxy, g: atomic_case(proxy, -3), 5, "section", id="nu-3"),
+        pytest.param(lambda proxy, g: damped_gaussian_case(g), 3, "rkpw",
+                     id="damped-gaussian"),
     ])
     def test_step_levels_against_rkpw_at_twice_the_bits(
-            self, monkeypatch, lognormal_proxy40, gaussian_measure, case, n_max):
+            self, monkeypatch, lognormal_proxy40, gaussian_measure, case, n_max, route):
         mu, twice, bits = case(lognormal_proxy40, gaussian_measure)
-        report, levels, rkpw = recorded_scan(monkeypatch, mu, n_max)
-        assert len(rkpw) == 1 and len(levels) > 1
+        report, levels, routes = recorded_scan(monkeypatch, mu, n_max)
+        assert routes == [route] and len(levels) > 1
         n_atoms = len(mu.base_atoms()[0])
         for m, J in enumerate(levels):
             assert J.n_stored == n_atoms
@@ -195,18 +264,27 @@ class TestChristoffelScan:
         assert [(v.verdict, v.n_used) for _, v in report.per_level] == \
             per_level_rkpw_scan(mu, n_max)
 
+    @pytest.mark.parametrize("power, index", [(-1, "Finite(1)"), (-2, "Finite(2)")])
+    def test_section_backed_scan_runs_no_rkpw(self, monkeypatch, lognormal_proxy40,
+                                              power, index):
+        nu, _ = power_reweight(lognormal_proxy40, power)
+        report, levels, routes = recorded_scan(monkeypatch, nu, 4)
+        assert str(report) == index and len(levels) == -power + 1
+        assert routes == ["section"]
+
     def test_one_rkpw_run_on_nu2(self, monkeypatch, lognormal_proxy40):
+        # read back from JSON, the measure has no section: one RKPW run, then steps
         nu2, _ = power_reweight(lognormal_proxy40, -2)
-        report, levels, rkpw = recorded_scan(monkeypatch, nu2, 4)
+        report, levels, routes = recorded_scan(monkeypatch, Measure.from_json(nu2.to_json()), 4)
         assert str(report) == "Finite(2)" and len(levels) == 3
-        assert len(rkpw) == 1
+        assert routes == ["rkpw"]
 
     def test_partial_levels_run_rkpw_per_level(self, monkeypatch, lognormal_proxy40):
         # the damped proxy resolves a few rows of its 40 atoms per level
         damped = gauss_damp(lognormal_proxy40, 1)
-        report, levels, rkpw = recorded_scan(monkeypatch, damped, 3)
+        report, levels, routes = recorded_scan(monkeypatch, damped, 3)
         assert str(report) == "AtLeast(3)"
-        assert len(rkpw) == len(levels) == 3
+        assert routes == ["rkpw"] * 3 and len(levels) == 3
         assert all(J.n_stored < 40 for J in levels)
         assert [(v.verdict, v.n_used) for _, v in report.per_level] == \
             per_level_rkpw_scan(damped, 3)
@@ -214,8 +292,8 @@ class TestChristoffelScan:
     def test_depth_cap_runs_rkpw_per_level(self, monkeypatch, gaussian_measure):
         # criterion 09's scan: 48 of 60 rows per level
         damped = gauss_damp(gaussian_measure, mp.mpf(1) / 2)
-        report, levels, rkpw = recorded_scan(monkeypatch, damped, 4, depth=48)
+        report, levels, routes = recorded_scan(monkeypatch, damped, 4, depth=48)
         assert str(report) == "AtLeast(4)"
-        assert len(rkpw) == len(levels) == 4
+        assert routes == ["rkpw"] * 4 and len(levels) == 4
         assert [(v.verdict, v.n_used) for _, v in report.per_level] == \
             per_level_rkpw_scan(damped, 4, depth=48)

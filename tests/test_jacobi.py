@@ -7,6 +7,7 @@ from momprob import (
     DETERMINATE,
     INDETERMINATE,
     JacobiMatrix,
+    PrecisionConfig,
     RealPoint,
     classify,
     jacobi_to_moments,
@@ -15,7 +16,7 @@ from momprob import (
     weyl_radii,
     weyl_radius,
 )
-from momprob.families import lognormal
+from momprob.families import hermite_like, lognormal
 
 from conftest import assert_close
 
@@ -153,6 +154,22 @@ class TestClassify:
         # doubling from start < 1 never reaches n_max
         with pytest.raises(ValueError, match="^start must be positive$"):
             classify(hermite256, ClassifyPolicy(n_max=64, start=start))
+
+    @pytest.mark.parametrize("case", ["hermite-256", "lognormal-512", "hermite-double"])
+    def test_radii_at_working_precision(self, hermite256, lognormal60, case):
+        # the radii are scanned at twice the bits but certified only to the
+        # working bits, so no more is returned
+        J, n_max = {
+            "hermite-256": (hermite256, 1000),
+            "lognormal-512": (lognormal60, 60),
+            "hermite-double": (hermite_like(PrecisionConfig.double()), 1000),
+        }[case]
+        v = classify(J, ClassifyPolicy(n_max=n_max))
+        assert len(v.radii) == len(v.checkpoints) > 1
+        if J.precision.mode == "double":
+            assert all(type(r) is float for r in v.radii)
+        else:
+            assert all(r._mpf_[3] <= J.precision.working_bits() for r in v.radii)
 
     def test_verdict_serializes(self, hermite256):
         v = classify(hermite256, ClassifyPolicy(n_max=1000))

@@ -21,7 +21,12 @@ from momprob import (
     power_reweight,
     truncation_spectrum,
 )
-from momprob.measures import _merge_stack, christoffel_levels, christoffel_step
+from momprob.measures import (
+    _merge_stack,
+    christoffel_levels,
+    christoffel_step,
+    inverse_christoffel_step,
+)
 from momprob.moments import MomentSequence
 
 from conftest import assert_close, assert_matches_lanczos
@@ -342,6 +347,29 @@ class TestChristoffelStep:
         q, b2 = gram_schmidt_recurrence(atomic_moments(pts, wts, 2 * n), n)
         assert christoffel_step(q, b2) == gram_schmidt_recurrence(
             atomic_moments(pts, lifted, 2 * n), n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=1, max_size=8),
+           st.data())
+    def test_inverse_step_undoes_step(self, q, data):
+        # any symmetric tridiagonal section with positive b^2 is the whole
+        # matrix of a measure with as many atoms as rows
+        b2 = data.draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
+                                min_size=len(q) - 1, max_size=len(q) - 1), label="b2")
+        assert inverse_christoffel_step(*christoffel_step(q, b2)) == (q, b2)
+        assert christoffel_step(*inverse_christoffel_step(q, b2)) == (q, b2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=2, max_size=10,
+                    unique=True), st.data())
+    def test_inverse_step_equals_gram_schmidt_of_divided_moments(self, pts, data):
+        wts = data.draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
+                                 min_size=len(pts), max_size=len(pts)), label="weights")
+        n = len(pts)
+        divided = [w / (1 + t * t) for t, w in zip(pts, wts)]
+        q, b2 = gram_schmidt_recurrence(atomic_moments(pts, wts, 2 * n), n)
+        assert inverse_christoffel_step(q, b2) == gram_schmidt_recurrence(
+            atomic_moments(pts, divided, 2 * n), n)
 
     def test_rational_levels_stay_exact(self):
         # b = 1/2 at level 0; level 1 has b^2 = 2/9, so its b is a rounded
