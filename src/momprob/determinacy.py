@@ -15,16 +15,15 @@ clean determinate levels.  The result is an estimate with an explicit
 diagnostic trace, never a certificate: numerical classification of deeply
 reweighted measures is precision-limited.
 
-Level 0 comes from :func:`~momprob.measures.measure_to_jacobi`: a
-``truncation_spectrum`` measure with only power lifts takes |p| Christoffel
-steps from its section at 64 guard bits (for p < 0, the forward step on the
-index-reversed matrix); other measures run the RKPW chase on their atoms.
-When a level's matrix is the whole N x N matrix of the N-atom support, the
-next level follows from it by one exact O(N) (1+t^2) Christoffel step
-(:func:`~momprob.measures.christoffel_step`).  A level that stops short of
-the support (partial resolution, or a ``depth`` cap), or a rational-mode
-level with an inexact entry, is followed by a new RKPW run on the
-reweighted atoms instead.
+Each level is ``power_reweight(nu, 1)`` of the level before, converted by
+:func:`~momprob.measures.measure_to_jacobi`.  A measure that keeps its
+section (``truncation_spectrum`` sets it) rounds it, and its lifts are
+exact O(N) (1+t^2) Christoffel steps of the section.  Any other runs the
+RKPW chase on its atoms; when that gives the whole N x N matrix of the
+N-atom support, the scan keeps it as the section, so later levels are
+steps.  An RKPW level that stops short of the support (partial
+resolution, or a ``depth`` cap), or a rational-mode level with an inexact
+entry, gives no section, and the next level runs RKPW again.
 """
 from __future__ import annotations
 
@@ -39,13 +38,7 @@ from .jacobi import (
     DeterminacyVerdict,
     classify,
 )
-from .measures import (
-    Measure,
-    christoffel_levels,
-    gauss_damp,
-    measure_to_jacobi,
-    power_reweight,
-)
+from .measures import Measure, gauss_damp, measure_to_jacobi, power_reweight
 from .precision import PrecisionConfig
 
 NOT_DETERMINATE = "not_determinate"
@@ -93,29 +86,22 @@ def index_of_determinacy(
     ``depth`` caps how many recurrence coefficients are extracted per level
     (default: as many as the support resolves).  Levels are evaluated in
     order, each classified by the default policy up to its stored depth;
-    the first non-determinate level ends the scan.  Level 0 takes steps from
-    the section of a ``truncation_spectrum`` measure with only power lifts,
-    and runs RKPW on the atoms otherwise.  Each later level is one (1+t^2)
-    Christoffel step from the level before when that level holds the whole
-    support (``n_stored`` equals the number of atoms), and a new RKPW run on
-    the reweighted atoms otherwise; in rational mode, steps also need exact
-    entries to start from (see :func:`~momprob.measures.christoffel_levels`).
+    the first non-determinate level ends the scan.  An RKPW level that holds
+    the whole support (``n_stored`` equals the number of atoms) becomes the
+    section of its measure, so the levels after it are Christoffel steps.
+    The mass is never read: RKPW divides by the atom total itself.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    mu0, _ = mu.normalize()
-    n_atoms = _support_size(mu0)
+    n_atoms = _support_size(mu)
     level_depth = n_atoms if depth is None else min(depth, n_atoms)
-    J = measure_to_jacobi(mu0, level_depth, partial=True)
-    lifts = None  # Christoffel steps from the last RKPW level, while levels stay whole
-    trace = []
+    nu, trace = mu, []
     for m in range(n_max):
         if m:
-            lifts = (lifts or christoffel_levels(J)) if J.n_stored == n_atoms else None
-            if lifts is None:
-                J = measure_to_jacobi(power_reweight(mu0, m)[0], level_depth, partial=True)
-            else:
-                J = next(lifts)
+            nu = power_reweight(nu, 1)[0]
+        J = measure_to_jacobi(nu, level_depth, partial=True)
+        if nu._section is None and J.n_stored == n_atoms:
+            nu = nu._with_section(*J.coefficients(n_atoms))
         verdict = classify(J, ClassifyPolicy(n_max=J.n_stored))
         trace.append((m, verdict))
         if verdict.verdict == INDETERMINATE:

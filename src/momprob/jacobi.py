@@ -336,8 +336,9 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
 
     Atoms sit at the section's eigenvalues with weights equal to squared
     first eigenvector components; the atomic measure reproduces the moment
-    sequence of the matrix through order 2N-1.  It keeps the section for
-    ``measure_to_jacobi`` of its power lifts; its JSON drops the section.
+    sequence of the matrix through order 2N-1.  It keeps the section, the
+    whole Jacobi matrix of its atoms, so its power lifts are Christoffel
+    steps (see :mod:`momprob.measures`); its JSON drops the section.
     """
     from . import measures  # deferred: measures imports this module
 
@@ -347,6 +348,4 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     cfg = J.precision
     nodes, weights = tridiag.gauss_rule(q, b, cfg.working_bits())
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
-    mu = measures.Measure.atomic(nodes, weights, precision=out_cfg)
-    mu._section = (q, b)
-    return mu
+    return measures.Measure.atomic(nodes, weights, precision=out_cfg)._with_section(q, b)

@@ -11,15 +11,16 @@ applied lazily at evaluation points, so products of transforms stay exact
 and the composition laws (alpha-additivity, power-lift inverses) hold
 structurally.  A scalar ``scale`` accumulates normalization constants.
 
-measure -> Jacobi conversion uses the discretized Stieltjes procedure on the
-support points, computed by the Gragg-Harrod RKPW rotation update (one atom
-at a time, no reorthogonalization, exact on rational atoms), which is the
-numerically benign route; the raw-moment Hankel route exists independently
-in :mod:`momprob.moments` and the two are required to agree.  Multiplying
-a measure by 1 + t^2 maps the whole Jacobi matrix of its atoms to the new
-one by an exact O(n) Christoffel step (:func:`christoffel_step`), and
-:func:`inverse_christoffel_step` divides; a ``truncation_spectrum`` measure
-keeps its section, so its power lifts need no RKPW run.
+A measure may keep its section: the unrounded (q, b^2) of the whole Jacobi
+matrix of its atoms, stack included (``truncation_spectrum`` sets it).  A
+power lift maps the section by exact O(n) Christoffel steps
+(:func:`christoffel_step`, and :func:`inverse_christoffel_step` to divide),
+and ``measure_to_jacobi`` rounds its leading rows.  A measure without one
+runs the discretized Stieltjes procedure on the support points, computed
+by the Gragg-Harrod RKPW rotation update (one atom at a time, no
+reorthogonalization, exact on rational atoms), which is the numerically
+benign route; the raw-moment Hankel route exists independently in
+:mod:`momprob.moments` and the two are required to agree.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .precision import (
     DOUBLE,
     RATIONAL,
     PrecisionConfig,
+    all_exact,
     convert,
     document_precision,
     format_number,
@@ -54,6 +56,9 @@ from .precision import (
 )
 
 REAL_LINE = "real_line"
+# guard bits of a section and its Christoffel steps: 32 lose 20 of 512 bits
+# on the graded lognormal section
+_SECTION_GUARD = 64
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class Measure(object):
         self.transforms = tuple(transforms)
         self.scale = scale
         self._atoms = None
-        self._section = None  # (q, b) of the N x N section; truncation_spectrum sets it
+        self._section = None  # unrounded (q, b^2) of the whole Jacobi matrix, or None
         if kind == "atomic":
             pts = tuple(points)
             wts = tuple(weights)
@@ -198,8 +203,19 @@ class Measure(object):
         )
         base.update(kw)
         out = Measure(**base)
-        # base support atoms and their section are transform-independent
-        out._atoms, out._section = self._atoms, self._section
+        # base atoms are transform-independent; the section is not, and the
+        # scale does not enter it
+        out._atoms = self._atoms
+        if out.transforms == self.transforms:
+            out._section = self._section
+        return out
+
+    def _with_section(self, q, b) -> "Measure":
+        """This measure with (q, b) as its section, which must be the whole
+        Jacobi matrix of its atoms; in rational mode an inexact entry leaves
+        it without one, since steps from it could not be exact."""
+        out = self._replace()
+        out._section = _squared(q, b, self.precision)
         return out
 
     # -- support atoms -------------------------------------------------------
@@ -305,7 +321,7 @@ class Measure(object):
         if atoms is None:
             return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
         pts, wts = atoms
-        exact = _all_exact(cfg, pts, wts)
+        exact = all_exact(cfg, pts, wts)
         num = to_fraction if exact else to_mpf
         with wp(cfg.working_bits() + 16):
             pts_f = [num(t) for t in pts]
@@ -363,13 +379,21 @@ class Measure(object):
         """Multiply by (1+t^2)^n, renormalize; returns (measure, mass C).
 
         Negative ``n`` is always integrable; positive ``n`` needs the lifted
-        mass to stay finite, which is checked by the normalization.
+        mass to stay finite, which is checked by the normalization.  A kept
+        section takes |n| Christoffel steps, inverse ones for n < 0.
         """
         if not isinstance(n, int):
             raise ValueError("power exponent must be an integer")
         if n == 0:
             return self, convert(1, self.precision)
         out = self._replace(transforms=_merge_stack(self.transforms, Multiplier("power_lift", n)))
+        if self._section is not None:
+            q, b2 = self._section
+            step = christoffel_step if n > 0 else inverse_christoffel_step
+            with wp(self.precision.working_bits() + _SECTION_GUARD):
+                for _ in range(abs(n)):
+                    q, b2 = step(q, b2)
+            out._section = q, b2
         return out.normalize()
 
     # -- serialization ---------------------------------------------------------
@@ -436,12 +460,6 @@ class Measure(object):
         raise ValueError(f"unknown measure kind {kind!r}")
 
 
-def _all_exact(cfg: PrecisionConfig, xs, ys) -> bool:
-    """Whether cfg is rational and every entry of ``xs + ys`` is an int or a
-    Fraction, so the work on them stays exact."""
-    return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for x in xs + ys)
-
-
 # ---------------------------------------------------------------------------
 # module-level operation wrappers (the functional surface of the module)
 
@@ -469,19 +487,17 @@ def moments_of(mu: Measure, m: int):
 def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatrix:
     """Recurrence coefficients of the measure's orthonormal polynomials.
 
-    A ``truncation_spectrum`` measure with only power lifts, of total
-    exponent p, takes |p| Christoffel steps (inverse ones for p < 0) from
-    its kept N x N section at 64 guard bits (32 lose 20 of 512 bits on the
-    graded lognormal section).  Atoms read from JSON (which drops the
-    section), gauss_damp stacks and gauss_from_jacobi densities run the
-    discretized Stieltjes procedure by the Gragg-Harrod RKPW update: the
-    atoms are added one at a time, and each addition updates the Jacobi
-    matrix by a chase of Givens rotations, in O(len(atoms) * n) time and
-    O(n) memory with no reorthogonalization (Gragg & Harrod, Numer. Math. 44,
-    1984; Gautschi, Orthogonal Polynomials, 2004, 2.2.3).  The chase is kept
-    in squared form, which needs only + - * /, so exact rational atoms run
-    it in Fraction arithmetic; other input runs it at the working precision
-    plus 32 guard bits and is rounded once.
+    A measure with a section rounds its first n rows.  Any other (atoms
+    read from JSON, which drops the section, gauss_damp stacks and
+    gauss_from_jacobi densities) runs the discretized Stieltjes procedure by
+    the Gragg-Harrod RKPW update: the atoms are added one at a time, and
+    each addition updates the Jacobi matrix by a chase of Givens rotations,
+    in O(len(atoms) * n) time and O(n) memory with no reorthogonalization
+    (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi, Orthogonal
+    Polynomials, 2004, 2.2.3).  The chase is kept in squared form, which
+    needs only + - * /, so exact rational atoms run it in Fraction
+    arithmetic; other input runs it at the working precision plus 32 guard
+    bits and is rounded once.
 
     With ``partial=True``, exhausted support truncates the output at the
     deepest resolvable level instead of raising FiniteSupport.
@@ -501,15 +517,11 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
             )
         n = len(atoms[0])
     cfg = mu.precision
-    if mu._section is not None and mu._stack_is_rational():
-        p = sum(m.param for m in mu.transforms)
-        q, b2 = _squared(*mu._section, cfg, 64)
-        with wp(cfg.working_bits() + 64):
-            for _ in range(abs(p)):
-                q, b2 = (christoffel_step if p > 0 else inverse_christoffel_step)(q, b2)
+    if mu._section is not None:
+        q, b2 = mu._section
         return _jacobi_from_squares(q[:n], b2[:n - 1], cfg, partial)
     pts, wts = mu.effective_atoms()
-    exact = _all_exact(cfg, pts, wts)
+    exact = all_exact(cfg, pts, wts)
     num = to_fraction if exact else to_mpf
     bits = cfg.working_bits()
     with wp(bits + 32):
@@ -584,37 +596,15 @@ def inverse_christoffel_step(q, b2):
     return q[::-1], b2[::-1]
 
 
-def christoffel_levels(J: JacobiMatrix):
-    """The Jacobi matrices of (1+t^2)^m mu for m = 1, 2, ..., as an iterator.
-
-    ``J`` must be the whole N x N matrix of an N-atom measure mu, which
-    makes every step exact.  The levels are carried unrounded between steps
-    (exactly for exact rational entries, with 32 guard bits otherwise) and
-    each is rounded once.  A rational-mode ``J`` with an inexact entry (a b
-    rounded from an irrational root) gives None: steps from it could not be
-    exact, and RKPW on the atoms is.
-    """
-    squares = _squared(*J.coefficients(J.n_stored), J.precision, 32)
-    return None if squares is None else _christoffel_chain(*squares, J.precision)
-
-
-def _squared(q, b, cfg: PrecisionConfig, guard: int):
+def _squared(q, b, cfg: PrecisionConfig):
     """(q, b^2), exact for exact rational-mode entries (None for inexact
-    ones) and at the working precision plus ``guard`` bits otherwise."""
-    exact = _all_exact(cfg, q, b)
+    ones) and at the working precision plus the section guard otherwise."""
+    exact = all_exact(cfg, q, b)
     if cfg.mode == RATIONAL and not exact:
         return None
     num = to_fraction if exact else to_mpf
-    with wp(cfg.working_bits() + guard):
+    with wp(cfg.working_bits() + _SECTION_GUARD):
         return [num(x) for x in q], [num(x) ** 2 for x in b]
-
-
-def _christoffel_chain(q, b2, cfg):
-    """One rounded level per Christoffel step from the unrounded (q, b2)."""
-    while True:
-        with wp(cfg.working_bits() + 32):
-            q, b2 = christoffel_step(q, b2)
-        yield _jacobi_from_squares(q, b2, cfg, partial=True)
 
 
 def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMatrix:
@@ -625,7 +615,7 @@ def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMa
     square at or below 2^-(2 bits) ends the resolvable support: with
     ``partial`` the output stops there, otherwise FiniteSupport is raised.
     """
-    exact = _all_exact(cfg, q, b2)
+    exact = all_exact(cfg, q, b2)
     bits = cfg.working_bits()
     floor2 = 0 if exact else mp.ldexp(1, -2 * bits)
     depth = next((k for k, x in enumerate(b2, 1) if not x > floor2), len(q))

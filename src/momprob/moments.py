@@ -41,6 +41,7 @@ from .precision import (
     RATIONAL,
     PrecisionConfig,
     agreeing_bits,
+    all_exact,
     convert,
     document_precision,
     format_number,
@@ -330,9 +331,7 @@ def jacobi_to_moments(J: JacobiMatrix, m: int) -> MomentSequence:
             f"moments through order {m} need a section of size {size}: {exc}"
         ) from exc
 
-    exact = cfg.mode == RATIONAL and all(
-        isinstance(x, (int, Fraction)) for x in list(q) + list(b)
-    )
+    exact = all_exact(cfg, q, b)
     num = Fraction if exact else to_mpf
     work = cfg.working_bits()
     with wp(work + 16):

@@ -192,6 +192,12 @@ def is_finite_number(x) -> bool:
     return bool(mp.isfinite(x))
 
 
+def all_exact(cfg: PrecisionConfig, *seqs) -> bool:
+    """Whether cfg is rational and every entry of ``seqs`` is an int or a
+    Fraction, so the work on them stays exact."""
+    return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for xs in seqs for x in xs)
+
+
 def sqrt_number(x, cfg: PrecisionConfig):
     """Square root in cfg's arithmetic.
 
@@ -220,7 +226,7 @@ def decimal_digits(bits: int) -> int:
     return int(bits * 0.30102999566398120) + 3
 
 
-def format_number(x, cfg: PrecisionConfig = None) -> str:
+def format_number(x, cfg: PrecisionConfig) -> str:
     """Render a number as a decimal (or ``p/q``) string for JSON transport."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -228,7 +234,7 @@ def format_number(x, cfg: PrecisionConfig = None) -> str:
         return str(x)
     if isinstance(x, float):
         return repr(x)
-    bits = cfg.working_bits() if cfg is not None else mp.mp.prec
+    bits = cfg.working_bits()
     # nstr must not see the value re-rounded at the ambient precision
     with wp(max(bits, mp.mp.prec)):
         return mp.nstr(x, decimal_digits(bits), strip_zeros=True)

@@ -208,7 +208,8 @@ def hermite_proxy40(hermite256):
 
 class TestSectionRoute:
     """A truncation_spectrum measure with only power lifts gets its Jacobi
-    matrix by Christoffel steps from its section, not by RKPW."""
+    matrix by rounding its section, which its lifts map by Christoffel
+    steps, not by RKPW."""
 
     @pytest.mark.parametrize("power", [-3, -2, -1, 1])
     @pytest.mark.parametrize("proxy", ["lognormal", "hermite"])
@@ -238,13 +239,23 @@ class TestSectionRoute:
         nu, _ = power_reweight(gaussian_measure, -1)
         assert routed_to_jacobi(monkeypatch, nu, 60)[1] == "rkpw"
 
+    def test_gauss_damp_drops_the_section(self, monkeypatch, lognormal_proxy40):
+        lifted, _ = power_reweight(lognormal_proxy40, -1)
+        assert lifted._section is not None
+        assert normalize(lifted)[0]._section is lifted._section
+        for nu in (gauss_damp(lifted, 1), power_reweight(gauss_damp(lognormal_proxy40, 1), -1)[0]):
+            J, route = routed_to_jacobi(monkeypatch, nu, 40, partial=True)
+            assert route == "rkpw"
+            ref = measure_to_jacobi(without_section(nu), 40, partial=True)
+            assert J.coefficients(J.n_stored) == ref.coefficients(ref.n_stored)
+
 
 class TestChristoffelScan:
-    """Level 0 by steps from the section of a truncation_spectrum measure
-    and RKPW otherwise, then (1+t^2) steps while a level holds the whole
-    support; per-level RKPW otherwise."""
+    """Levels from the section of a truncation_spectrum measure, or from an
+    RKPW level that holds the whole support, by (1+t^2) steps; per-level
+    RKPW otherwise."""
 
-    @pytest.mark.parametrize("case, n_max, route", [
+    @pytest.mark.parametrize("case, n_max, first", [
         pytest.param(lambda proxy, g: atomic_case(proxy, -1), 4, "section", id="nu-1"),
         pytest.param(lambda proxy, g: atomic_case(proxy, -2), 4, "section", id="nu-2"),
         pytest.param(lambda proxy, g: atomic_case(proxy, -3), 5, "section", id="nu-3"),
@@ -252,10 +263,10 @@ class TestChristoffelScan:
                      id="damped-gaussian"),
     ])
     def test_step_levels_against_rkpw_at_twice_the_bits(
-            self, monkeypatch, lognormal_proxy40, gaussian_measure, case, n_max, route):
+            self, monkeypatch, lognormal_proxy40, gaussian_measure, case, n_max, first):
         mu, twice, bits = case(lognormal_proxy40, gaussian_measure)
         report, levels, routes = recorded_scan(monkeypatch, mu, n_max)
-        assert routes == [route] and len(levels) > 1
+        assert len(levels) > 1 and routes == [first] + ["section"] * (len(levels) - 1)
         n_atoms = len(mu.base_atoms()[0])
         for m, J in enumerate(levels):
             assert J.n_stored == n_atoms
@@ -270,14 +281,23 @@ class TestChristoffelScan:
         nu, _ = power_reweight(lognormal_proxy40, power)
         report, levels, routes = recorded_scan(monkeypatch, nu, 4)
         assert str(report) == index and len(levels) == -power + 1
-        assert routes == ["section"]
+        assert routes == ["section"] * len(levels)
 
     def test_one_rkpw_run_on_nu2(self, monkeypatch, lognormal_proxy40):
         # read back from JSON, the measure has no section: one RKPW run, then steps
         nu2, _ = power_reweight(lognormal_proxy40, -2)
         report, levels, routes = recorded_scan(monkeypatch, Measure.from_json(nu2.to_json()), 4)
         assert str(report) == "Finite(2)" and len(levels) == 3
-        assert routes == ["rkpw"]
+        assert routes == ["rkpw", "section", "section"]
+
+    def test_scan_ignores_the_mass(self, lognormal_proxy40):
+        # neither route reads the mass, so the scan need not normalize
+        nu2, _ = power_reweight(lognormal_proxy40, -2)
+        pts, wts = nu2.effective_atoms()
+        heavy = Measure.atomic(pts, [7 * w for w in wts], precision=nu2.precision)
+        report = index_of_determinacy(heavy, 4)
+        assert str(report) == "Finite(2)"
+        assert report == index_of_determinacy(normalize(heavy)[0], 4)
 
     def test_partial_levels_run_rkpw_per_level(self, monkeypatch, lognormal_proxy40):
         # the damped proxy resolves a few rows of its 40 atoms per level

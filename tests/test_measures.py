@@ -23,7 +23,6 @@ from momprob import (
 )
 from momprob.measures import (
     _merge_stack,
-    christoffel_levels,
     christoffel_step,
     inverse_christoffel_step,
 )
@@ -375,9 +374,11 @@ class TestChristoffelStep:
         # b = 1/2 at level 0; level 1 has b^2 = 2/9, so its b is a rounded
         # root, but the steps carry the exact squares on
         mu = Measure.atomic([0, 1], [1, 1], precision=PrecisionConfig.rational())
-        levels = christoffel_levels(measure_to_jacobi(mu, 2))
+        nu = mu._with_section(*measure_to_jacobi(mu, 2).coefficients(2))
         for m in (1, 2, 3):
-            J, ref = next(levels), measure_to_jacobi(power_reweight(mu, m)[0], 2)
+            nu = power_reweight(nu, 1)[0]
+            assert all(type(x) is Fraction for x in nu._section[0] + nu._section[1])
+            J, ref = measure_to_jacobi(nu, 2), measure_to_jacobi(power_reweight(mu, m)[0], 2)
             assert all(type(x) is Fraction for x in J._q)
             assert J._q == ref._q and J._b == ref._b
         assert type(J._b[0]) is mp.mpf
@@ -387,7 +388,8 @@ class TestChristoffelStep:
         mu = Measure.atomic([-1, 1], [1, 3], precision=PrecisionConfig.rational())
         J = measure_to_jacobi(mu, 2)
         assert type(J._b[0]) is mp.mpf
-        assert christoffel_levels(J) is None
+        nu = mu._with_section(*J.coefficients(2))
+        assert nu._section is None and power_reweight(nu, 1)[0]._section is None
 
 
 class TestMergeStack:

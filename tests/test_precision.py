@@ -57,7 +57,7 @@ def test_format_parse_roundtrip_bigfloat():
 
 def test_format_parse_roundtrip_rational():
     cfg = PrecisionConfig.rational()
-    assert convert(format_number(Fraction(-7, 12)), cfg) == Fraction(-7, 12)
+    assert convert(format_number(Fraction(-7, 12), cfg), cfg) == Fraction(-7, 12)
 
 
 def test_to_fraction_from_mpf_exact():
