@@ -123,11 +123,9 @@ def stone_jacobi_operator_route(
                     eta[i] += coef * v[i]
 
         # orthonormalize the power orbit with doubled Gram-Schmidt
-        basis = []
+        basis, images = [], []
         u = eta
         for k in range(n):
-            if k > 0:
-                u = tridiag.matvec(qq, bb, basis[k - 1])
             for _ in range(2):
                 for col in basis:
                     c = mp.fsum(ui * ci for ui, ci in zip(u, col))
@@ -139,9 +137,11 @@ def stone_jacobi_operator_route(
                     "inside the span of its predecessors"
                 )
             basis.append([ui / nrm for ui in u])
+            # T times this vector is both its image and the next orbit vector
+            u = tridiag.matvec(qq, bb, basis[k])
+            images.append(u)
 
         q_out, b_out = [], []
-        images = [tridiag.matvec(qq, bb, v) for v in basis]
         for k in range(n):
             q_out.append(mp.fsum(a_ * b_ for a_, b_ in zip(basis[k], images[k])))
             if k + 1 < n:

@@ -34,7 +34,7 @@ from .jacobi import (
     truncation_spectrum,
     weyl_radii,
 )
-from .measures import Measure, measure_to_jacobi
+from .measures import Measure, lift_exponent, measure_to_jacobi
 from .moments import (
     MomentSequence,
     _all_positive,
@@ -428,7 +428,7 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
             # a JSON number is read by its decimal text, like a flag value
             mu = mu.gauss_damp(convert(str(item["gauss_damp"]), mu.precision))
         elif "power_lift" in item:
-            mu, C = mu.power_reweight(int(item["power_lift"]))
+            mu, C = mu.power_reweight(lift_exponent(item["power_lift"]))
             constants.append(format_number(C, mu.precision))
         else:
             raise ValueError(f"unknown transform entry {item!r}")

@@ -236,7 +236,7 @@ def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
     scan = _RadiusScan(J, z, work)
     radii = {n: scan.radius_at(n) for n in sorted(set(ns))}
     with wp(work):
-        return [+radii[n] for n in ns]
+        return [float(radii[n]) if J.precision.mode == DOUBLE else +radii[n] for n in ns]
 
 
 def weyl_radius(J: JacobiMatrix, z, n: int):

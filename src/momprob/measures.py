@@ -15,9 +15,11 @@ A measure may keep its section: the unrounded (q, b^2) of the whole Jacobi
 matrix of its atoms, stack included (``truncation_spectrum`` sets it).  A
 power lift maps the section by exact O(n) Christoffel steps
 (:func:`christoffel_step`, and :func:`inverse_christoffel_step` to divide),
-and ``measure_to_jacobi`` rounds its leading rows.  A measure without one
-runs the discretized Stieltjes procedure on the support points, computed
-by the Gragg-Harrod RKPW rotation update (one atom at a time, no
+and ``measure_to_jacobi`` rounds its leading rows.  ``Measure._reweighted``,
+the one place the stack changes, keeps the section a power lift maps and
+drops it for any other multiplier.  A measure without one runs the
+discretized Stieltjes procedure on the support points, computed by the
+Gragg-Harrod RKPW rotation update (one atom at a time, no
 reorthogonalization, exact on rational atoms), which is the numerically
 benign route; the raw-moment Hankel route exists independently in
 :mod:`momprob.moments` and the two are required to agree.
@@ -73,7 +75,7 @@ class Multiplier:
             if not self.param >= 0:
                 raise ValueError("gauss_damp exponent must be nonnegative")
         elif self.form == "power_lift":
-            if not isinstance(self.param, int):
+            if isinstance(self.param, bool) or not isinstance(self.param, int):
                 raise ValueError("power_lift exponent must be an integer")
         else:
             raise ValueError(f"unknown multiplier form {self.form!r}")
@@ -88,6 +90,18 @@ class Multiplier:
 
     def to_json(self, cfg: PrecisionConfig):
         return {self.form: format_number(self.param, cfg)}
+
+
+def lift_exponent(x) -> int:
+    """A power-lift exponent read from a document, as an integral number or
+    string ("2" from ``to_json``); bools and fractions raise ValueError."""
+    try:
+        f = Fraction(str(x))  # str(True) is no number
+    except ValueError:
+        f = None
+    if f is None or f.denominator != 1:
+        raise ValueError(f"power_lift exponent must be an integer, got {x!r}")
+    return int(f)
 
 
 def _merge_stack(stack, mult: Multiplier):
@@ -195,28 +209,17 @@ class Measure(object):
                    quadrature=quadrature, precision=precision)
 
     def _replace(self, **kw) -> "Measure":
-        base = dict(
-            kind=self.kind, points=self.points, weights=self.weights,
-            weight_name=self.weight_name, support=self.support,
-            quadrature=self.quadrature, transforms=self.transforms,
-            scale=self.scale, precision=self.precision,
-        )
-        base.update(kw)
-        out = Measure(**base)
-        # base atoms are transform-independent; the section is not, and the
-        # scale does not enter it
-        out._atoms = self._atoms
-        if out.transforms == self.transforms:
-            out._section = self._section
+        """A copy with the slots in ``kw`` replaced, not checked again."""
+        out = object.__new__(Measure)
+        for name in Measure.__slots__:
+            setattr(out, name, kw[name] if name in kw else getattr(self, name))
         return out
 
     def _with_section(self, q, b) -> "Measure":
         """This measure with (q, b) as its section, which must be the whole
         Jacobi matrix of its atoms; in rational mode an inexact entry leaves
         it without one, since steps from it could not be exact."""
-        out = self._replace()
-        out._section = _squared(q, b, self.precision)
-        return out
+        return self._replace(_section=_squared(q, b, self.precision))
 
     # -- support atoms -------------------------------------------------------
 
@@ -243,7 +246,8 @@ class Measure(object):
             return None
         pts, wts = base
         cfg = self.precision
-        num = to_fraction if cfg.mode == RATIONAL and self._stack_is_rational() else to_mpf
+        exact = cfg.mode == RATIONAL and all(m.form == "power_lift" for m in self.transforms)
+        num = to_fraction if exact else to_mpf
         with wp(cfg.working_bits() + 16):
             sc = num(self.scale)
             out = []
@@ -255,18 +259,15 @@ class Measure(object):
                 out.append(v)
         return pts, tuple(out)
 
-    def _stack_is_rational(self):
-        return all(m.form == "power_lift" for m in self.transforms)
-
     # -- integration ---------------------------------------------------------
 
     def integrate(self, f: Callable):
         """Integral of ``f`` against the measure (stack and scale included)."""
         cfg = self.precision
-        atoms = self.base_atoms()
+        atoms = self.effective_atoms()
         if atoms is not None:
-            pts, wts = self.effective_atoms()
-            if cfg.mode == RATIONAL and self._stack_is_rational():
+            pts, wts = atoms
+            if all_exact(cfg, pts, wts):
                 try:
                     return pairwise_sum([w * f(t) for t, w in zip(pts, wts)])
                 except TypeError:
@@ -316,25 +317,7 @@ class Measure(object):
 
     def moments(self, m: int):
         """Power moments s_0..s_m of the measure (stack and scale included)."""
-        atoms = self.effective_atoms()
-        cfg = self.precision
-        if atoms is None:
-            return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
-        pts, wts = atoms
-        exact = all_exact(cfg, pts, wts)
-        num = to_fraction if exact else to_mpf
-        with wp(cfg.working_bits() + 16):
-            pts_f = [num(t) for t in pts]
-            wts_f = [num(w) for w in wts]
-            powers = [num(1)] * len(pts_f)
-            out = []
-            for k in range(m + 1):
-                out.append(pairwise_sum([w * p for w, p in zip(wts_f, powers)]))
-                powers = [p * t for p, t in zip(powers, pts_f)]
-        if exact:
-            return out
-        with wp(cfg.working_bits()):
-            return [+x for x in out]
+        return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
 
     # -- normalization and transforms ----------------------------------------
 
@@ -371,9 +354,7 @@ class Measure(object):
             raise ValueError("damping exponent must be nonnegative")
         if a == 0:
             return self
-        out = self._replace(transforms=_merge_stack(self.transforms, Multiplier("gauss_damp", a)))
-        normalized, _ = out.normalize()
-        return normalized
+        return self._reweighted(Multiplier("gauss_damp", a))[0]
 
     def power_reweight(self, n: int) -> Tuple["Measure", object]:
         """Multiply by (1+t^2)^n, renormalize; returns (measure, mass C).
@@ -382,18 +363,22 @@ class Measure(object):
         mass to stay finite, which is checked by the normalization.  A kept
         section takes |n| Christoffel steps, inverse ones for n < 0.
         """
-        if not isinstance(n, int):
-            raise ValueError("power exponent must be an integer")
+        mult = Multiplier("power_lift", n)  # checks that n is an integer
         if n == 0:
             return self, convert(1, self.precision)
-        out = self._replace(transforms=_merge_stack(self.transforms, Multiplier("power_lift", n)))
-        if self._section is not None:
-            q, b2 = self._section
+        section = self._section
+        if section is not None:
             step = christoffel_step if n > 0 else inverse_christoffel_step
             with wp(self.precision.working_bits() + _SECTION_GUARD):
                 for _ in range(abs(n)):
-                    q, b2 = step(q, b2)
-            out._section = q, b2
+                    section = step(*section)
+        return self._reweighted(mult, section)
+
+    def _reweighted(self, mult: Multiplier, section=None) -> Tuple["Measure", object]:
+        """Multiply by ``mult`` and renormalize; returns (measure, mass).  The
+        one place the stack changes: the result keeps ``section``, the image
+        of the section a power lift passes, and none otherwise."""
+        out = self._replace(transforms=_merge_stack(self.transforms, mult), _section=section)
         return out.normalize()
 
     # -- serialization ---------------------------------------------------------
@@ -432,7 +417,7 @@ class Measure(object):
             if "gauss_damp" in item:
                 transforms.append(Multiplier("gauss_damp", convert(item["gauss_damp"], cfg)))
             elif "power_lift" in item:
-                transforms.append(Multiplier("power_lift", int(item["power_lift"])))
+                transforms.append(Multiplier("power_lift", lift_exponent(item["power_lift"])))
             else:
                 raise ValueError(f"unknown transform entry {item!r}")
         scale = convert(obj.get("scale", 1), cfg)

@@ -619,6 +619,29 @@ class TestExitCodes:
         assert _exit_code(ZeroDivisionError()) is None
 
 
+class TestPowerLiftExponent:
+    # a lift exponent is an integer; anything else is refused with exit 2,
+    # not truncated to one
+    ATOMS = {"kind": "atomic", "points": ["-1", "1"], "weights": ["1/2", "1/2"],
+             "precision": {"mode": "rational", "bits": 256}}
+
+    @pytest.mark.parametrize("lift", [1.5, True])
+    def test_measure_document(self, capsys, tmp_path, lift):
+        doc = dict(self.ATOMS, transforms=[{"power_lift": lift}])
+        code, out, err = run_cli(capsys, "measure-to-jacobi", "--n", "2",
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: power_lift exponent")
+
+    @pytest.mark.parametrize("lift", [0.5, False])
+    def test_pipeline_document(self, capsys, tmp_path, lift):
+        doc = {"measure": self.ATOMS, "transforms": [{"power_lift": lift}], "n": 2}
+        code, out, err = run_cli(capsys, "pipeline",
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: power_lift exponent")
+
+
 class TestBadUsage:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--family", "unobtainium")

@@ -102,6 +102,14 @@ class TestWeylRadius:
         with pytest.raises(ValueError):
             weyl_radii(hermite256, 1j, [4, 0])
 
+    def test_radii_are_floats_in_double_mode(self):
+        # like classify radii and pi_eval values: a double-mode scan
+        # returns Python floats, not 53-bit mpf
+        radii = weyl_radii(hermite_like(PrecisionConfig.double()), 1j, [8, 64])
+        assert [type(r) for r in radii] == [float, float]
+        ref = weyl_radii(hermite_like(PrecisionConfig.bigfloat(128)), 1j, [8, 64])
+        assert all(abs(r - float(x)) <= 2.0 ** -50 * abs(r) for r, x in zip(radii, ref))
+
     def test_monotone_decreasing(self, hermite256):
         r50 = weyl_radius(hermite256, 1j, 50)
         r200 = weyl_radius(hermite256, 1j, 200)

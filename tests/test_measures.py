@@ -13,6 +13,7 @@ from momprob import (
     QuadratureSpec,
     ZeroMass,
     gauss_damp,
+    index_of_determinacy,
     integrate,
     measure_to_jacobi,
     moments_of,
@@ -21,6 +22,7 @@ from momprob import (
     power_reweight,
     truncation_spectrum,
 )
+from momprob import measures
 from momprob.measures import (
     _merge_stack,
     christoffel_step,
@@ -204,6 +206,26 @@ class TestPowerReweight:
     def test_fractional_exponent_rejected(self, two_atom_rational):
         with pytest.raises(ValueError):
             power_reweight(two_atom_rational, 1.5)
+        with pytest.raises(ValueError):  # an int to isinstance, but no exponent
+            power_reweight(two_atom_rational, True)
+
+
+class TestCopiesAreNotChecked:
+    def test_scan_runs_without_the_atom_check(self, monkeypatch, hermite256):
+        # the atoms were checked when the measure was built; reweighting,
+        # normalizing and scanning copies it without checking them again
+        mu = truncation_spectrum(hermite256, 12)
+        expected = index_of_determinacy(power_reweight(mu, -1)[0], 4)
+
+        def refuse(x):
+            raise AssertionError("a copy checked its atoms again")
+
+        monkeypatch.setattr(measures, "is_finite_number", refuse)
+        nu, _ = power_reweight(mu, -1)
+        assert nu.points is mu.points and nu._section is not None
+        normalize(nu)
+        gauss_damp(nu, Fraction(1, 2))
+        assert index_of_determinacy(nu, 4) == expected
 
 
 class TestMeasureToJacobi:
@@ -421,6 +443,12 @@ class TestMomentsOf:
         wts = [Fraction(1, 4), Fraction(3, 4)]
         mu = Measure.atomic(pts, wts, precision=cfg)
         assert moments_of(mu, 5) == atomic_moments(pts, wts, 5)
+        # a power-lift stack keeps them exact: the lifted power sums
+        lifted, C = power_reweight(mu, 2)
+        lifted_wts = [w * (1 + t * t) ** 2 / C for t, w in zip(pts, wts)]
+        moms = moments_of(lifted, 5)
+        assert all(type(s) is Fraction for s in moms)
+        assert moms == atomic_moments(pts, lifted_wts, 5)
 
 
 class TestJsonRoundtrip:
