@@ -24,7 +24,7 @@ from . import tridiag
 from .errors import AlphaBelowThreshold, FiniteSupport, TruncationTooSmall
 from .jacobi import JacobiMatrix
 from .measures import Measure, measure_to_jacobi, power_reweight
-from .precision import pairwise_sum, to_mpf, wp
+from .precision import is_finite_number, pairwise_sum, to_mpf, wp
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def stone_jacobi_operator_route(
     polluted by the truncation boundary well before N steps, and the
     factor-of-4 margin is what keeps the two routes in agreement.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (is_finite_number(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
     if n * 4 > N:
@@ -95,19 +95,8 @@ def stone_jacobi_operator_route(
             "enlarge the truncation or reduce the output size"
         )
     cfg = J.precision
-    bits = cfg.working_bits()
-    q, b = J.coefficients(N)
-    g = list(g_coords)
-    if len(g) > N:
-        raise ValueError("generating vector longer than the truncation")
-    if all(x == 0 for x in g):
-        raise ValueError("generating vector must be nonzero")
-    g = g + [0] * (N - len(g))
-
+    bits, qq, bb, gg = _section_and_vector(J, g_coords, N, "generating vector")
     with wp(bits + 32):
-        qq = [to_mpf(x) for x in q]
-        bb = [to_mpf(x) for x in b]
-        gg = [to_mpf(x) for x in g]
         if alpha == 0:
             eta = gg
         else:
@@ -227,6 +216,24 @@ def gram_deviation(gram) -> Tuple[float, float]:
     return float(dev), float(imag)
 
 
+def _section_and_vector(J: JacobiMatrix, vec: Sequence, N: int, what: str):
+    """(bits, q, b, v): the working bits, the N x N section of ``J`` and
+    ``vec`` padded with zeros to length N, as mpf at bits + 32.  ``vec``
+    must be finite, nonzero and at most N long."""
+    vec = list(vec)
+    if len(vec) > N:
+        raise ValueError(f"{what} longer than the truncation")
+    if not all(is_finite_number(x) for x in vec):
+        raise ValueError(f"{what} must be finite")
+    if all(x == 0 for x in vec):
+        raise ValueError(f"{what} must be nonzero")
+    bits = J.precision.working_bits()
+    q, b = J.coefficients(N)
+    with wp(bits + 32):
+        return (bits, [to_mpf(x) for x in q], [to_mpf(x) for x in b],
+                [to_mpf(x) for x in vec + [0] * (N - len(vec))])
+
+
 def representation_diagnostic(
     J: JacobiMatrix, delta_coords: Sequence, N: int, n: int
 ) -> float:
@@ -239,29 +246,16 @@ def representation_diagnostic(
     """
     if n < 1 or n > N:
         raise ValueError("need 1 <= n <= N")
-    delta = list(delta_coords)
-    if len(delta) > N:
-        raise ValueError("vector longer than the truncation")
-    if all(x == 0 for x in delta):
-        raise ValueError("probe vector must be nonzero")
-    delta = delta + [0] * (N - len(delta))
-    cfg = J.precision
-    bits = cfg.working_bits()
-    q, b = J.coefficients(N)
+    bits, qq, bb, v = _section_and_vector(J, delta_coords, N, "probe vector")
     with wp(bits + 32):
-        qq = [to_mpf(x) for x in q]
-        bb = [to_mpf(x) for x in b]
-
-        v = [to_mpf(x) for x in delta]
         A = mp.matrix(N, n)
         for k in range(n):
-            if k > 0:
-                v = tridiag.matvec(qq, bb, v)
             tv = tridiag.matvec(qq, bb, v)
             col = [mp.mpc(tv[i], -v[i]) for i in range(N)]  # (T - iI) T^k delta
             nrm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in col))
             for i in range(N):
                 A[i, k] = col[i] / nrm
+            v = tv  # T^(k+1) delta
         sv = mp.svd_c(A, compute_uv=False)
         smin = min(sv[i] for i in range(sv.rows))
     return float(smin)

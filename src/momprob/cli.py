@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import families
 from .bases import (
@@ -34,7 +35,7 @@ from .jacobi import (
     truncation_spectrum,
     weyl_radii,
 )
-from .measures import Measure, lift_exponent, measure_to_jacobi
+from .measures import Measure, measure_to_jacobi
 from .moments import (
     MomentSequence,
     _all_positive,
@@ -48,6 +49,7 @@ from .precision import (
     RATIONAL,
     PrecisionConfig,
     convert,
+    document_int,
     format_complex,
     format_number,
     parse_complex,
@@ -225,12 +227,12 @@ def _parse_policy_point(text) -> complex:
 # ClassifyPolicy fields that classify's flags and a pipeline document's
 # "classify" entry may set, with their parsers
 _POLICY_KEYS = {
-    "n_max": int,
+    "n_max": partial(document_int, what="n_max"),
     "eps_zero": float,
     "eps_stable": float,
-    "window": int,
+    "window": partial(document_int, what="window"),
     "z": _parse_policy_point,
-    "start": int,
+    "start": partial(document_int, what="start"),
 }
 
 
@@ -428,11 +430,11 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
             # a JSON number is read by its decimal text, like a flag value
             mu = mu.gauss_damp(convert(str(item["gauss_damp"]), mu.precision))
         elif "power_lift" in item:
-            mu, C = mu.power_reweight(lift_exponent(item["power_lift"]))
+            mu, C = mu.power_reweight(document_int(item["power_lift"], "power_lift exponent"))
             constants.append(format_number(C, mu.precision))
         else:
             raise ValueError(f"unknown transform entry {item!r}")
-    n = int(doc.get("n", 16))
+    n = document_int(doc.get("n", 16), "n")
     J = measure_to_jacobi(mu, n)
     verdict = classify(J, _policy(doc.get("classify", {}), n_max=n))
     out = {

@@ -22,7 +22,7 @@ from typing import Optional
 import mpmath as mp
 
 from .jacobi import JacobiMatrix
-from .precision import BIGFLOAT, PrecisionConfig, wp
+from .precision import BIGFLOAT, PrecisionConfig, document_int, wp
 
 HERMITE_LIKE = "hermite_like"
 LOGNORMAL = "lognormal"
@@ -73,5 +73,5 @@ def make(name: str, precision: Optional[PrecisionConfig] = None, n: Optional[int
     if name == HERMITE_LIKE:
         return hermite_like(precision)
     if name == LOGNORMAL:
-        return lognormal(n if n is not None else 60, precision)
+        return lognormal(60 if n is None else document_int(n, "family n"), precision)
     raise ValueError(f"unknown family {name!r} (have: {HERMITE_LIKE}, {LOGNORMAL})")

@@ -171,11 +171,16 @@ class ClassifyPolicy:
     z: complex = 1j
     start: int = 8
 
+    def __post_init__(self):
+        for name in ("n_max", "start", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        for name in ("eps_zero", "eps_stable"):
+            x = getattr(self, name)
+            if not (is_finite_number(x) and x > 0):
+                raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
     def checkpoints(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be positive")
-        if self.start < 1:
-            raise ValueError("start must be positive")
         pts = []
         n = self.start
         while n < self.n_max:

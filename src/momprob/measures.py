@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import mpmath as mp
@@ -47,6 +48,7 @@ from .precision import (
     PrecisionConfig,
     all_exact,
     convert,
+    document_int,
     document_precision,
     format_number,
     is_finite_number,
@@ -90,18 +92,6 @@ class Multiplier:
 
     def to_json(self, cfg: PrecisionConfig):
         return {self.form: format_number(self.param, cfg)}
-
-
-def lift_exponent(x) -> int:
-    """A power-lift exponent read from a document, as an integral number or
-    string ("2" from ``to_json``); bools and fractions raise ValueError."""
-    try:
-        f = Fraction(str(x))  # str(True) is no number
-    except ValueError:
-        f = None
-    if f is None or f.denominator != 1:
-        raise ValueError(f"power_lift exponent must be an integer, got {x!r}")
-    return int(f)
 
 
 def _merge_stack(stack, mult: Multiplier):
@@ -263,24 +253,29 @@ class Measure(object):
 
     def integrate(self, f: Callable):
         """Integral of ``f`` against the measure (stack and scale included)."""
-        cfg = self.precision
         atoms = self.effective_atoms()
-        if atoms is not None:
-            pts, wts = atoms
-            if all_exact(cfg, pts, wts):
-                try:
-                    return pairwise_sum([w * f(t) for t, w in zip(pts, wts)])
-                except TypeError:
-                    pass  # integrand not rational-valued; fall through to floats
-            with wp(cfg.working_bits() + 16):
-                vals = [to_mpf(w) * f(to_mpf(t)) for t, w in zip(pts, wts)]
-                for v in vals:
-                    if not mp.isfinite(v):
-                        raise NonFinite("integrand not finite at a support point")
-                total = pairwise_sum(vals)
-            with wp(cfg.working_bits()):
-                return +total
-        return self._integrate_adaptive(f)
+        if atoms is None:
+            return self._integrate_adaptive(f)
+        return self._sum_over(atoms, f)
+
+    def _sum_over(self, atoms, f: Callable):
+        """Sum of w f(t) over the effective atoms: exact on exact atoms with a
+        rational-valued ``f``, else at working + 16 bits rounded once."""
+        cfg = self.precision
+        pts, wts = atoms
+        if all_exact(cfg, pts, wts):
+            try:
+                return pairwise_sum([w * f(t) for t, w in zip(pts, wts)])
+            except TypeError:
+                pass  # integrand not rational-valued; fall through to floats
+        with wp(cfg.working_bits() + 16):
+            vals = [to_mpf(w) * f(to_mpf(t)) for t, w in zip(pts, wts)]
+            for v in vals:
+                if not mp.isfinite(v):
+                    raise NonFinite("integrand not finite at a support point")
+            total = pairwise_sum(vals)
+        with wp(cfg.working_bits()):
+            return +total
 
     def _integrate_adaptive(self, f: Callable):
         cfg = self.precision
@@ -316,8 +311,11 @@ class Measure(object):
         return self.integrate(lambda t: 1)
 
     def moments(self, m: int):
-        """Power moments s_0..s_m of the measure (stack and scale included)."""
-        return [self.integrate(lambda t, k=k: t ** k) for k in range(m + 1)]
+        """Power moments s_0..s_m of the measure (stack and scale included),
+        with the atoms read once."""
+        atoms = self.effective_atoms()
+        integral = self._integrate_adaptive if atoms is None else partial(self._sum_over, atoms)
+        return [integral(lambda t, k=k: t ** k) for k in range(m + 1)]
 
     # -- normalization and transforms ----------------------------------------
 
@@ -417,7 +415,8 @@ class Measure(object):
             if "gauss_damp" in item:
                 transforms.append(Multiplier("gauss_damp", convert(item["gauss_damp"], cfg)))
             elif "power_lift" in item:
-                transforms.append(Multiplier("power_lift", lift_exponent(item["power_lift"])))
+                lift = document_int(item["power_lift"], "power_lift exponent")
+                transforms.append(Multiplier("power_lift", lift))
             else:
                 raise ValueError(f"unknown transform entry {item!r}")
         scale = convert(obj.get("scale", 1), cfg)
@@ -430,11 +429,11 @@ class Measure(object):
             qobj = obj.get("quadrature", {"rule": "adaptive"})
             if qobj.get("rule") == "gauss_from_jacobi":
                 ref = JacobiMatrix.from_json(qobj.get("reference", {}), precision=cfg)
-                spec = QuadratureSpec("gauss_from_jacobi", reference=ref,
-                                      n_nodes=int(qobj.get("n_nodes", 40)))
+                n_nodes = document_int(qobj.get("n_nodes", 40), "n_nodes")
+                spec = QuadratureSpec("gauss_from_jacobi", reference=ref, n_nodes=n_nodes)
             else:
-                spec = QuadratureSpec("adaptive",
-                                      max_subdiv=int(qobj.get("max_subdiv", 10)),
+                max_subdiv = document_int(qobj.get("max_subdiv", 10), "max_subdiv")
+                spec = QuadratureSpec("adaptive", max_subdiv=max_subdiv,
                                       tol=float(qobj.get("tol", 1e-20)))
             support = obj.get("support", REAL_LINE)
             if support != REAL_LINE:

@@ -9,10 +9,13 @@ has the classical determinant identities
     b_k = sqrt(d_k / d_{k-1}),            (off-diagonal entries)
 
 i.e. exactly the determinantal formulas, read off a single factorization
-instead of a pile of minors.  Exact rational arithmetic is used whenever the
-inputs are rational; otherwise the factorization runs in big floats at a
-multiple of the requested precision and escalates until two mantissa sizes
-agree, since Hankel conditioning grows super-exponentially with the order.
+instead of a pile of minors.  The factor is built by the Chebyshev column
+recurrence in O(n^2) operations: sigma_(k,l) = d_k L[l][k] obeys the
+three-term recurrence, so only two columns are kept.  Exact rational
+arithmetic is used whenever the inputs are rational; otherwise the
+factorization runs in big floats at a multiple of the requested precision
+and escalates until two mantissa sizes agree, since Hankel conditioning
+grows super-exponentially with the order.
 
 The reverse map reads s_k off powers of a finite section: s_k is the top
 corner entry of T^k for any section of size at least floor(k/2)+1, exactly,
@@ -58,7 +61,6 @@ class MomentSequence:
 
     values: tuple
     precision: PrecisionConfig
-    normalized: bool = True
 
     def __post_init__(self):
         if not self.values:
@@ -66,27 +68,22 @@ class MomentSequence:
         for v in self.values:
             if not is_finite_number(v):
                 raise ValueError("moments must be finite")
-        if self.normalized:
-            s0 = self.values[0]
-            if self.precision.mode == RATIONAL:
-                if Fraction(s0) != 1:
-                    raise ValueError("normalized sequence requires s_0 = 1")
-            else:
-                if abs(float(to_mpf(s0) - 1)) > max(self.precision.abs_tol, 1e-12):
-                    raise ValueError("normalized sequence requires s_0 = 1")
+        s0 = self.values[0]
+        if self.precision.mode == RATIONAL:
+            if Fraction(s0) != 1:
+                raise ValueError("normalized sequence requires s_0 = 1")
+        elif abs(float(to_mpf(s0) - 1)) > max(self.precision.abs_tol, 1e-12):
+            raise ValueError("normalized sequence requires s_0 = 1")
 
     def __len__(self):
         return len(self.values)
 
     @classmethod
     def from_values(
-        cls,
-        values: Sequence,
-        precision: Optional[PrecisionConfig] = None,
-        normalized: bool = True,
+        cls, values: Sequence, precision: Optional[PrecisionConfig] = None
     ) -> "MomentSequence":
         cfg = precision if precision is not None else PrecisionConfig()
-        return cls(tuple(convert(v, cfg) for v in values), cfg, normalized)
+        return cls(tuple(convert(v, cfg) for v in values), cfg)
 
     def to_json(self) -> dict:
         return {
@@ -97,7 +94,7 @@ class MomentSequence:
     @classmethod
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "MomentSequence":
         cfg = document_precision(obj, precision)
-        return cls.from_values(obj["values"], cfg, normalized=obj.get("normalized", True))
+        return cls.from_values(obj["values"], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +147,15 @@ def hankel_determinants(s: MomentSequence, k_max: int):
             f"need {2 * k_max + 1} moments for D_{k_max}, got {len(s)}"
         )
     cfg = s.precision
-    if cfg.mode == RATIONAL:
-        vals = [Fraction(v) for v in s.values]
-        return [
-            _det_pivoted([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
-            for k in range(k_max + 1)
-        ]
-    work = 4 * cfg.working_bits()
-    with wp(work):
-        vals = [to_mpf(v) for v in s.values]
+    num = Fraction if cfg.mode == RATIONAL else to_mpf
+    with wp(4 * cfg.working_bits()):
+        vals = [num(v) for v in s.values]
         dets = [
             _det_pivoted([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
             for k in range(k_max + 1)
         ]
+    if cfg.mode == RATIONAL:
+        return dets
     if cfg.mode == DOUBLE:
         return [float(d) for d in dets]
     with wp(cfg.bits):
@@ -199,35 +192,29 @@ def _ldl_recurrence(svals, n):
     that supports comparison with zero (Fraction, or mpf under an ambient
     workprec).  The coefficients themselves need only s_0..s_{2n-1}; when
     s_{2n} is present the last pivot d_n is additionally checked.  Raises
-    DegenerateHankel on a nonpositive pivot.
+    DegenerateHankel on a nonpositive pivot.  Column k steps to
+    sigma_(k+1,l) = sigma_(k,l+1) - q_(k+1) sigma_(k,l) - b_k^2 sigma_(k-1,l).
     """
-    m = n + 1
     zero = svals[0] - svals[0]
-    L = [[zero] * m for _ in range(m)]
-    d = [zero] * m
-    for j in range(m):
-        if 2 * j < len(svals):
-            acc = svals[2 * j]
-            for k in range(j):
-                acc = acc - L[j][k] * L[j][k] * d[k]
-            if not acc > 0:
-                raise DegenerateHankel(
-                    f"Hankel pivot d_{j} is not positive (finite-support input)"
-                )
-            d[j] = acc
-        L[j][j] = zero + 1
-        for i in range(j + 1, m):
-            if i + j >= len(svals):
-                continue
-            v = svals[i + j]
-            for k in range(j):
-                v = v - L[i][k] * L[j][k] * d[k]
-            L[i][j] = v / d[j]
-    q = [L[1][0]]
-    for j in range(2, n + 1):
-        q.append(L[j][j - 1] - L[j - 1][j - 2])
-    b2 = [d[j] / d[j - 1] for j in range(1, n)]
-    return q, b2
+    # sigma columns k-1 and k from their diagonal on; sigma_(-1,l) = 0, and
+    # the b_0^2 it is multiplied by is a placeholder, dropped on return
+    prev, cur = [zero] * len(svals), list(svals)
+    d_prev, r_prev = zero + 1, zero
+    q, b2 = [], []
+    for k in range(n + 1):
+        if cur and not cur[0] > 0:  # d_n is read only when s_2n is given
+            raise DegenerateHankel(
+                f"Hankel pivot d_{k} is not positive (finite-support input)"
+            )
+        if k == n:
+            break
+        d, r = cur[0], cur[1] / cur[0]
+        q.append(r - r_prev)
+        b2.append(d / d_prev)
+        prev, cur = cur, [x2 - q[k] * x1 - b2[k] * p
+                          for x1, x2, p in zip(cur[1:], cur[2:], prev[2:])]
+        d_prev, r_prev = d, r
+    return q, b2[1:]
 
 
 def _jacobi_from_moment_source(source, n, cfg, n_moments=None):

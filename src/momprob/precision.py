@@ -119,7 +119,7 @@ class PrecisionConfig:
         if not isinstance(obj, dict):
             raise ValueError("precision must be a JSON object")
         mode = obj.get("mode", BIGFLOAT)
-        bits = int(obj.get("bits", 256))
+        bits = document_int(obj.get("bits", 256), "bits")
         abs_tol = float(obj.get("abs_tol", 0.0))
         rel_tol = float(obj.get("rel_tol", 0.0))
         return cls(mode=mode, bits=bits, abs_tol=abs_tol, rel_tol=rel_tol)
@@ -132,6 +132,18 @@ def document_precision(obj: dict, override: Optional[PrecisionConfig]) -> Precis
     if "precision" in obj:
         return PrecisionConfig.from_json(obj["precision"])
     return PrecisionConfig()
+
+
+def document_int(x, what: str) -> int:
+    """An integer read from a document, as an integral number or string
+    ("2" from ``to_json``); bools and fractions raise ValueError."""
+    try:
+        f = Fraction(str(x))  # str(True) is no number
+    except ValueError:
+        f = None
+    if f is None or f.denominator != 1:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(f)
 
 
 def convert(x, cfg: PrecisionConfig):

@@ -20,6 +20,7 @@ from momprob import (
     stone_jacobi_measure_route,
     stone_jacobi_operator_route,
 )
+from momprob import tridiag
 
 from conftest import assert_close
 
@@ -87,6 +88,13 @@ class TestStoneOperatorRoute:
             for a, b in zip(list(J_op._q) + list(J_op._b), list(J_me._q) + list(J_me._b)):
                 assert abs(a - b) < 1e-8
         assert basis.gram_defect(256) < 1e-30
+
+    @pytest.mark.parametrize("alpha, vector", [
+        (mp.inf, [1]), (mp.nan, [1]), (mp.mpf(1) / 2, [float("nan"), 1.0]),
+    ], ids=["alpha-inf", "alpha-nan", "vector-nan"])
+    def test_non_finite_input_rejected(self, hermite256, alpha, vector):
+        with pytest.raises(ValueError, match="must be finite"):
+            stone_jacobi_operator_route(hermite256, alpha, vector, N=20, n=4)
 
     def test_zero_vector_rejected(self, hermite256):
         with pytest.raises(ValueError):
@@ -183,3 +191,16 @@ class TestRepresentationDiagnostic:
     def test_bad_sizes_rejected(self, hermite256):
         with pytest.raises(ValueError):
             representation_diagnostic(hermite256, [1], N=10, n=11)
+
+    @pytest.mark.parametrize("vector", [[float("inf")], [float("nan"), 1.0]])
+    def test_non_finite_vector_rejected(self, hermite256, vector):
+        with pytest.raises(ValueError, match="^probe vector must be finite$"):
+            representation_diagnostic(hermite256, vector, N=10, n=3)
+
+    def test_one_matvec_per_column(self, hermite256, monkeypatch):
+        # T^k delta is carried from column to column, not recomputed
+        calls = []
+        matvec = tridiag.matvec
+        monkeypatch.setattr(tridiag, "matvec", lambda *a: calls.append(1) or matvec(*a))
+        representation_diagnostic(hermite256, [1, 1], N=30, n=5)
+        assert len(calls) == 5

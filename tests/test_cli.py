@@ -578,6 +578,94 @@ class TestNonFiniteInput:
         assert "must be finite" in err
 
 
+class TestNonFiniteOperatorInput:
+    # the operator-side bases refuse a non-finite vector or alpha up front,
+    # rather than failing in the SVD or the power orbit
+    PROBE = ["gram-check", "--probe", *HERMITE, "--truncation", "10", "--n", "3"]
+    STONE = ["stone", "--route", "operator", *HERMITE, "--truncation", "20", "--n", "4"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (PROBE + ["--g", "inf"], "probe vector must be finite"),
+        (PROBE + ["--g", "nan"], "probe vector must be finite"),
+        (STONE + ["--alpha", "1/2", "--g", "nan,1"], "generating vector must be finite"),
+        (STONE + ["--alpha", "inf"], "alpha must be finite and nonnegative"),
+    ], ids=["probe-inf", "probe-nan", "stone-nan-vector", "stone-inf-alpha"])
+    def test_validation_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message}\n"
+
+
+class TestDocumentIntegers:
+    # integers in documents are read exactly: a bool or a non-integral
+    # number is refused with exit 2, not truncated
+    ATOMS = {"kind": "atomic", "points": ["-1", "0", "1"], "weights": ["1/4", "1/2", "1/4"],
+             "precision": {"mode": "rational", "bits": 256}}
+    DENSITY = {"kind": "density", "weight": "gaussian",
+               "quadrature": {"rule": "gauss_from_jacobi",
+                              "reference": {"family": "hermite_like"}, "n_nodes": 6},
+               "precision": {"mode": "bigfloat", "bits": 128}}
+
+    @classmethod
+    def case(cls, field, value):
+        """(argv, document) with ``field`` set to ``value``."""
+        if field == "n_nodes":
+            quad = dict(cls.DENSITY["quadrature"], n_nodes=value)
+            return ["measure-to-jacobi", "--n", "3"], dict(cls.DENSITY, quadrature=quad)
+        if field == "max_subdiv":
+            quad = {"rule": "adaptive", "max_subdiv": value}
+            return ["measure-to-jacobi", "--n", "2"], dict(cls.DENSITY, quadrature=quad)
+        if field == "power_lift":
+            return (["measure-to-jacobi", "--n", "2"],
+                    dict(cls.ATOMS, transforms=[{"power_lift": value}]))
+        if field == "family n":
+            return ["classify"], {"family": "lognormal", "n": value}
+        if field == "bits":
+            return (["measure-to-jacobi", "--n", "2"],
+                    dict(cls.ATOMS, precision={"mode": "bigfloat", "bits": value}))
+        if field == "n":
+            return ["pipeline"], {"measure": cls.ATOMS, "n": value}
+        return ["pipeline"], {"measure": cls.ATOMS, "n": 3,
+                              "classify": {"n_max": 3, "start": 1, field: value}}
+
+    FIELDS = ["n_nodes", "max_subdiv", "power_lift", "family n", "bits", "n",
+              "n_max", "window", "start"]
+
+    @pytest.mark.parametrize("value", [2.9, True, "2.5"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_integer_refused(self, capsys, tmp_path, field, value):
+        argv, doc = self.case(field, value)
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        what = "power_lift exponent" if field == "power_lift" else field
+        assert err == f"error: ValueError: {what} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("field", ["n_nodes", "power_lift", "family n", "bits", "n",
+                                       "n_max", "window", "start"])
+    def test_integral_number_and_string_load(self, capsys, tmp_path, field):
+        outs, v = [], 64 if field == "bits" else 3
+        for value in (v, str(v), float(v)):
+            argv, doc = self.case(field, value)
+            code, out, _ = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+            outs.append((code, out))
+        assert outs[0][0] in (0, 3) and outs[1] == outs[0] == outs[2]
+
+
+class TestClassifyPolicyFlags:
+    # thresholds that could never give a verdict are refused before the scan
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps-zero", "nan", "eps_zero must be finite and positive, got nan"),
+        ("--eps-zero", "0", "eps_zero must be finite and positive, got 0.0"),
+        ("--eps-stable", "-1", "eps_stable must be finite and positive, got -1.0"),
+        ("--eps-stable", "inf", "eps_stable must be finite and positive, got inf"),
+        ("--window", "0", "window must be positive"),
+    ], ids=["eps-zero-nan", "eps-zero-0", "eps-stable-negative", "eps-stable-inf", "window-0"])
+    def test_validation_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "classify", *HERMITE, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message}\n"
+
+
 class TestExitCodes:
     # one CLI failure per exception class the exit-code table names; the
     # missing-file, DegenerateHankel and FiniteSupport cases are tested above

@@ -1,3 +1,5 @@
+import re
+
 import mpmath as mp
 import pytest
 
@@ -162,6 +164,20 @@ class TestClassify:
         # doubling from start < 1 never reaches n_max
         with pytest.raises(ValueError, match="^start must be positive$"):
             classify(hermite256, ClassifyPolicy(n_max=64, start=start))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_max", 0, "n_max must be positive"),
+        ("window", 0, "window must be positive"),
+        ("eps_zero", float("nan"), "eps_zero must be finite and positive, got nan"),
+        ("eps_zero", 0.0, "eps_zero must be finite and positive, got 0.0"),
+        ("eps_stable", -1.0, "eps_stable must be finite and positive, got -1.0"),
+        ("eps_stable", float("inf"), "eps_stable must be finite and positive, got inf"),
+    ], ids=["n-max-0", "window-0", "eps-zero-nan", "eps-zero-0", "eps-stable-negative",
+            "eps-stable-inf"])
+    def test_policy_that_cannot_give_a_verdict_rejected(self, field, value, message):
+        # checked when the policy is made, before any scan
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassifyPolicy(**{field: value})
 
     @pytest.mark.parametrize("case", ["hermite-256", "lognormal-512", "hermite-double"])
     def test_radii_at_working_precision(self, hermite256, lognormal60, case):

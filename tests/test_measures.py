@@ -450,6 +450,16 @@ class TestMomentsOf:
         assert all(type(s) is Fraction for s in moms)
         assert moms == atomic_moments(pts, lifted_wts, 5)
 
+    def test_atoms_read_once(self, lognormal_proxy40, monkeypatch):
+        lifted = power_reweight(lognormal_proxy40, -2)[0]
+        expect = [integrate(lifted, lambda t, k=k: t ** k) for k in range(21)]
+        calls = []
+        read = Measure.effective_atoms
+        monkeypatch.setattr(Measure, "effective_atoms",
+                            lambda self: calls.append(1) or read(self))
+        assert moments_of(lifted, 20) == expect  # bit for bit
+        assert len(calls) == 1
+
 
 class TestJsonRoundtrip:
     def test_atomic_with_transforms(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momprob import (
     DegenerateHankel,
@@ -18,12 +19,13 @@ from momprob import (
 )
 from momprob import families, moments
 from momprob.errors import CoefficientExhausted
-from momprob.moments import _jacobi_from_moment_source
+from momprob.moments import _jacobi_from_moment_source, _ldl_recurrence
 from momprob.precision import agreeing_bits
 
 from oracles import (
     STD_NORMAL_MOMENTS,
     SQRT_PI_WEIGHT_MOMENTS,
+    atomic_moments,
     gram_schmidt_recurrence,
     hankel_det_oracle,
 )
@@ -149,6 +151,49 @@ class TestMomentsToJacobi:
             with mp.workprec(280):
                 want = mp.mpf(expect_b2.numerator) / expect_b2.denominator
                 assert abs(b1 * b1 - want) < mp.mpf(2) ** -240
+
+
+@st.composite
+def atomic_sections(draw, max_excess):
+    """(s_0..s_2n, n, L): exact moments of 1-6 positive rational atoms, a
+    depth n <= 5 at most ``max_excess`` above the number of atoms, and the
+    length L in {2n, 2n+1} the kernel is given."""
+    pts = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=6,
+                        unique=True))
+    wts = draw(st.lists(st.fractions(Fraction(1, 10), 5, max_denominator=10),
+                        min_size=len(pts), max_size=len(pts)))
+    n = draw(st.integers(1, min(5, len(pts) + max_excess)), label="n")
+    length = 2 * n + draw(st.integers(0, 1), label="with s_2n")
+    return atomic_moments(pts, wts, 2 * n), n, length
+
+
+class TestChebyshevKernel:
+    """The Hankel kernel against classical Gram-Schmidt and permutation
+    determinants (oracles); n <= 5 keeps the permutation expansion cheap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(atomic_sections(max_excess=0))
+    def test_equals_gram_schmidt(self, section):
+        s, n, length = section
+        if length == 2 * n + 1 and hankel_det_oracle(s, n) == 0:
+            length -= 1  # n atoms: d_n = 0 is checked once s_2n is given
+        assert _ldl_recurrence(s[:length], n) == gram_schmidt_recurrence(s, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(atomic_sections(max_excess=1), st.data())
+    def test_perturbed_moment_stops_at_first_singular_section(self, section, data):
+        s, n, length = section
+        j = data.draw(st.integers(0, length - 1), label="perturbed moment")
+        s[j] += data.draw(st.fractions(-3, 3, max_denominator=8).filter(bool), label="by")
+        # pivots d_0..d_(n-1) are always checked, d_n only when s_2n is given
+        checked = range(n + 1 if length == 2 * n + 1 else n)
+        bad = [k for k in checked if hankel_det_oracle(s, k) <= 0]
+        if not bad:
+            # s_2n enters Gram-Schmidt only through a norm no output reads
+            assert _ldl_recurrence(s[:length], n) == gram_schmidt_recurrence(s, n)
+            return
+        with pytest.raises(DegenerateHankel, match=rf"^Hankel pivot d_{bad[0]} is not positive"):
+            _ldl_recurrence(s[:length], n)
 
 
 class TestJacobiToMoments:
