@@ -51,7 +51,7 @@ class JacobiMatrix:
     closed-form family is known; a matrix is either stored or generated.
     """
 
-    __slots__ = ("_q", "_b", "generator", "precision", "family")
+    __slots__ = ("_q", "_b", "generator", "precision", "family", "_row")
 
     def __init__(
         self,
@@ -66,6 +66,7 @@ class JacobiMatrix:
         self.generator = generator
         self.precision = precision if precision is not None else PrecisionConfig()
         self.family = family
+        self._row = (0, None, None)  # the last generated (k, q_k, b_k)
         if generator is not None:
             if self._q or self._b:
                 raise ValueError("a Jacobi matrix is either stored or generated, not both")
@@ -95,7 +96,7 @@ class JacobiMatrix:
         if k <= len(self._q):
             return self._q[k - 1]
         if self.generator is not None:
-            return self.generator(k)[0]
+            return self._generated(k)[1]
         raise CoefficientExhausted(
             f"diagonal entry {k} requested but only {len(self._q)} stored"
         )
@@ -106,13 +107,22 @@ class JacobiMatrix:
         if k <= len(self._b):
             return self._b[k - 1]
         if self.generator is not None:
-            bk = self.generator(k)[1]
+            bk = self._generated(k)[2]
             if not bk > 0:
                 raise ValueError("generator produced a nonpositive off-diagonal entry")
             return bk
         raise CoefficientExhausted(
             f"off-diagonal entry {k} requested but only {len(self._b)} stored"
         )
+
+    def _generated(self, k: int):
+        """(k, q_k, b_k) from one generator call, kept for the next request
+        (``pairs`` reads q_k and b_k in turn).  The row is replaced whole, so
+        threads sharing the matrix never see a torn one."""
+        row = self._row
+        if row[0] != k:
+            row = self._row = (k, *self.generator(k))
+        return row
 
     def pairs(self):
         """Yield (q_k, b_k) for k = 1, 2, ... through ``diag``/``offdiag``."""

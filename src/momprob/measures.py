@@ -26,6 +26,7 @@ benign route; the raw-moment Hankel route exists independently in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -74,8 +75,8 @@ class Multiplier:
 
     def __post_init__(self):
         if self.form == "gauss_damp":
-            if not self.param >= 0:
-                raise ValueError("gauss_damp exponent must be nonnegative")
+            if not 0 <= self.param < math.inf:  # NaN fails both comparisons
+                raise ValueError("gauss_damp exponent must be finite and nonnegative")
         elif self.form == "power_lift":
             if isinstance(self.param, bool) or not isinstance(self.param, int):
                 raise ValueError("power_lift exponent must be an integer")
@@ -348,8 +349,6 @@ class Measure(object):
         else:
             with wp(cfg.working_bits()):
                 a = to_mpf(alpha)
-        if a < 0:
-            raise ValueError("damping exponent must be nonnegative")
         if a == 0:
             return self
         return self._reweighted(Multiplier("gauss_damp", a))[0]

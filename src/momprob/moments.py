@@ -223,10 +223,13 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
     ``source(k, prec)`` must return s_k accurately at ``prec`` bits.  The
     factorization runs at a working precision that starts at four times the
     requested mantissa and doubles until two consecutive runs agree on every
-    coefficient, which certifies the output against Hankel cancellation.
-    Escalation gives up with PrecisionLoss as soon as a doubling fails to
-    raise an agreement of at least ``_NOISE_BITS``, or when the next
-    doubling would pass ``_MAX_WORK_FACTOR`` times the requested mantissa.
+    coefficient, which certifies the output against Hankel cancellation.  A
+    run that finds a nonpositive pivot counts as a failed agreement; the
+    DegenerateHankel is raised when two runs in a row stop at the same
+    pivot, or at the cap.  Escalation gives up with PrecisionLoss as soon as
+    a doubling fails to raise an agreement of at least ``_NOISE_BITS``, or
+    when the next doubling would pass ``_MAX_WORK_FACTOR`` times the
+    requested mantissa.
     """
     target = cfg.working_bits()
     floor_b2 = mp.mpf(2) ** (-2 * target)
@@ -234,16 +237,26 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
     max_bits = _MAX_WORK_FACTOR * target
 
     def compute(p):
+        """(q, b2) at ``p`` bits, or the DegenerateHankel the run raised."""
         with wp(p):
             svals = [to_mpf(source(k, p)) for k in range(count)]
-            return _ldl_recurrence(svals, n)
+            try:
+                return _ldl_recurrence(svals, n)
+            except DegenerateHankel as exc:
+                return exc
 
     p = 4 * target
-    q_prev, b2_prev = compute(p)
-    best = -math.inf
-    while True:
+    prev = compute(p)
+    best, stalled = -math.inf, False
+    while not (stalled or 2 * p > max_bits):
         p *= 2
-        q_cur, b2_cur = compute(p)
+        cur = compute(p)
+        if DegenerateHankel in (type(prev), type(cur)):  # no agreement to check
+            if type(prev) is type(cur) and str(prev) == str(cur):
+                raise cur  # two runs in a row stopped at the same pivot
+            prev = cur
+            continue
+        (q_prev, b2_prev), (q_cur, b2_cur) = prev, cur
         with wp(p):
             agree = math.inf
             for a, b in zip(q_prev + b2_prev, q_cur + b2_cur):
@@ -257,13 +270,16 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
                 "off-diagonal collapses below resolvable size "
                 "(finite-support input at this precision)"
             )
-        if (best >= _NOISE_BITS and agree <= best) or 2 * p > max_bits:
-            raise PrecisionLoss(
-                f"moments->Jacobi stalled at {max(best, agree):.1f} agreeing bits "
-                f"(target {target}) after escalating to {p} bits"
-            )
+        stalled = best >= _NOISE_BITS and agree <= best
         best = max(best, agree)
-        q_prev, b2_prev = q_cur, b2_cur
+        prev = cur
+    else:
+        if isinstance(prev, DegenerateHankel):
+            raise prev
+        raise PrecisionLoss(
+            f"moments->Jacobi stalled at {best:.1f} agreeing bits "
+            f"(target {target}) after escalating to {p} bits"
+        )
     if cfg.mode == DOUBLE:
         q = [float(x) for x in q_cur]
         b = [math.sqrt(float(x)) for x in b2_cur]

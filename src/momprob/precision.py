@@ -138,12 +138,21 @@ def document_int(x, what: str) -> int:
     """An integer read from a document, as an integral number or string
     ("2" from ``to_json``); bools and fractions raise ValueError."""
     try:
-        f = Fraction(str(x))  # str(True) is no number
+        f = _ratio(str(x))  # str(True) is no number
     except ValueError:
         f = None
     if f is None or f.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(f)
+
+
+def _ratio(text: str) -> Fraction:
+    """``Fraction(text)`` for a decimal or ``p/q`` string; a zero ``q``
+    raises ValueError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def convert(x, cfg: PrecisionConfig):
@@ -152,7 +161,7 @@ def convert(x, cfg: PrecisionConfig):
         return to_fraction(x)
     if cfg.mode == DOUBLE:
         if isinstance(x, str):
-            return float(Fraction(x)) if "/" in x else float(x)
+            return float(_ratio(x)) if "/" in x else float(x)
         return float(x)
     # bigfloat
     with wp(cfg.bits):
@@ -166,7 +175,7 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _ratio(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("cannot convert non-finite float to rational")
@@ -190,7 +199,7 @@ def to_mpf(x):
         return mp.mpf(x.numerator) / x.denominator
     if isinstance(x, str):
         if "/" in x:
-            f = Fraction(x)
+            f = _ratio(x)
             return mp.mpf(f.numerator) / f.denominator
         return mp.mpf(x)
     return mp.mpf(x)

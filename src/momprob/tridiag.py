@@ -2,11 +2,10 @@
 
 Three kernels live here, each written once for the whole package:
 
-* the Sturm count (the LDL^T negative-pivot count): in IEEE doubles it
-  drives a bisection tree to an estimate per eigenvalue; in Python ints
-  scaled by a power of two, one pivot pass gives the count and the
-  Newton step at once, and runs the tree to a bracket per eigenvalue and
-  the guarded Newton loop that polishes each bracket to the full working
+* the Sturm count (the LDL^T negative-pivot count), in Python ints scaled
+  by a power of two: one pivot pass gives the count and the Newton step at
+  once, and runs the bisection tree to a bracket per eigenvalue and the
+  guarded Newton loop that polishes each bracket to the full working
   precision;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
   an iterable of coefficient pairs;
@@ -20,11 +19,11 @@ quadrature weight w = 1 / sum_k p_k(x)^2 (Golub-Welsch).  Only eigenvalues
 and first components are needed for quadrature, so no dense eigenvector
 accumulation is performed.
 
-Inputs are plain sequences; the eigensolver decides in fixed point scaled
-to the grading of the matrix (doubles only choose where it counts), and its
-absolute floors scale with min(1, |T|), so a section scaled by 2^k keeps its
-relative accuracy.  :func:`recurrence` and :func:`matvec` use the
-arithmetic of their arguments (``Fraction``, mpf or mpc alike).
+Inputs are plain sequences; the eigensolver works in fixed point scaled
+to the grading of the matrix, and its absolute floors scale with
+min(1, |T|), so a section scaled by 2^k keeps its relative accuracy.
+:func:`recurrence` and :func:`matvec` use the arithmetic of their
+arguments (``Fraction``, mpf or mpc alike).
 """
 from __future__ import annotations
 
@@ -34,21 +33,6 @@ from itertools import islice
 import mpmath as mp
 
 from .precision import to_mpf, wp
-
-
-def _sturm_count(q, b2, x):
-    """Number of eigenvalues strictly below ``x`` (negative LDL^T pivots).
-
-    Runs in machine doubles; a zero pivot is replaced by the least normal
-    double.
-    """
-    count, d = 0, 1.0
-    for k, qk in enumerate(q):
-        d = qk - x - b2[k - 1] / d if k else qk - x
-        if d == 0:
-            d = 2.0 ** -1022
-        count += d < 0
-    return count
 
 
 def _pivots(q, b2, x, frac):
@@ -75,19 +59,31 @@ def _pivots(q, b2, x, frac):
     return count, total
 
 
-def _bisect(count, nodes, floor, isolate):
+def _split(a, c):
+    """Where the tree splits (a, c): at 0 if it spans the origin, at the
+    geometric mean if its ends differ by more than a factor 4 on one side of
+    0 (an end at 0 counts as 1), else at the midpoint."""
+    if a < 0 < c:
+        return 0
+    if a >= 0 and c > 4 * a:
+        return math.isqrt(max(a, 1) * c)
+    if c <= 0 and a < 4 * c:
+        return -math.isqrt(max(-c, 1) * -a)
+    return (a + c) >> 1
+
+
+def _bisect(count, nodes):
     """Leaves of one bisection tree of counts, ascending.
 
-    ``nodes`` are (a, c, count(a), count(c)), lowest last, in doubles or in
-    scaled ints.  A node is split at its midpoint, keeping the halves that
-    hold eigenvalues, until it holds one (with ``isolate``), its midpoint
-    equals an end or it is no wider than ``floor``.
+    ``nodes`` are (a, c, count(a), count(c)), lowest last.  A node is split
+    at :func:`_split`, keeping the parts that hold eigenvalues, until it
+    holds one or no int lies strictly inside.
     """
     leaves = []
     while nodes:
         a, c, ca, cc = node = nodes.pop()
-        mid = (a + c) / 2 if isinstance(a, float) else (a + c) >> 1
-        if (isolate and cc - ca == 1) or not a < mid < c or c - a <= floor:
+        mid = _split(a, c)
+        if cc - ca == 1 or not a < mid < c:
             leaves.append(node)
             continue
         cm = count(mid)
@@ -96,26 +92,33 @@ def _bisect(count, nodes, floor, isolate):
     return leaves
 
 
-def _double_estimates(q, b2, lo, hi):
-    """One estimate per eigenvalue from the tree in machine doubles, or None.
+def _newton(q, b2, frac, idx, a, c, x, unit, tol):
+    """Eigenvalue ``idx`` by guarded Newton from ``x`` in the bracket (a, c).
 
-    The tree bisects [lo, hi] to adjacent doubles (at most 4 * 53 halvings);
-    a leaf holding one eigenvalue gives its midpoint, one holding more gives
-    None for each.  All are None if an entry, a square or hi - lo overflows.
+    The count of every pass moves one end of the bracket to x; a Newton
+    step that leaves the bracket or fails to halve (a zero slope included)
+    is replaced by a bisection step.  Stops on a step or bracket within
+    max(unit, |x|) 2^-tol, or on a bracket one int unit wide.
     """
-    n = len(q)
-    qf, b2f, lof, hif = [float(v) for v in q], [float(v) for v in b2], float(lo), float(hi)
-    if not all(map(math.isfinite, qf + b2f + [hif - lof])):
-        return [None] * n
-    leaves = _bisect(lambda x: _sturm_count(qf, b2f, x), [(lof, hif, 0, n)],
-                     (hif - lof) * 2.0 ** -212, False)
-    est = [(mp.mpf(a) + c) / 2 if cc - ca == 1 else None
-           for a, c, ca, cc in leaves for _ in range(cc - ca)]
-    return est if len(est) == n else [None] * n
+    step = c - a
+    while True:
+        below, slope = _pivots(q, b2, x, frac)
+        xn = x - (1 << 2 * frac) // slope if slope else x
+        # convergence first: at the noise floor Newton and the count can
+        # disagree by a unit
+        if slope and abs(xn - x) <= max(unit, abs(xn)) >> tol:
+            return xn
+        a, c = (x, c) if below <= idx else (a, x)
+        if a < xn < c and 2 * abs(xn - x) <= step:
+            x, step = xn, abs(xn - x)
+            continue
+        x, step = (a + c) >> 1, (c - a) >> 1
+        if c - a <= max(1, max(unit, abs(x)) >> tol):
+            return x
 
 
 def _fixed(v, shift):
-    """floor(v 2^shift) for an mpf or float ``v``, exactly."""
+    """floor(v 2^shift) for an mpf or int ``v``, exactly."""
     sign, man, exp, _ = mp.mpf(v)._mpf_
     man, exp = -man if sign else man, exp + shift
     return man << exp if exp >= 0 else man >> -exp
@@ -125,22 +128,25 @@ def eigenvalues(q, b, bits: int):
     """All eigenvalues of the symmetric tridiagonal matrix, ascending.
 
     ``q`` is the diagonal (length N), ``b`` the positive off-diagonal
-    (length N-1); with b > 0 all eigenvalues are simple.  One bisection tree
-    of Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) runs
-    in doubles to an estimate per eigenvalue.  The rest runs in Python ints,
-    where one pivot pass (:func:`_pivots`) gives the count and the Newton
-    step at once: counts at the midpoints between neighbouring estimates and
-    a tree from them until every eigenvalue has a bracket, then one guarded
-    Newton loop per bracket, started at its estimate if inside, bisecting
-    when a step leaves the bracket or fails to halve.  A loop stops on a
-    step or bracket within 2^-(bits+8) max(unit, |x|), unit = min(1, |T|);
-    every int loop also stops on a bracket one int unit wide.
+    (length N-1); with b > 0 all eigenvalues are simple.  Everything runs in
+    Python ints, where one pivot pass (:func:`_pivots`) gives the Sturm
+    count and the Newton step at once.  One bisection tree of counts (Barth,
+    Martin & Wilkinson, Numer. Math. 9, 1967) splits the widened Gershgorin
+    interval until every eigenvalue has a bracket, at 0 and at geometric
+    means where the ends differ in magnitude (:func:`_split`).  Each bracket
+    is then polished by one guarded Newton loop (:func:`_newton`) run twice:
+    on the same ints cut to about 64 bits, from the split point of the
+    bracket, until a step is within 2^-40 max(|x|, least entry); then at
+    full scale from there (from the midpoint, if that start is outside the
+    bracket) until a step or bracket is within 2^-(bits+8) max(unit, |x|),
+    unit = min(1, |T|).
 
     The int scale follows the grading as well as the norm: with |T| < 2^e
     and every nonzero entry at least 2^m, T 2^-e is held with frac = bits +
-    32 + 2 (e - m) fraction bits, so x is the int x 2^(frac - e).  Inputs
-    are rounded to ``bits + 24`` in mpf, which also gives the Gershgorin
-    bounds; the result is rounded to ``bits``.
+    32 + 2 (e - m) fraction bits, so x is the int x 2^(frac - e); the start
+    scale drops s = bits - 32 + e - m of them, leaving 64 bits of the least
+    entry.  Inputs are rounded to ``bits + 24`` in mpf, which also gives the
+    Gershgorin bounds; the result is rounded to ``bits``.
     """
     n = len(q)
     if len(b) != n - 1:
@@ -148,7 +154,6 @@ def eigenvalues(q, b, bits: int):
     with wp(bits + 24):
         qq = [to_mpf(v) for v in q]
         bb = [abs(to_mpf(v)) for v in b] + [mp.mpf(0)]
-        b2 = [v * v for v in bb]
         eps = mp.mpf(2) ** (-(bits + 8))
         # Gershgorin enclosure (bb[-1] = 0 stands in for the missing b at
         # both ends), widened so neither end is an eigenvalue
@@ -160,48 +165,26 @@ def eigenvalues(q, b, bits: int):
         norm = max(abs(lo), abs(hi))
         unit = min(1, norm)
         lo, hi = lo - eps * (unit + abs(lo)), hi + eps * (unit + abs(hi))
-        est = _double_estimates(qq, b2, lo, hi)
         # the int scale 2^shift (exact exponents: mag(v) = floor(log2|v|) + 1)
         e = mp.mag(norm)
         m = min(mp.mag(v) for v in qq + bb if v) - 1
         frac = bits + 32 + 2 * (e - m)
         shift = frac - e
         Q = [_fixed(v, shift) for v in qq]
-        B2 = [_fixed(v, 2 * shift) for v in b2]
+        B2 = [_fixed(v * v, 2 * shift) for v in bb[:-1]]
         # lo rounds down and hi up, so both stay outside the spectrum
         lo, hi, unit = _fixed(lo, shift), -_fixed(-hi, shift), _fixed(unit, shift)
-        est = [None if x is None else _fixed(x, shift) for x in est]
-
-    def count(x):
-        return _pivots(Q, B2, x, frac)[0]
-
-    cuts = [(x + y) >> 1 for x, y in zip(est, est[1:]) if x is not None and y is not None]
-    points = [lo] + [x for x in cuts if lo < x < hi] + [hi]
-    counts = [0] + [count(x) for x in points[1:-1]] + [n]
-    nodes = [node for node in zip(points, points[1:], counts, counts[1:]) if node[3] > node[2]]
-    brackets = [(a, c) for a, c, ca, cc in _bisect(count, nodes[::-1], 1, True)
-                for _ in range(cc - ca)]
+    s = max(0, bits - 32 + e - m)
+    Qs, B2s = [v >> s for v in Q], [v >> 2 * s for v in B2]
+    leaves = _bisect(lambda x: _pivots(Q, B2, x, frac)[0], [(lo, hi, 0, n)])
+    brackets = [(a, c) for a, c, ca, cc in leaves for _ in range(cc - ca)]
     out = []
     for idx, (a, c) in enumerate(brackets):
-        x = est[idx] if est[idx] is not None and a < est[idx] < c else (a + c) >> 1
-        step = c - a
-        while True:
-            below, slope = _pivots(Q, B2, x, frac)
-            if slope:  # a zero slope falls through to a bisection step
-                xn = x - (1 << 2 * frac) // slope
-                # convergence first: at the noise floor Newton and the
-                # count can disagree by a unit
-                if abs(xn - x) <= max(unit, abs(xn)) >> (bits + 8):
-                    x = xn
-                    break
-                if a < xn < c and 2 * abs(xn - x) <= step:
-                    x, step = xn, abs(xn - x)
-                    continue
-            a, c = (x, c) if below <= idx else (a, x)
-            x, step = (a + c) >> 1, (c - a) >> 1
-            if c - a <= max(1, max(unit, abs(x)) >> (bits + 8)):
-                break
-        out.append(x)
+        # the start: the least entry is at least 2^64 on the cut ints
+        a_s, c_s = a >> s, (c >> s) + 1
+        x = _newton(Qs, B2s, frac - s, idx, a_s, c_s, _split(a_s, c_s), 1 << 64, 40) << s
+        x = x if a < x < c else (a + c) >> 1
+        out.append(_newton(Q, B2, frac, idx, a, c, x, unit, bits + 8))
     with wp(bits):
         return [mp.mpf((x, -shift)) for x in out]
 

@@ -292,8 +292,8 @@ class TestEvaluationCommands:
         assert doc["radii"][0].startswith("0.5")
 
     def test_weyl_radii_runs_one_scan(self, capsys, monkeypatch):
-        # checkpoints 8, 16, ..., 8192 from one scan: pairs 1..8191, each read
-        # once through diag and once through offdiag
+        # checkpoints 8, 16, ..., 8192 from one scan: pairs 1..8191, each
+        # generated once for diag and offdiag together
         calls = []
         make = momprob.families.make
 
@@ -307,7 +307,7 @@ class TestEvaluationCommands:
                                "--n-max", "8192")
         assert code == 0
         assert json.loads(out)["checkpoints"][-1] == 8192
-        assert len(calls) == 2 * 8191
+        assert len(calls) == 8191
 
     def test_jacobi_to_moments(self, capsys):
         code, out, _ = run_cli(capsys, "jacobi-to-moments", "--family",
@@ -594,6 +594,51 @@ class TestNonFiniteOperatorInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {message}\n"
+
+
+class TestZeroDenominator:
+    # a "p/0" entry is refused where ratio strings are parsed, in every
+    # arithmetic mode, not left to escape as a ZeroDivisionError
+    ATOMS = {"kind": "atomic", "points": ["-1", "0", "1"], "weights": ["1/4", "1/2", "1/4"],
+             "precision": {"mode": "bigfloat", "bits": 128}}
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["validate-moments", "--k-max", "1"],
+         {"values": ["1", "1/0", "1", "1"], "precision": {"mode": "double"}}),
+        (["classify"], {"q": ["0", "1/0"], "b": ["1"]}),
+        (["measure-to-jacobi", "--n", "1"],
+         dict(ATOMS, points=["0", "1/0"], weights=["1/2", "1/2"],
+              precision={"mode": "rational", "bits": 256})),
+        (["pipeline"], {"measure": ATOMS, "transforms": [{"gauss_damp": "1/0"}], "n": 2}),
+    ], ids=["moments", "jacobi", "measure", "pipeline"])
+    def test_validation_error(self, capsys, tmp_path, argv, doc):
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: zero denominator in '1/0'\n"
+
+
+class TestInfiniteDamping:
+    # exp(-2 alpha t^2) with alpha = inf is no multiplier: refused with exit
+    # 2 like a NaN, not left to fail the integration with exit 3
+    ATOMS = TestZeroDenominator.ATOMS
+    MESSAGE = "error: ValueError: gauss_damp exponent must be finite and nonnegative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--gauss-damp", "inf"],
+        ["stone", "--alpha", "inf", "--n", "2"],
+        ["measure-to-jacobi", "--n", "2"],
+    ], ids=["transform-flag", "stone-measure-route", "measure-document"])
+    def test_measure_commands(self, capsys, tmp_path, argv):
+        doc = self.ATOMS
+        if argv[0] == "measure-to-jacobi":
+            doc = dict(doc, transforms=[{"gauss_damp": "inf"}])
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    def test_pipeline_document(self, capsys, tmp_path):
+        doc = {"measure": self.ATOMS, "transforms": [{"gauss_damp": "inf"}], "n": 2}
+        code, out, err = run_cli(capsys, "pipeline", "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out, err) == (2, "", self.MESSAGE)
 
 
 class TestDocumentIntegers:

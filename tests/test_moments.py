@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import mpmath as mp
 import pytest
@@ -20,7 +21,7 @@ from momprob import (
 from momprob import families, moments
 from momprob.errors import CoefficientExhausted
 from momprob.moments import _jacobi_from_moment_source, _ldl_recurrence
-from momprob.precision import agreeing_bits
+from momprob.precision import agreeing_bits, convert
 
 from oracles import (
     STD_NORMAL_MOMENTS,
@@ -346,6 +347,59 @@ class TestPrecisionEscalation:
         assert max(seen) == 32 * t
         # exponential weight: Laguerre recurrence q_k = 2k - 1, b_k = k
         assert list(J._q) == [1, 3, 5, 7] and list(J._b) == [1, 2, 3]
+
+    def test_run_with_a_nonpositive_pivot_escalates(self):
+        # below 8t working bits s_4 is 5 short, which makes d_2 = -1; that
+        # run counts as a failed agreement, so the loop doubles and 8t and
+        # 16t certify the Laguerre recurrence
+        t = 53
+        seen = []
+
+        def source(k, prec):
+            seen.append(prec)
+            return factorial(k) - (5 if k == 4 and prec < 8 * t else 0)
+
+        J = _jacobi_from_moment_source(source, 4, PrecisionConfig.double())
+        assert sorted(set(seen)) == [4 * t, 8 * t, 16 * t]
+        assert list(J._q) == [1, 3, 5, 7] and list(J._b) == [1, 2, 3]
+
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(256)],
+                             ids=["double", "bigfloat-256"])
+    def test_finite_support_raises_after_two_runs(self, cfg):
+        # three atoms: every run stops at d_3, as the exact factorization
+        # does, and the second run that agrees on it ends the escalation
+        values = atomic_moments([-1, 0, 2], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 8)
+        with pytest.raises(DegenerateHankel) as exact:
+            moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.rational()), 4)
+        seen = []
+
+        def source(k, prec):
+            seen.append(prec)
+            return convert(values[k], cfg)
+
+        with pytest.raises(DegenerateHankel) as got:
+            _jacobi_from_moment_source(source, 4, cfg)
+        assert str(got.value) == str(exact.value) == (
+            "Hankel pivot d_3 is not positive (finite-support input)")
+        assert len(set(seen)) == 2
+
+    @pytest.mark.parametrize("moment, n, pivot", [
+        (factorial, 40, 21),
+        (lambda k: 0 if k % 2 else prod(range(1, k, 2)), 60, 39),
+    ], ids=["exponential-40", "gaussian-60"])
+    def test_double_rounded_moments_lose_positivity(self, moment, n, pivot):
+        # k! from 23! on and (k-1)!! from 31!! on are not doubles; rounded,
+        # these sequences are no longer positive definite, as the exact
+        # factorization of the rounded values shows, so double mode refuses
+        # them at the same pivot while 256 bits hold enough of each moment
+        values = [moment(k) for k in range(2 * n + 1)]
+        message = rf"^Hankel pivot d_{pivot} is not positive"
+        with pytest.raises(DegenerateHankel, match=message):
+            _ldl_recurrence([Fraction(float(v)) for v in values], n)
+        with pytest.raises(DegenerateHankel, match=message):
+            moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.double()), n)
+        J = moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.bigfloat(256)), n)
+        assert J.n_stored == n
 
     def test_noise_limited_source_stalls_early(self):
         # a fixed 2^-40 error that changes with the precision holds the

@@ -117,33 +117,52 @@ def test_eigenvalues_match_oracle_on_random_sections(section):
         assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
 
 
+def wilkinson_plus(n=21):
+    # W21+: q_k = |k - 10|, b = 1; its largest eigenvalues come in pairs
+    # about 1e-13 apart
+    return [abs(k - n // 2) for k in range(n)], [1] * (n - 1)
+
+
+def graded_powers_of_ten():
+    # q_k = 10^k, b_k = 10^(k-1), k = -20..19: eigenvalues from 1e-20 to 1e19
+    ks = range(-20, 20)
+    return [Fraction(10) ** k for k in ks], [Fraction(10) ** (k - 1) for k in ks[1:]]
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("make", [wilkinson_plus, graded_powers_of_ten],
+                         ids=["wilkinson-21-plus", "graded-10^k"])
+def test_eigenvalues_match_oracle_on_hard_sections(make, bits):
+    # close pairs and a spectrum over 40 decades, each isolated by the int
+    # tree alone
+    q, b = make()
+    got, ref = eigenvalues(q, b, bits), sturm_newton_eigenvalues(q, b, bits)
+    assert len(got) == len(q) and all(x < y for x, y in zip(got, got[1:]))
+    for x, y in zip(got, ref):
+        assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
+
+
 def counting_kernels(monkeypatch):
-    """Wrap the double Sturm count and the int pivot pass; return call counts.
+    """Wrap the int pivot pass; return pass counts by stage.
 
-    "float" counts double Sturm counts.  Pivot passes up to the end of the
-    isolating tree are bracket-stage counts, kept under "mpf", the key of the
-    working-precision counts they replace; later ones are Newton passes.
+    Passes of the isolating tree count as "bracket".  Each bracket is then
+    polished by two Newton loops: the first, on the cut ints, counts as
+    "start" and the second, at full scale, as "newton".
     """
-    calls = {"float": 0, "mpf": 0, "newton": 0}
-    newton = [False]
-    sturm, pivots, bisect = tridiag._sturm_count, tridiag._pivots, tridiag._bisect
-
-    def counted(*args):
-        calls["float"] += 1
-        return sturm(*args)
+    calls = {"bracket": 0, "start": 0, "newton": 0}
+    stage = ["bracket"]
+    pivots, newton = tridiag._pivots, tridiag._newton
 
     def counted_pivots(*args):
-        calls["newton" if newton[0] else "mpf"] += 1
+        calls[stage[0]] += 1
         return pivots(*args)
 
-    def counted_bisect(count, nodes, floor, isolate):
-        leaves = bisect(count, nodes, floor, isolate)
-        newton[0] = isolate
-        return leaves
+    def counted_newton(*args):
+        stage[0] = "newton" if stage[0] == "start" else "start"
+        return newton(*args)
 
-    monkeypatch.setattr(tridiag, "_sturm_count", counted)
     monkeypatch.setattr(tridiag, "_pivots", counted_pivots)
-    monkeypatch.setattr(tridiag, "_bisect", counted_bisect)
+    monkeypatch.setattr(tridiag, "_newton", counted_newton)
     return calls
 
 
@@ -152,14 +171,15 @@ def counting_kernels(monkeypatch):
     pytest.param(lognormal_section, 40, 512, 6, id="lognormal-40-512"),
 ])
 def test_sturm_count_budget(monkeypatch, section, n, bits, newton_budget):
-    # bracket-stage int passes within the old mpf count cap, Newton passes
-    # (which also guard the bracket) within the old charpoly caps
+    # tree passes within the old mpf count cap, full-scale Newton passes
+    # (which also guard the bracket) within the old charpoly caps, and the
+    # start passes on the cut ints within 16 per eigenvalue
     q, b = section(n, bits)
     calls = counting_kernels(monkeypatch)
     assert len(eigenvalues(q, b, bits)) == n
-    assert calls["mpf"] <= 2 * n
+    assert calls["bracket"] <= 2 * n
     assert calls["newton"] <= newton_budget * n
-    assert calls["float"] <= 64 * n
+    assert calls["start"] <= 16 * n
 
 
 def scaled(values, s):
@@ -203,9 +223,9 @@ def test_truncation_spectrum_of_a_tiny_section():
             assert abs(x - mp.ldexp(c, -400)) <= mp.mpf(2) ** -(400 + 248)
 
 
-# sections the double pass cannot serve: b^2 overflows a double, entries
-# beyond the double range, a cluster below double resolution and a zero
-# off-diagonal with repeated eigenvalues
+# sections a pass in machine doubles could not serve: b^2 overflows a
+# double, entries beyond the double range, a cluster below double
+# resolution and a zero off-diagonal with repeated eigenvalues
 def hermite_scaled(power):
     q, b = hermite_section(6, 256)
     with mp.workprec(300):
@@ -244,11 +264,9 @@ def test_eigenvalues_without_double_estimates(monkeypatch, make, bits):
     assert len(got) == len(ref) == len(q)
     for x, y in zip(got, ref):
         assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
-    if make in (b_squared_overflows, entries_overflow):
-        assert calls["float"] == 0
     if make is cluster:
-        # the pairs lie below double resolution, so the mpf tree isolates them
-        assert calls["mpf"] > len(q)
+        # the pairs lie below double resolution, so the int tree isolates them
+        assert calls["bracket"] > len(q)
 
 
 def test_two_by_two_closed_form():
