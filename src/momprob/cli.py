@@ -238,6 +238,8 @@ _POLICY_KEYS = {
 
 def _policy(given: dict, **kw) -> ClassifyPolicy:
     """ClassifyPolicy with the fields ``given`` sets; the rest keep their defaults."""
+    if not isinstance(given, dict):
+        raise ValueError("classify must be a JSON object")
     kw.update((key, parse(given[key])) for key, parse in _POLICY_KEYS.items()
               if given.get(key) is not None)
     return ClassifyPolicy(**kw)

@@ -10,6 +10,7 @@ unique solution by tracking the radii of the nested Weyl circles
 where p_k are the orthonormal-polynomial values generated by the matrix:
 r_n -> 0 exactly in the unique-solution (selfadjoint / limit point) case,
 while a positive limit signals infinitely many solutions (limit circle).
+Radii come from one lazy forward scan; coefficients are read row by row.
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ class JacobiMatrix:
 
     ``q`` holds the main diagonal (1-indexed in all public APIs), ``b`` the
     off-diagonal, which must be strictly positive.  Alternatively
-    ``generator`` supplies ``(q_k, b_k)`` for arbitrary ``k`` when a
-    closed-form family is known; a matrix is either stored or generated.
+    ``generator`` supplies the row ``(q_k, b_k)`` for any ``k``, generated
+    once per row read; a matrix is either stored or generated.
     """
 
     __slots__ = ("_q", "_b", "generator", "precision", "family", "_row")
@@ -91,48 +92,42 @@ class JacobiMatrix:
         return self.generator is not None
 
     def diag(self, k: int):
-        if k < 1:
-            raise ValueError("diagonal index starts at 1")
-        if k <= len(self._q):
-            return self._q[k - 1]
-        if self.generator is not None:
-            return self._generated(k)[1]
-        raise CoefficientExhausted(
-            f"diagonal entry {k} requested but only {len(self._q)} stored"
-        )
+        return self._entry(k, 1, "diagonal", self._q)
 
     def offdiag(self, k: int):
-        if k < 1:
-            raise ValueError("off-diagonal index starts at 1")
-        if k <= len(self._b):
-            return self._b[k - 1]
-        if self.generator is not None:
-            bk = self._generated(k)[2]
-            if not bk > 0:
-                raise ValueError("generator produced a nonpositive off-diagonal entry")
-            return bk
-        raise CoefficientExhausted(
-            f"off-diagonal entry {k} requested but only {len(self._b)} stored"
-        )
+        return self._entry(k, 2, "off-diagonal", self._b)
 
-    def _generated(self, k: int):
-        """(k, q_k, b_k) from one generator call, kept for the next request
-        (``pairs`` reads q_k and b_k in turn).  The row is replaced whole, so
-        threads sharing the matrix never see a torn one."""
+    def _entry(self, k: int, i: int, name: str, stored: tuple):
+        """Entry ``i`` of row (k, q_k, b_k), stored or generated.  A generated
+        row is checked once and kept whole for the next request; the memo is
+        replaced, never mutated, so threads sharing the matrix see no torn row."""
+        if k < 1:
+            raise ValueError(f"{name} index starts at 1")
+        if k <= len(stored):
+            return stored[k - 1]
+        if self.generator is None:
+            raise CoefficientExhausted(f"{name} entry {k} requested but only {len(stored)} stored")
         row = self._row
         if row[0] != k:
-            row = self._row = (k, *self.generator(k))
-        return row
+            qk, bk = self.generator(k)
+            if not bk > 0:
+                raise ValueError("generator produced a nonpositive off-diagonal entry")
+            row = self._row = (k, qk, bk)
+        return row[i]
 
     def pairs(self):
         """Yield (q_k, b_k) for k = 1, 2, ... through ``diag``/``offdiag``."""
         return ((self.diag(k), self.offdiag(k)) for k in count(1))
 
     def coefficients(self, n: int):
-        """First ``n`` diagonal and ``n-1`` off-diagonal entries as lists."""
-        return [self.diag(k) for k in range(1, n + 1)], [
-            self.offdiag(k) for k in range(1, n)
-        ]
+        """First ``n`` diagonal and ``n-1`` off-diagonal entries as lists,
+        read row by row, so a closed form generates each row once.  q_n is
+        read first: a short stored matrix fails on its diagonal."""
+        if n < 1:
+            return [], []
+        q_n = self.diag(n)
+        rows = list(islice(self.pairs(), n - 1))
+        return [qk for qk, _ in rows] + [q_n], [bk for _, bk in rows]
 
     def __repr__(self):
         tag = f" family={self.family!r}" if self.family else ""
@@ -244,14 +239,12 @@ def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
     checkpoint in ``ns``, from a single forward scan up to the largest."""
     if any(n < 1 for n in ns):
         raise ValueError("n must be positive")
-    work = J.precision.working_bits()
-    with wp(work + 16):
-        if mp.im(mp.mpc(z)) == 0:
-            raise RealPoint("Weyl radii are defined only off the real axis")
-    scan = _RadiusScan(J, z, work)
-    radii = {n: scan.radius_at(n) for n in sorted(set(ns))}
-    with wp(work):
-        return [float(radii[n]) if J.precision.mode == DOUBLE else +radii[n] for n in ns]
+    cfg = J.precision
+    todo = sorted(set(ns))
+    # the scan leads the zip, so its RealPoint check runs even for no n
+    radii = {n: r for r, n in zip(_radii(J, z, cfg.working_bits(), todo), todo)}
+    with wp(cfg.working_bits()):
+        return [float(radii[n]) if cfg.mode == DOUBLE else +radii[n] for n in ns]
 
 
 def weyl_radius(J: JacobiMatrix, z, n: int):
@@ -265,43 +258,37 @@ def _stream(J: JacobiMatrix, z):
     return tridiag.recurrence(pairs, z)
 
 
-class _RadiusScan:
-    """Incremental forward pass of the recurrence with a running square sum."""
-
-    def __init__(self, J: JacobiMatrix, z, bits: int):
-        self.bits = bits
+def _radii(J: JacobiMatrix, z, bits: int, ns: Sequence[int]):
+    """Yield r_n(z) for each n of the ascending ``ns`` from one forward pass
+    at ``bits + 16`` that reads coefficients only up to the n asked for.  The
+    precision is entered per radius, never held across a yield: ``classify``
+    interleaves two scans at different mantissas."""
+    with wp(bits + 16):
+        z = mp.mpc(z)
+        if mp.im(z) == 0:
+            raise RealPoint("Weyl radii are defined only off the real axis")
+        width = abs(z - mp.conj(z))
+        values = _stream(J, z)
+        total = mp.mpf(0)
+    k = 0
+    for n in ns:
         with wp(bits + 16):
-            z = mp.mpc(z)
-            self.width = abs(z - mp.conj(z))
-            self.values = _stream(J, z)
-            next(self.values)  # pi_1 = 1
-            self.total = mp.mpf(1)  # |pi_1|^2
-        self.k = 1
-
-    def radius_at(self, n: int):
-        with wp(self.bits + 16):
-            while self.k < n:
-                nxt = next(self.values)
-                self.total += mp.re(nxt) ** 2 + mp.im(nxt) ** 2
-                self.k += 1
-            return 1 / (self.width * self.total)
+            for v in islice(values, n - k):
+                total += mp.re(v) ** 2 + mp.im(v) ** 2
+            k = n
+            r = 1 / (width * total)
+        yield r
 
 
-class _Escalate(Exception):
-    pass
-
-
-def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int, z):
+def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int):
+    """The verdict from radii at ``bits`` and ``2*bits``; None if they disagree."""
     ns = policy.checkpoints()
-    scan_lo = _RadiusScan(J, z, bits)
-    scan_hi = _RadiusScan(J, z, 2 * bits)
     trace = []
     verdict = INCONCLUSIVE
-    for i, n_cp in enumerate(ns):
-        r_lo = scan_lo.radius_at(n_cp)
-        r = scan_hi.radius_at(n_cp)
+    scans = zip(_radii(J, policy.z, bits, ns), _radii(J, policy.z, 2 * bits, ns))
+    for i, (r_lo, r) in enumerate(scans):
         if not (r_lo == r or abs(r_lo - r) <= abs(r) * mp.mpf(2) ** (-24)):
-            raise _Escalate
+            return None
         trace.append(r)
         if r < policy.eps_zero:
             verdict = DETERMINATE
@@ -315,7 +302,7 @@ def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int, z):
     cfg = J.precision
     with wp(cfg.working_bits()):  # all that is certified, as in weyl_radii
         radii = tuple(float(r) if cfg.mode == DOUBLE else +r for r in trace)
-    return DeterminacyVerdict(verdict, radii, tuple(ns[:len(trace)]), ns[len(trace) - 1], z)
+    return DeterminacyVerdict(verdict, radii, tuple(ns[:len(trace)]), ns[len(trace) - 1], policy.z)
 
 
 def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> DeterminacyVerdict:
@@ -333,16 +320,12 @@ def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> Dete
     (forward recurrences are benign here, but families with rapidly
     shrinking off-diagonals can exhaust a fixed mantissa).
     """
-    z = policy.z
-    with wp(64):
-        if mp.im(mp.mpc(z)) == 0:
-            raise RealPoint("classification point must be nonreal")
     bits = J.precision.working_bits()
     for _ in range(_MAX_ESCALATIONS + 1):
-        try:
-            return _classify_once(J, policy, bits, z)
-        except _Escalate:
-            bits *= 2
+        verdict = _classify_once(J, policy, bits)
+        if verdict is not None:
+            return verdict
+        bits *= 2
     raise PrecisionLoss("radius trace failed to stabilize under precision escalation")
 
 

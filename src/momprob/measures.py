@@ -124,8 +124,10 @@ class QuadratureSpec:
             if self.n_nodes < 1:
                 raise ValueError("n_nodes must be positive")
         elif self.rule == "adaptive":
-            if self.tol <= 0:
-                raise ValueError("tol must be positive")
+            if not 0 < self.tol < math.inf:
+                raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+            if self.max_subdiv < 0:
+                raise ValueError("max_subdiv must be nonnegative")
         else:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
@@ -426,6 +428,8 @@ class Measure(object):
                        scale=scale, precision=cfg)
         if kind == "density":
             qobj = obj.get("quadrature", {"rule": "adaptive"})
+            if not isinstance(qobj, dict):
+                raise ValueError("quadrature must be a JSON object")
             if qobj.get("rule") == "gauss_from_jacobi":
                 ref = JacobiMatrix.from_json(qobj.get("reference", {}), precision=cfg)
                 n_nodes = document_int(qobj.get("n_nodes", 40), "n_nodes")

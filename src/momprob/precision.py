@@ -80,8 +80,8 @@ class PrecisionConfig:
             raise ValueError("bigfloat mantissa must be at least 53 bits")
         if self.bits <= 0:
             raise ValueError("bits must be positive")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0 and self.mode != RATIONAL:
             # default tolerances: half the mantissa, which leaves ample slack
             # for legitimate rounding while still catching real defects
@@ -126,7 +126,10 @@ class PrecisionConfig:
 
 
 def document_precision(obj: dict, override: Optional[PrecisionConfig]) -> PrecisionConfig:
-    """``override``, else the document's ``precision`` entry, else the default."""
+    """``override``, else the document's ``precision`` entry, else the default;
+    a document that is not a JSON object raises ValueError in any case."""
+    if not isinstance(obj, dict):
+        raise ValueError("document must be a JSON object")
     if override is not None:
         return override
     if "precision" in obj:

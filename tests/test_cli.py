@@ -752,6 +752,72 @@ class TestExitCodes:
         assert _exit_code(ZeroDivisionError()) is None
 
 
+ADAPTIVE_GAUSSIAN = {"kind": "density", "weight": "gaussian",
+                     "quadrature": {"rule": "adaptive", "max_subdiv": 10, "tol": "1e-20"},
+                     "precision": {"mode": "bigfloat", "bits": 128}}
+
+
+class TestQuadratureSpecValues:
+    # a negative subdivision budget used to escape as IndexError, and a
+    # non-finite tol switched the error budget off and wrote bare NaN or
+    # Infinity into the output
+    @pytest.mark.parametrize("entry, message", [
+        ({"max_subdiv": -1}, "max_subdiv must be nonnegative"),
+        ({"tol": "nan"}, "tol must be finite and positive, got nan"),
+        ({"tol": "inf"}, "tol must be finite and positive, got inf"),
+    ], ids=["max-subdiv-negative", "tol-nan", "tol-inf"])
+    def test_validation_error(self, capsys, tmp_path, entry, message):
+        doc = json.loads(json.dumps(ADAPTIVE_GAUSSIAN))
+        doc["quadrature"].update(entry)
+        code, out, err = run_cli(capsys, "transform", "--power-lift", "1", "--in",
+                                 write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message}\n"
+
+
+class TestPrecisionTolerances:
+    # a NaN abs_tol turned the s_0 = 1 check off; an infinite one read every
+    # sequence as not positive
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tol", "nan"), ("abs_tol", "inf"), ("rel_tol", "nan"),
+    ])
+    def test_validation_error(self, capsys, tmp_path, field, value):
+        doc = {"values": ["5", "0", "1"],
+               "precision": {"mode": "bigfloat", "bits": 128, field: value}}
+        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "1", "--in",
+                                 write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: tolerances must be finite and nonnegative\n"
+
+
+class TestDocumentShape:
+    # a document or entry that is not a JSON object is refused, not read
+    # through dict methods it lacks
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["classify"], ["0", "1"], "document must be a JSON object"),
+        (["classify"], "hermite_like", "document must be a JSON object"),
+        (["transform", "--gauss-damp", "1"], [1], "document must be a JSON object"),
+        (["measure-to-jacobi", "--n", "2"], "x", "document must be a JSON object"),
+        (["validate-moments", "--k-max", "1"], ["1", "0", "1"], "document must be a JSON object"),
+        (["pipeline"], {"measure": "x"}, "document must be a JSON object"),
+        (["measure-to-jacobi", "--n", "2"], dict(ADAPTIVE_GAUSSIAN, quadrature=[1]),
+         "quadrature must be a JSON object"),
+        (["measure-to-jacobi", "--n", "2"],
+         dict(ADAPTIVE_GAUSSIAN, quadrature={"rule": "gauss_from_jacobi",
+                                             "reference": "hermite_like"}),
+         "document must be a JSON object"),
+        (["pipeline"], {"measure": {"kind": "atomic", "points": ["0", "1"],
+                                    "weights": ["1/2", "1/2"]}, "n": 2, "classify": [1]},
+         "classify must be a JSON object"),
+    ], ids=["classify-list", "classify-string", "transform-list", "measure-string",
+            "moments-list", "pipeline-measure", "quadrature-list", "reference-string",
+            "pipeline-classify"])
+    def test_validation_error(self, capsys, tmp_path, argv, doc, message):
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message}\n"
+
+
 class TestPowerLiftExponent:
     # a lift exponent is an integer; anything else is refused with exit 2,
     # not truncated to one

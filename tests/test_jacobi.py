@@ -10,6 +10,7 @@ from momprob import (
     INDETERMINATE,
     JacobiMatrix,
     PrecisionConfig,
+    PrecisionLoss,
     RealPoint,
     classify,
     jacobi_to_moments,
@@ -49,6 +50,38 @@ class TestJacobiMatrix:
     def test_generator_supplies_arbitrary_depth(self, hermite256):
         with mp.workprec(256):
             assert abs(hermite256.offdiag(1000) - mp.sqrt(mp.mpf(500))) < 1e-60
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_coefficients_generate_each_row_once(self, cfg256, n):
+        J = hermite_like(cfg256)
+        gen, calls = J.generator, []
+        J.generator = lambda k: calls.append(k) or gen(k)
+        q, b = J.coefficients(n)
+        assert len(calls) == n
+        ref = hermite_like(cfg256)
+        assert q == [ref.diag(k) for k in range(1, n + 1)]
+        assert b == [ref.offdiag(k) for k in range(1, n)]
+
+    def test_short_stored_coefficients_fail_on_the_diagonal(self, cfg256):
+        J = JacobiMatrix(q=[1, 2], b=[1], precision=cfg256)
+        assert J.coefficients(2) == ([1, 2], [1])
+        with pytest.raises(CoefficientExhausted, match="^diagonal entry 3 requested"):
+            J.coefficients(3)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_generated_nonpositive_offdiagonal_rejected(self, cfg256, bad):
+        J = JacobiMatrix(generator=lambda k: (0, 1 if k < 3 else bad), precision=cfg256)
+        assert J.offdiag(2) == 1
+        with pytest.raises(ValueError, match="nonpositive off-diagonal entry"):
+            J.offdiag(3)
+        with pytest.raises(ValueError, match="nonpositive off-diagonal entry"):
+            classify(J)
+
+    def test_generated_row_checked_whichever_entry_is_read_first(self, cfg256):
+        J = JacobiMatrix(generator=lambda k: (0, 1 if k < 3 else 0), precision=cfg256)
+        assert J.diag(2) == 0
+        with pytest.raises(ValueError, match="nonpositive off-diagonal entry"):
+            J.diag(3)
 
     def test_json_roundtrip(self, cfg256):
         with mp.workprec(256):
@@ -158,6 +191,36 @@ class TestClassify:
     def test_real_point_rejected(self, hermite256):
         with pytest.raises(RealPoint):
             classify(hermite256, ClassifyPolicy(z=1.0))
+
+    @staticmethod
+    def ambient_family(perturbation):
+        """Hermite-like b_k scaled by 1 + perturbation(ambient precision),
+        and the set of precisions the generator ran at."""
+        seen = set()
+
+        def gen(k):
+            seen.add(mp.mp.prec)
+            return mp.mpf(0), mp.sqrt(mp.mpf(k) / 2) * (1 + perturbation(mp.mp.prec))
+
+        return JacobiMatrix(generator=gen, precision=PrecisionConfig.bigfloat(64)), seen
+
+    def test_escalation_agrees_after_one_doubling(self):
+        # 2^-20 apart at 64 bits (scans at 80 and 144), 2^-36 at 128 bits
+        J, seen = self.ambient_family(lambda prec: mp.mpf(2) ** (-prec // 4))
+        v = classify(J)
+        assert sorted(seen) == [80, 144, 272]
+        assert (v.verdict, v.checkpoints, v.n_used) == (DETERMINATE, (8, 16), 16)
+        ref = classify(hermite_like(PrecisionConfig.bigfloat(64)))
+        assert_close(v.radii[-1], ref.radii[-1], 1e-12)
+
+    def test_escalation_gives_up_after_four_attempts(self):
+        # 1/prec never agrees to 24 bits between two precisions
+        J, seen = self.ambient_family(lambda prec: mp.mpf(1) / prec)
+        with pytest.raises(PrecisionLoss, match="failed to stabilize"):
+            classify(J)
+        # attempts at 64, 128, 256 and 512 bits, each scanned at bits + 16
+        # and 2 * bits + 16
+        assert sorted(seen) == [80, 144, 272, 528, 1040]
 
     @pytest.mark.parametrize("start", [0, -1])
     def test_nonpositive_start_rejected(self, hermite256, start):

@@ -25,6 +25,15 @@ def test_mode_validation():
         PrecisionConfig(abs_tol=-1.0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_rejected(field, value):
+    with pytest.raises(ValueError, match="^tolerances must be finite and nonnegative$"):
+        PrecisionConfig(**{field: value})
+    with pytest.raises(ValueError, match="^tolerances must be finite and nonnegative$"):
+        PrecisionConfig.from_json({field: str(value)})
+
+
 def test_default_tolerances_scale_with_bits():
     c = PrecisionConfig.bigfloat(256)
     assert 0 < c.abs_tol <= math.ldexp(1.0, -128)

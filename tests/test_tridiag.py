@@ -142,6 +142,16 @@ def test_eigenvalues_match_oracle_on_hard_sections(make, bits):
         assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
 
 
+def test_graded_nodes_at_53_bits_match_a_256_bit_solve():
+    # the oracle fixes nodes below 1 only to an absolute 2^-(bits+8), which
+    # says nothing of the nodes down to 1e-20: check each one relatively
+    q, b = graded_powers_of_ten()
+    got, ref = eigenvalues(q, b, 53), sturm_newton_eigenvalues(q, b, 256)
+    with mp.workprec(256):
+        for x, y in zip(got, ref):
+            assert abs(x - y) <= abs(y) * mp.mpf(2) ** -50
+
+
 def counting_kernels(monkeypatch):
     """Wrap the int pivot pass; return pass counts by stage.
 
