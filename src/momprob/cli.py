@@ -50,6 +50,7 @@ from .precision import (
     PrecisionConfig,
     convert,
     document_int,
+    document_list,
     format_complex,
     format_number,
     parse_complex,
@@ -427,7 +428,7 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
         raise ValueError("pipeline document needs a 'measure' entry")
     mu = Measure.from_json(doc["measure"], precision=cfg)
     constants = []
-    for item in doc.get("transforms", ()):
+    for item in document_list(doc.get("transforms", []), "transforms"):
         if "gauss_damp" in item:
             # a JSON number is read by its decimal text, like a flag value
             mu = mu.gauss_damp(convert(str(item["gauss_damp"]), mu.precision))

@@ -23,14 +23,16 @@ import mpmath as mp
 from . import tridiag
 from .errors import CoefficientExhausted, PrecisionLoss, RealPoint
 from .precision import (
-    DOUBLE,
     RATIONAL,
     PrecisionConfig,
     convert,
+    document_list,
     document_precision,
     format_complex,
     format_number,
     is_finite_number,
+    rounded,
+    sqrt_number,
     to_mpf,
     wp,
 )
@@ -80,6 +82,13 @@ class JacobiMatrix:
         for x in self._b:
             if not x > 0:
                 raise ValueError("off-diagonal entries must be strictly positive")
+
+    @classmethod
+    def from_squares(cls, q, b2, cfg: PrecisionConfig) -> "JacobiMatrix":
+        """The matrix with diagonal ``q`` and squared off-diagonal ``b2``,
+        given exactly or at any precision, rounded once to ``cfg``: the
+        hand-off of both the moments and the measures routes."""
+        return cls(q=rounded(q, cfg), b=[sqrt_number(x, cfg) for x in b2], precision=cfg)
 
     # -- coefficient access (1-indexed, mirroring the recurrence) ---------
 
@@ -154,8 +163,8 @@ class JacobiMatrix:
         cfg = document_precision(obj, precision)
         if "family" in obj and not obj.get("q"):
             return families.make(obj["family"], precision=cfg, n=obj.get("n"))
-        q = [convert(x, cfg) for x in obj.get("q", [])]
-        b = [convert(x, cfg) for x in obj.get("b", [])]
+        q = [convert(x, cfg) for x in document_list(obj.get("q", []), "q")]
+        b = [convert(x, cfg) for x in document_list(obj.get("b", []), "b")]
         return cls(q=q, b=b, precision=cfg, family=obj.get("family"))
 
 
@@ -225,13 +234,9 @@ def pi_eval(J: JacobiMatrix, z, n: int):
     if n < 1:
         raise ValueError("n must be positive")
     cfg = J.precision
-    work = cfg.working_bits()
-    with wp(work + 16):
+    with wp(cfg.working_bits() + 16):
         vals = list(islice(_stream(J, mp.mpc(z)), n))
-    if cfg.mode == DOUBLE:
-        return [complex(v) for v in vals]
-    with wp(work):
-        return [+v for v in vals]
+    return rounded(vals, cfg)
 
 
 def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
@@ -243,8 +248,7 @@ def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
     todo = sorted(set(ns))
     # the scan leads the zip, so its RealPoint check runs even for no n
     radii = {n: r for r, n in zip(_radii(J, z, cfg.working_bits(), todo), todo)}
-    with wp(cfg.working_bits()):
-        return [float(radii[n]) if cfg.mode == DOUBLE else +radii[n] for n in ns]
+    return rounded([radii[n] for n in ns], cfg)
 
 
 def weyl_radius(J: JacobiMatrix, z, n: int):
@@ -299,9 +303,7 @@ def _classify_once(J: JacobiMatrix, policy: ClassifyPolicy, bits: int):
             if spread < policy.eps_stable and r > policy.eps_zero:
                 verdict = INDETERMINATE
                 break
-    cfg = J.precision
-    with wp(cfg.working_bits()):  # all that is certified, as in weyl_radii
-        radii = tuple(float(r) if cfg.mode == DOUBLE else +r for r in trace)
+    radii = tuple(rounded(trace, J.precision))  # all that is certified, as in weyl_radii
     return DeterminacyVerdict(verdict, radii, tuple(ns[:len(trace)]), ns[len(trace) - 1], policy.z)
 
 

@@ -44,17 +44,16 @@ from .errors import (
 )
 from .jacobi import JacobiMatrix
 from .precision import (
-    DOUBLE,
     RATIONAL,
     PrecisionConfig,
     all_exact,
     convert,
     document_int,
+    document_list,
     document_precision,
     format_number,
     is_finite_number,
     pairwise_sum,
-    sqrt_number,
     to_fraction,
     to_mpf,
     wp,
@@ -262,17 +261,16 @@ class Measure(object):
         return self._sum_over(atoms, f)
 
     def _sum_over(self, atoms, f: Callable):
-        """Sum of w f(t) over the effective atoms: exact on exact atoms with a
-        rational-valued ``f``, else at working + 16 bits rounded once."""
+        """Sum of w f(t) over the effective atoms: exact when the atoms are
+        exact and every value of ``f`` is an int or a Fraction, else at
+        working + 16 bits rounded once."""
         cfg = self.precision
         pts, wts = atoms
-        if all_exact(cfg, pts, wts):
-            try:
-                return pairwise_sum([w * f(t) for t, w in zip(pts, wts)])
-            except TypeError:
-                pass  # integrand not rational-valued; fall through to floats
+        num = (lambda x: x) if all_exact(cfg, pts, wts) else to_mpf
         with wp(cfg.working_bits() + 16):
-            vals = [to_mpf(w) * f(to_mpf(t)) for t, w in zip(pts, wts)]
+            vals = [num(w) * f(num(t)) for t, w in zip(pts, wts)]
+            if all(isinstance(v, (int, Fraction)) for v in vals):
+                return pairwise_sum(vals)
             for v in vals:
                 if not mp.isfinite(v):
                     raise NonFinite("integrand not finite at a support point")
@@ -412,7 +410,7 @@ class Measure(object):
         cfg = document_precision(obj, precision)
         kind = obj.get("kind")
         transforms = []
-        for item in obj.get("transforms", ()):
+        for item in document_list(obj.get("transforms", []), "transforms"):
             if "gauss_damp" in item:
                 transforms.append(Multiplier("gauss_damp", convert(item["gauss_damp"], cfg)))
             elif "power_lift" in item:
@@ -422,25 +420,26 @@ class Measure(object):
                 raise ValueError(f"unknown transform entry {item!r}")
         scale = convert(obj.get("scale", 1), cfg)
         if kind == "atomic":
-            pts = [convert(x, cfg) for x in obj["points"]]
-            wts = [convert(x, cfg) for x in obj["weights"]]
+            pts = [convert(x, cfg) for x in document_list(obj["points"], "points")]
+            wts = [convert(x, cfg) for x in document_list(obj["weights"], "weights")]
             return cls("atomic", points=pts, weights=wts, transforms=transforms,
                        scale=scale, precision=cfg)
         if kind == "density":
             qobj = obj.get("quadrature", {"rule": "adaptive"})
             if not isinstance(qobj, dict):
                 raise ValueError("quadrature must be a JSON object")
-            if qobj.get("rule") == "gauss_from_jacobi":
+            rule = qobj.get("rule", "adaptive")
+            if rule == "gauss_from_jacobi":
                 ref = JacobiMatrix.from_json(qobj.get("reference", {}), precision=cfg)
                 n_nodes = document_int(qobj.get("n_nodes", 40), "n_nodes")
                 spec = QuadratureSpec("gauss_from_jacobi", reference=ref, n_nodes=n_nodes)
             else:
                 max_subdiv = document_int(qobj.get("max_subdiv", 10), "max_subdiv")
-                spec = QuadratureSpec("adaptive", max_subdiv=max_subdiv,
+                spec = QuadratureSpec(rule, max_subdiv=max_subdiv,
                                       tol=float(qobj.get("tol", 1e-20)))
             support = obj.get("support", REAL_LINE)
             if support != REAL_LINE:
-                support = tuple(convert(x, cfg) for x in support)
+                support = tuple(convert(x, cfg) for x in document_list(support, "support"))
             return cls("density", weight_name=obj["weight"], support=support,
                        quadrature=spec, transforms=transforms, scale=scale,
                        precision=cfg)
@@ -602,21 +601,11 @@ def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMa
     square at or below 2^-(2 bits) ends the resolvable support: with
     ``partial`` the output stops there, otherwise FiniteSupport is raised.
     """
-    exact = all_exact(cfg, q, b2)
-    bits = cfg.working_bits()
-    floor2 = 0 if exact else mp.ldexp(1, -2 * bits)
+    floor2 = 0 if all_exact(cfg, q, b2) else mp.ldexp(1, -2 * cfg.working_bits())
     depth = next((k for k, x in enumerate(b2, 1) if not x > floor2), len(q))
     if depth < len(q) and not partial:
         raise FiniteSupport(
             f"support numerically exhausted at level {depth}: "
             "residual norm below resolvable size"
         )
-    q, b2 = q[:depth], b2[:depth - 1]
-    if exact:
-        return JacobiMatrix(q=q, b=[sqrt_number(x, cfg) for x in b2], precision=cfg)
-    with wp(bits + 32):
-        b = [mp.sqrt(x) for x in b2]
-    if cfg.mode == DOUBLE:
-        return JacobiMatrix(q=[float(x) for x in q], b=[float(x) for x in b], precision=cfg)
-    with wp(bits):
-        return JacobiMatrix(q=[+x for x in q], b=[+x for x in b], precision=cfg)
+    return JacobiMatrix.from_squares(q[:depth], b2[:depth - 1], cfg)

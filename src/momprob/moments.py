@@ -40,16 +40,16 @@ from .errors import (
 )
 from .jacobi import JacobiMatrix
 from .precision import (
-    DOUBLE,
     RATIONAL,
     PrecisionConfig,
     agreeing_bits,
     all_exact,
     convert,
+    document_list,
     document_precision,
     format_number,
     is_finite_number,
-    sqrt_number,
+    rounded,
     to_mpf,
     wp,
 )
@@ -94,7 +94,7 @@ class MomentSequence:
     @classmethod
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "MomentSequence":
         cfg = document_precision(obj, precision)
-        return cls.from_values(obj["values"], cfg)
+        return cls.from_values(document_list(obj["values"], "values"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,7 @@ def hankel_determinants(s: MomentSequence, k_max: int):
             _det_pivoted([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
             for k in range(k_max + 1)
         ]
-    if cfg.mode == RATIONAL:
-        return dets
-    if cfg.mode == DOUBLE:
-        return [float(d) for d in dets]
-    with wp(cfg.bits):
-        return [+d for d in dets]
+    return rounded(dets, cfg)
 
 
 def validate_positive(s: MomentSequence, k_max: int) -> bool:
@@ -280,14 +275,7 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
             f"moments->Jacobi stalled at {best:.1f} agreeing bits "
             f"(target {target}) after escalating to {p} bits"
         )
-    if cfg.mode == DOUBLE:
-        q = [float(x) for x in q_cur]
-        b = [math.sqrt(float(x)) for x in b2_cur]
-    else:
-        with wp(target):
-            q = [+x for x in q_cur]
-            b = [mp.sqrt(x) for x in b2_cur]
-    return JacobiMatrix(q=q, b=b, precision=cfg)
+    return JacobiMatrix.from_squares(q_cur, b2_cur, cfg)
 
 
 def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
@@ -304,9 +292,7 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
     cfg = s.precision
     if cfg.mode == RATIONAL:
         svals = [Fraction(v) for v in s.values[: 2 * n + 1]]
-        q, b2 = _ldl_recurrence(svals, n)
-        b = [sqrt_number(x, cfg) for x in b2]
-        return JacobiMatrix(q=q, b=b, precision=cfg)
+        return JacobiMatrix.from_squares(*_ldl_recurrence(svals, n), cfg)
 
     stored = s.values[: 2 * n + 1]
 
@@ -336,8 +322,7 @@ def jacobi_to_moments(J: JacobiMatrix, m: int) -> MomentSequence:
 
     exact = all_exact(cfg, q, b)
     num = Fraction if exact else to_mpf
-    work = cfg.working_bits()
-    with wp(work + 16):
+    with wp(cfg.working_bits() + 16):
         qv = [num(x) for x in q]
         bv = [num(x) for x in b]
         v = [num(0)] * size
@@ -346,11 +331,6 @@ def jacobi_to_moments(J: JacobiMatrix, m: int) -> MomentSequence:
         for _ in range(m):
             v = tridiag.matvec(qv, bv, v)
             out.append(v[0])
-    if exact:
-        return MomentSequence(tuple(out), cfg)
-    if cfg.mode == DOUBLE:
-        return MomentSequence(tuple(float(x) for x in out), cfg)
     # irrational entries leave the rational field, as in truncation_spectrum
-    out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
-    with wp(work):
-        return MomentSequence(tuple(+x for x in out), out_cfg)
+    out_cfg = cfg if exact or cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
+    return MomentSequence(tuple(rounded(out, cfg)), out_cfg)

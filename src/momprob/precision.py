@@ -149,6 +149,14 @@ def document_int(x, what: str) -> int:
     return int(f)
 
 
+def document_list(x, what: str):
+    """A list read from a document; a string, object or number raises
+    ValueError instead of being read entry by entry."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON list, got {x!r}")
+    return x
+
+
 def _ratio(text: str) -> Fraction:
     """``Fraction(text)`` for a decimal or ``p/q`` string; a zero ``q``
     raises ValueError naming the text."""
@@ -159,13 +167,14 @@ def _ratio(text: str) -> Fraction:
 
 
 def convert(x, cfg: PrecisionConfig):
-    """Coerce ``x`` (number or decimal/ratio string) into cfg's arithmetic."""
+    """Coerce ``x`` (number or decimal/ratio string) into cfg's arithmetic;
+    a bool is no number and raises ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
     if cfg.mode == RATIONAL:
         return to_fraction(x)
     if cfg.mode == DOUBLE:
-        if isinstance(x, str):
-            return float(_ratio(x)) if "/" in x else float(x)
-        return float(x)
+        return float(_ratio(x)) if isinstance(x, str) and "/" in x else float(x)
     # bigfloat
     with wp(cfg.bits):
         return to_mpf(x)
@@ -198,13 +207,10 @@ def to_mpf(x):
     """Convert to mpf at the current working precision."""
     if isinstance(x, mp.mpf):
         return +x
+    if isinstance(x, str) and "/" in x:
+        x = _ratio(x)
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, str):
-        if "/" in x:
-            f = _ratio(x)
-            return mp.mpf(f.numerator) / f.denominator
-        return mp.mpf(x)
     return mp.mpf(x)
 
 
@@ -222,27 +228,38 @@ def all_exact(cfg: PrecisionConfig, *seqs) -> bool:
     return cfg.mode == RATIONAL and all(isinstance(x, (int, Fraction)) for xs in seqs for x in xs)
 
 
-def sqrt_number(x, cfg: PrecisionConfig):
-    """Square root in cfg's arithmetic.
+def rounded(values, cfg: PrecisionConfig) -> list:
+    """``values`` as results of cfg, the one place a result leaves the
+    working precision: floats (complex for complex values) in double mode,
+    exact values kept as they are in rational mode, mpf or mpc rounded to
+    ``cfg.bits`` otherwise."""
+    if cfg.mode == DOUBLE:
+        return [complex(x) if isinstance(x, (complex, mp.mpc)) else float(x) for x in values]
+    keep = cfg.mode == RATIONAL
+    with wp(cfg.bits):
+        return [x if keep and isinstance(x, (int, Fraction)) else +mp.mpmathify(x)
+                for x in values]
 
-    In rational mode the root is returned exactly as a Fraction when numerator
-    and denominator are perfect squares, otherwise as a big float at
-    ``cfg.bits`` (the one place rational pipelines leave the rational field).
+
+def sqrt_number(x, cfg: PrecisionConfig):
+    """Square root in cfg's arithmetic, the one root rule.
+
+    A float or mpf x, at whatever precision it carries, gives its root
+    correctly rounded to the working mantissa (a float in double mode).  An
+    int or Fraction x gives its exact root in rational mode when numerator
+    and denominator are perfect squares; otherwise it is first rounded to
+    the working mantissa.
     """
+    if x < 0:
+        raise ValueError("square root of negative value")
     if cfg.mode == RATIONAL and isinstance(x, (int, Fraction)):
         f = Fraction(x)
-        if f < 0:
-            raise ValueError("square root of negative value")
-        rn = math.isqrt(f.numerator)
-        rd = math.isqrt(f.denominator)
+        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
             return Fraction(rn, rd)
-        with wp(cfg.bits):
-            return mp.sqrt(to_mpf(f))
-    if cfg.mode == DOUBLE:
-        return math.sqrt(float(x))
-    with wp(cfg.bits):
-        return mp.sqrt(to_mpf(x))
+    with wp(cfg.working_bits()):
+        root = mp.sqrt(to_mpf(x) if isinstance(x, Fraction) else x)
+    return float(root) if cfg.mode == DOUBLE else root
 
 
 def decimal_digits(bits: int) -> int:
@@ -279,10 +296,7 @@ def parse_complex(s, cfg: PrecisionConfig):
             z = complex(text)
         except ValueError as exc:
             raise ValueError(f"cannot parse complex number {s!r}") from exc
-    if cfg.mode == DOUBLE:
-        return complex(z)
-    with wp(cfg.bits):
-        return mp.mpc(z)
+    return rounded([z], cfg)[0]
 
 
 def format_complex(z, cfg: PrecisionConfig) -> str:

@@ -495,6 +495,11 @@ KERNEL_STDOUT_SHA256 = {
     "measure-to-jacobi-lifted-density": "39bf2670b4c03358fecbb6933bb5e8cc55383081e2ab874c2d1c3c48105063da",
     "measure-to-jacobi-double": "7e16f6b2b9d36fd19642724233c50347dffefadc73ede7e2fe5f0ae2ed38b9fb",
     "transform-power-lift": "aa976af3819fc3e77e39594635e8a20e1d9bc5791736bcce0f590a060b48f458",
+    # printed while moments.py rounded results to each mode by hand
+    "validate-moments-rational": "a1fdfab2eb5ca314d60dbf0f695c0b481be53e38d51cc4e62791034971e439db",
+    "validate-moments-double": "e0adc852f8065e018063d9164fb69be5b5dded759da0f736e75ebe38ce97415b",
+    "validate-moments-bigfloat": "294b8218c448eb150ae80baa1fb5e815e6a605eb2b9c343181ea79ee54a17a21",
+    "moments-to-jacobi-bigfloat": "bb9aff95fc56b4967d395fef4c64c87d19954bb53d41dfb3a897702fe4a064bb",
 }
 
 HERMITE = ["--family", "hermite_like"]
@@ -521,6 +526,13 @@ KERNEL_COMMANDS = {
     "measure-to-jacobi-double": ["measure-to-jacobi", "--mode", "double", "--n", "5",
                                  "--in", "{atoms}"],
     "transform-power-lift": ["transform", "--power-lift", "-1", "--in", "{atoms}"],
+    "validate-moments-rational": ["validate-moments", "--k-max", "5", "--in", "{moments}"],
+    "validate-moments-double": ["validate-moments", "--mode", "double", "--k-max", "5",
+                                "--in", "{moments}"],
+    "validate-moments-bigfloat": ["validate-moments", "--mode", "bigfloat", "--k-max", "5",
+                                  "--in", "{moments}"],
+    "moments-to-jacobi-bigfloat": ["moments-to-jacobi", "--mode", "bigfloat",
+                                   "--precision-bits", "256", "--n", "5", "--in", "{moments}"],
 }
 
 # input documents of KERNEL_COMMANDS, by placeholder name
@@ -542,6 +554,11 @@ KERNEL_INPUTS = {
                        "reference": {"family": "hermite_like"}, "n_nodes": 24},
         "transforms": [{"power_lift": -2}],
         "precision": {"mode": "bigfloat", "bits": 256},
+    },
+    # s_k = 1/(k+1), the uniform measure on [0, 1]: Hilbert-matrix sections
+    "moments": {
+        "values": [f"1/{k + 1}" for k in range(11)],
+        "precision": {"mode": "rational", "bits": 256},
     },
 }
 
@@ -723,7 +740,7 @@ class TestExitCodes:
         (["jacobi-to-moments", "--m", "2"], {"b": ["1"]}, 2, "ValueError"),
         (["measure-to-jacobi", "--n", "1"], {"kind": "atomic", "weights": ["1"]},
          2, "KeyError"),
-        (["validate-moments", "--k-max", "1"], {"values": 5}, 2, "TypeError"),
+        (["validate-moments", "--k-max", "1"], {"values": ["1", None, "1"]}, 2, "TypeError"),
         (["jacobi-to-moments", "--m", "10"], {"q": ["0", "0"], "b": ["1"]},
          3, "CoefficientExhausted"),
         (["stone", "--route", "operator", "--family", "hermite_like", "--alpha", "1/2",
@@ -816,6 +833,60 @@ class TestDocumentShape:
         code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {message}\n"
+
+
+class TestDocumentLists:
+    # a string or object where a list belongs is refused, not read entry by
+    # entry ("101" as 1, 0, 1) or key by key
+    ATOMS = TestZeroDenominator.ATOMS
+
+    @pytest.mark.parametrize("argv, doc, what, value", [
+        (["validate-moments", "--k-max", "1"], {"values": "101"}, "values", "101"),
+        (["moments-to-jacobi", "--n", "1"], {"values": {"1": 0, "0": 1}}, "values",
+         {"1": 0, "0": 1}),
+        (["classify"], {"q": "12", "b": ["3"]}, "q", "12"),
+        (["jacobi-to-moments", "--m", "2"], {"q": ["1", "2"], "b": "3"}, "b", "3"),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, points="01"), "points", "01"),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, weights="111"), "weights", "111"),
+        (["measure-to-jacobi", "--n", "2"], dict(ADAPTIVE_GAUSSIAN, support="01"),
+         "support", "01"),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, transforms={"power_lift": 1}),
+         "transforms", {"power_lift": 1}),
+        (["pipeline"], {"measure": ATOMS, "transforms": {"gauss_damp": "1/2"}, "n": 2},
+         "transforms", {"gauss_damp": "1/2"}),
+    ], ids=["moments-string", "moments-object", "jacobi-q", "jacobi-b", "measure-points",
+            "measure-weights", "measure-support", "measure-transforms", "pipeline-transforms"])
+    def test_validation_error(self, capsys, tmp_path, argv, doc, what, value):
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {what} must be a JSON list, got {value!r}\n"
+
+
+class TestBooleanNumbers:
+    # a JSON true is no number: it is refused in every mode, not read as 1
+    ATOMS = TestZeroDenominator.ATOMS
+
+    @pytest.mark.parametrize("mode", ["rational", "double", "bigfloat"])
+    @pytest.mark.parametrize("argv, doc", [
+        (["validate-moments", "--k-max", "1"], {"values": [True, 0, 1]}),
+        (["classify"], {"q": [0, True], "b": [1]}),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, points=[False, 1, 2])),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, weights=["1/4", "1/2", True])),
+    ], ids=["moments", "jacobi", "measure-points", "measure-weights"])
+    def test_validation_error(self, capsys, tmp_path, argv, doc, mode):
+        code, out, err = run_cli(capsys, *argv, "--mode", mode,
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: ValueError: expected a number, got (True|False)\n", err)
+
+
+def test_misspelled_quadrature_rule_refused(capsys, tmp_path):
+    # only an absent rule means adaptive; a misspelled one is an error
+    doc = dict(ADAPTIVE_GAUSSIAN, quadrature={"rule": "gauss_from_jacobbi"})
+    code, out, err = run_cli(capsys, "transform", "--power-lift", "-1",
+                             "--in", write_json(tmp_path, "in.json", doc))
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: unknown quadrature rule 'gauss_from_jacobbi'\n"
 
 
 class TestPowerLiftExponent:

@@ -91,6 +91,15 @@ class TestIntegrate:
     def test_atomic_square_exact(self, two_atom_rational):
         assert integrate(two_atom_rational, lambda t: t * t) == Fraction(1)
 
+    def test_transcendental_integrand_on_exact_atoms(self):
+        # an mpf-valued integrand on exact atoms is summed at the working
+        # precision, not at the ambient 53 bits
+        mu = Measure.atomic([0, 1], [Fraction(1, 2), Fraction(1, 2)],
+                            precision=PrecisionConfig.rational(256))
+        val = integrate(mu, mp.exp)
+        with mp.workprec(300):
+            assert abs(val - (1 + mp.e) / 2) < mp.mpf(2) ** -250
+
     def test_std_normal_second_moment_adaptive(self):
         cfg = PrecisionConfig.bigfloat(128)
         mu = Measure.density("std_normal", QuadratureSpec("adaptive", tol=1e-20),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, inf, nextafter, prod
 
 import mpmath as mp
 import pytest
@@ -400,6 +400,21 @@ class TestPrecisionEscalation:
             moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.double()), n)
         J = moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.bigfloat(256)), n)
         assert J.n_stored == n
+
+    def test_double_mode_root_is_correctly_rounded(self):
+        # each b_k is the double nearest the root of the certified square,
+        # which is exact here from the Fractions of the rounded moments;
+        # rounding the square to a double before the root missed k = 16,
+        # 17 and 20 by an ulp
+        values = [0 if k % 2 else Fraction(prod(range(1, k, 2)), 2 ** (k // 2))
+                  for k in range(49)]
+        values = [float(v) for v in values]
+        _, b2 = _ldl_recurrence([Fraction(v) for v in values], 24)
+        J = moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.double()), 24)
+        for k, (x, b) in enumerate(zip(b2, J.coefficients(24)[1]), 1):
+            lo = (Fraction(b) + Fraction(nextafter(b, 0))) / 2
+            hi = (Fraction(b) + Fraction(nextafter(b, inf))) / 2
+            assert lo * lo <= x <= hi * hi, k
 
     def test_noise_limited_source_stalls_early(self):
         # a fixed 2^-40 error that changes with the precision holds the

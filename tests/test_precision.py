@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -11,6 +13,7 @@ from momprob.precision import (
     format_number,
     pairwise_sum,
     parse_complex,
+    rounded,
     sqrt_number,
     to_fraction,
 )
@@ -105,3 +108,53 @@ def test_parse_complex_forms():
     assert parse_complex("-0.5-i", cfg) == mp.mpc(-0.5, -1)
     with pytest.raises(ValueError):
         parse_complex("nonsense", cfg)
+
+
+@pytest.mark.parametrize("cfg", [PrecisionConfig.rational(), PrecisionConfig.double(),
+                                 PrecisionConfig.bigfloat(128)],
+                         ids=["rational", "double", "bigfloat"])
+@pytest.mark.parametrize("value", [True, False])
+def test_convert_refuses_bools(cfg, value):
+    # a JSON true is no number, although Python reads it as 1
+    with pytest.raises(ValueError, match=f"^expected a number, got {value}$"):
+        convert(value, cfg)
+
+
+def test_sqrt_number_correctly_rounded_from_any_precision():
+    # the root of a square held at 400 bits, rounded once to the working
+    # mantissa, not first to it and then again
+    with mp.workprec(400):
+        x = mp.mpf(2) + mp.mpf(2) ** -300
+        exact = mp.sqrt(x)
+    for cfg in (PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                PrecisionConfig.rational(64)):
+        with mp.workprec(cfg.working_bits()):
+            want = +exact
+        got = sqrt_number(x, cfg)
+        assert got == want
+        assert isinstance(got, float) == (cfg.mode == "double")
+    with pytest.raises(ValueError):
+        sqrt_number(mp.mpf(-1), PrecisionConfig.bigfloat(64))
+
+
+def test_rounded_per_mode():
+    with mp.workprec(200):
+        values = [Fraction(1, 3), mp.mpf(1) / 3, mp.mpc(1, 1) / 3]
+    double = rounded(values, PrecisionConfig.double())
+    assert double == [1 / 3, 1 / 3, complex(1, 1) / 3]
+    assert [type(x) for x in double] == [float, float, complex]
+    exact = rounded(values, PrecisionConfig.rational(64))
+    with mp.workprec(64):
+        assert exact == [Fraction(1, 3), mp.mpf(1) / 3, mp.mpc(1, 1) / 3]
+    assert rounded(values[1:], PrecisionConfig.bigfloat(64)) == exact[1:]
+
+
+def test_rounding_boundary_stays_in_precision():
+    # moments, jacobi, measures and determinacy hand every result to
+    # precision.rounded, sqrt_number or JacobiMatrix.from_squares; none of
+    # them dispatches on double mode or takes a root of its own
+    src = Path(__file__).resolve().parents[1] / "src" / "momprob"
+    for name in ("moments.py", "jacobi.py", "measures.py", "determinacy.py"):
+        text = (src / name).read_text()
+        assert not re.search(r"\bDOUBLE\b", text), name
+        assert not re.search(r"\bmath\.sqrt\(", text), name
