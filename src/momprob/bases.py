@@ -32,7 +32,6 @@ class BasisAtTruncation:
     """Orthonormal columns (coordinates in the canonical basis) of size N."""
 
     vectors: tuple  # tuple of columns, each a tuple of N coordinates
-    source: str
     N: int
 
     def gram_defect(self, bits: int) -> float:
@@ -147,8 +146,7 @@ def stone_jacobi_operator_route(
             q=[+x for x in q_out], b=[+x for x in b_out], precision=cfg
         )
         columns = tuple(tuple(+x for x in col) for col in basis)
-    label = f"damped_vector(alpha={mp.nstr(to_mpf(alpha), 8)})"
-    return Jout, BasisAtTruncation(vectors=columns, source=label, N=N)
+    return Jout, BasisAtTruncation(vectors=columns, N=N)
 
 
 def f_basis_jacobi(mu: Measure, n: int) -> Tuple[JacobiMatrix, object]:
@@ -178,7 +176,7 @@ def f_basis_gram(mu: Measure, n: int):
     J, C = f_basis_jacobi(mu, n)
     pts, wts = atoms
     cfg = mu.precision
-    bits = cfg.working_bits()
+    bits = cfg.bits
     with wp(bits + 32):
         q, b = J.coefficients(n)
         qq = [to_mpf(x) for x in q]
@@ -227,7 +225,7 @@ def _section_and_vector(J: JacobiMatrix, vec: Sequence, N: int, what: str):
         raise ValueError(f"{what} must be finite")
     if all(x == 0 for x in vec):
         raise ValueError(f"{what} must be nonzero")
-    bits = J.precision.working_bits()
+    bits = J.precision.bits
     q, b = J.coefficients(N)
     with wp(bits + 32):
         return (bits, [to_mpf(x) for x in q], [to_mpf(x) for x in b],

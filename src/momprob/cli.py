@@ -35,7 +35,7 @@ from .jacobi import (
     truncation_spectrum,
     weyl_radii,
 )
-from .measures import Measure, measure_to_jacobi
+from .measures import Measure, Multiplier, measure_to_jacobi
 from .moments import (
     MomentSequence,
     _all_positive,
@@ -224,13 +224,12 @@ def _emit(args, obj) -> None:
 def _parse_policy_point(text) -> complex:
     return complex(parse_complex(text, PrecisionConfig.double()))
 
-
 # ClassifyPolicy fields that classify's flags and a pipeline document's
 # "classify" entry may set, with their parsers
 _POLICY_KEYS = {
     "n_max": partial(document_int, what="n_max"),
-    "eps_zero": float,
-    "eps_stable": float,
+    "eps_zero": partial(convert, cfg=PrecisionConfig.double()),
+    "eps_stable": partial(convert, cfg=PrecisionConfig.double()),
     "window": partial(document_int, what="window"),
     "z": _parse_policy_point,
     "start": partial(document_int, what="start"),
@@ -429,14 +428,12 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
     mu = Measure.from_json(doc["measure"], precision=cfg)
     constants = []
     for item in document_list(doc.get("transforms", []), "transforms"):
-        if "gauss_damp" in item:
-            # a JSON number is read by its decimal text, like a flag value
-            mu = mu.gauss_damp(convert(str(item["gauss_damp"]), mu.precision))
-        elif "power_lift" in item:
-            mu, C = mu.power_reweight(document_int(item["power_lift"], "power_lift exponent"))
-            constants.append(format_number(C, mu.precision))
+        m = Multiplier.from_json(item, mu.precision)
+        if m.form == "gauss_damp":
+            mu = mu.gauss_damp(m.param)
         else:
-            raise ValueError(f"unknown transform entry {item!r}")
+            mu, C = mu.power_reweight(m.param)
+            constants.append(format_number(C, mu.precision))
     n = document_int(doc.get("n", 16), "n")
     J = measure_to_jacobi(mu, n)
     verdict = classify(J, _policy(doc.get("classify", {}), n_max=n))

@@ -31,7 +31,7 @@ LOGNORMAL = "lognormal"
 def hermite_like(precision: Optional[PrecisionConfig] = None) -> JacobiMatrix:
     """q = 0, b_k = sqrt(k/2); coefficients generated on demand."""
     cfg = precision if precision is not None else PrecisionConfig()
-    bits = cfg.working_bits()
+    bits = cfg.bits
 
     def gen(k: int):
         with wp(bits + 8):

@@ -234,7 +234,7 @@ def pi_eval(J: JacobiMatrix, z, n: int):
     if n < 1:
         raise ValueError("n must be positive")
     cfg = J.precision
-    with wp(cfg.working_bits() + 16):
+    with wp(cfg.bits + 16):
         vals = list(islice(_stream(J, mp.mpc(z)), n))
     return rounded(vals, cfg)
 
@@ -247,7 +247,7 @@ def weyl_radii(J: JacobiMatrix, z, ns: Sequence[int]):
     cfg = J.precision
     todo = sorted(set(ns))
     # the scan leads the zip, so its RealPoint check runs even for no n
-    radii = {n: r for r, n in zip(_radii(J, z, cfg.working_bits(), todo), todo)}
+    radii = {n: r for r, n in zip(_radii(J, z, cfg.bits, todo), todo)}
     return rounded([radii[n] for n in ns], cfg)
 
 
@@ -322,7 +322,7 @@ def classify(J: JacobiMatrix, policy: ClassifyPolicy = ClassifyPolicy()) -> Dete
     (forward recurrences are benign here, but families with rapidly
     shrinking off-diagonals can exhaust a fixed mantissa).
     """
-    bits = J.precision.working_bits()
+    bits = J.precision.bits
     for _ in range(_MAX_ESCALATIONS + 1):
         verdict = _classify_once(J, policy, bits)
         if verdict is not None:
@@ -346,6 +346,6 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
         raise ValueError("truncation size must be positive")
     q, b = J.coefficients(N)
     cfg = J.precision
-    nodes, weights = tridiag.gauss_rule(q, b, cfg.working_bits())
+    nodes, weights = tridiag.gauss_rule(q, b, cfg.bits)
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
     return measures.Measure.atomic(nodes, weights, precision=out_cfg)._with_section(q, b)

@@ -93,6 +93,17 @@ class Multiplier:
     def to_json(self, cfg: PrecisionConfig):
         return {self.form: format_number(self.param, cfg)}
 
+    @classmethod
+    def from_json(cls, item, cfg: PrecisionConfig) -> "Multiplier":
+        """The multiplier of a transform entry, ``{"gauss_damp": x}`` or
+        ``{"power_lift": n}``; a JSON-number exponent is read by its decimal
+        text, like a flag value."""
+        if "gauss_damp" in item:
+            return cls("gauss_damp", convert(str(item["gauss_damp"]), cfg))
+        if "power_lift" in item:
+            return cls("power_lift", document_int(item["power_lift"], "power_lift exponent"))
+        raise ValueError(f"unknown transform entry {item!r}")
+
 
 def _merge_stack(stack, mult: Multiplier):
     """Append a multiplier, merged exactly into a same-form neighbor; an
@@ -227,7 +238,7 @@ class Measure(object):
             return None
         if self._atoms is None:
             q, b = self.quadrature.reference.coefficients(self.quadrature.n_nodes)
-            nodes, weights = tridiag.gauss_rule(q, b, self.precision.working_bits())
+            nodes, weights = tridiag.gauss_rule(q, b, self.precision.bits)
             self._atoms = tuple(nodes), tuple(weights)
         return self._atoms
 
@@ -240,7 +251,7 @@ class Measure(object):
         cfg = self.precision
         exact = cfg.mode == RATIONAL and all(m.form == "power_lift" for m in self.transforms)
         num = to_fraction if exact else to_mpf
-        with wp(cfg.working_bits() + 16):
+        with wp(cfg.bits + 16):
             sc = num(self.scale)
             out = []
             for t, w in zip(pts, wts):
@@ -267,7 +278,7 @@ class Measure(object):
         cfg = self.precision
         pts, wts = atoms
         num = (lambda x: x) if all_exact(cfg, pts, wts) else to_mpf
-        with wp(cfg.working_bits() + 16):
+        with wp(cfg.bits + 16):
             vals = [num(w) * f(num(t)) for t, w in zip(pts, wts)]
             if all(isinstance(v, (int, Fraction)) for v in vals):
                 return pairwise_sum(vals)
@@ -275,7 +286,7 @@ class Measure(object):
                 if not mp.isfinite(v):
                     raise NonFinite("integrand not finite at a support point")
             total = pairwise_sum(vals)
-        with wp(cfg.working_bits()):
+        with wp(cfg.bits):
             return +total
 
     def _integrate_adaptive(self, f: Callable):
@@ -297,7 +308,7 @@ class Measure(object):
             return v * f(t)
 
         spec = self.quadrature
-        with wp(cfg.working_bits() + 16):
+        with wp(cfg.bits + 16):
             val, err = mp.quad(g, interval, error=True, maxdegree=spec.max_subdiv)
             if not mp.isfinite(val):
                 raise NonFinite("adaptive quadrature produced a non-finite value")
@@ -305,7 +316,7 @@ class Measure(object):
                 raise QuadratureFailure(
                     f"error estimate {mp.nstr(err, 5)} exceeds budget {spec.tol}"
                 )
-        with wp(cfg.working_bits()):
+        with wp(cfg.bits):
             return +val
 
     def total_mass(self):
@@ -328,7 +339,7 @@ class Measure(object):
                 raise ZeroMass("measure has zero total mass")
             new_scale = to_fraction(self.scale) / mass
         else:
-            with wp(self.precision.working_bits() + 16):
+            with wp(self.precision.bits + 16):
                 mv = to_mpf(mass)
                 if not mp.isfinite(mv):
                     raise InfiniteMass("total mass is not finite")
@@ -347,7 +358,7 @@ class Measure(object):
         if cfg.mode == RATIONAL:
             a = to_fraction(alpha)
         else:
-            with wp(cfg.working_bits()):
+            with wp(cfg.bits):
                 a = to_mpf(alpha)
         if a == 0:
             return self
@@ -366,7 +377,7 @@ class Measure(object):
         section = self._section
         if section is not None:
             step = christoffel_step if n > 0 else inverse_christoffel_step
-            with wp(self.precision.working_bits() + _SECTION_GUARD):
+            with wp(self.precision.bits + _SECTION_GUARD):
                 for _ in range(abs(n)):
                     section = step(*section)
         return self._reweighted(mult, section)
@@ -409,15 +420,8 @@ class Measure(object):
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "Measure":
         cfg = document_precision(obj, precision)
         kind = obj.get("kind")
-        transforms = []
-        for item in document_list(obj.get("transforms", []), "transforms"):
-            if "gauss_damp" in item:
-                transforms.append(Multiplier("gauss_damp", convert(item["gauss_damp"], cfg)))
-            elif "power_lift" in item:
-                lift = document_int(item["power_lift"], "power_lift exponent")
-                transforms.append(Multiplier("power_lift", lift))
-            else:
-                raise ValueError(f"unknown transform entry {item!r}")
+        transforms = [Multiplier.from_json(item, cfg)
+                      for item in document_list(obj.get("transforms", []), "transforms")]
         scale = convert(obj.get("scale", 1), cfg)
         if kind == "atomic":
             pts = [convert(x, cfg) for x in document_list(obj["points"], "points")]
@@ -435,8 +439,8 @@ class Measure(object):
                 spec = QuadratureSpec("gauss_from_jacobi", reference=ref, n_nodes=n_nodes)
             else:
                 max_subdiv = document_int(qobj.get("max_subdiv", 10), "max_subdiv")
-                spec = QuadratureSpec(rule, max_subdiv=max_subdiv,
-                                      tol=float(qobj.get("tol", 1e-20)))
+                tol = convert(qobj.get("tol", 1e-20), PrecisionConfig.double())
+                spec = QuadratureSpec(rule, max_subdiv=max_subdiv, tol=tol)
             support = obj.get("support", REAL_LINE)
             if support != REAL_LINE:
                 support = tuple(convert(x, cfg) for x in document_list(support, "support"))
@@ -509,7 +513,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
     pts, wts = mu.effective_atoms()
     exact = all_exact(cfg, pts, wts)
     num = to_fraction if exact else to_mpf
-    bits = cfg.working_bits()
+    bits = cfg.bits
     with wp(bits + 32):
         t = [num(p) for p in pts]
         w = [num(x) for x in wts]
@@ -589,7 +593,7 @@ def _squared(q, b, cfg: PrecisionConfig):
     if cfg.mode == RATIONAL and not exact:
         return None
     num = to_fraction if exact else to_mpf
-    with wp(cfg.working_bits() + _SECTION_GUARD):
+    with wp(cfg.bits + _SECTION_GUARD):
         return [num(x) for x in q], [num(x) ** 2 for x in b]
 
 
@@ -601,7 +605,7 @@ def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMa
     square at or below 2^-(2 bits) ends the resolvable support: with
     ``partial`` the output stops there, otherwise FiniteSupport is raised.
     """
-    floor2 = 0 if all_exact(cfg, q, b2) else mp.ldexp(1, -2 * cfg.working_bits())
+    floor2 = 0 if all_exact(cfg, q, b2) else mp.ldexp(1, -2 * cfg.bits)
     depth = next((k for k, x in enumerate(b2, 1) if not x > floor2), len(q))
     if depth < len(q) and not partial:
         raise FiniteSupport(

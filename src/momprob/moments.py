@@ -148,7 +148,7 @@ def hankel_determinants(s: MomentSequence, k_max: int):
         )
     cfg = s.precision
     num = Fraction if cfg.mode == RATIONAL else to_mpf
-    with wp(4 * cfg.working_bits()):
+    with wp(4 * cfg.bits):
         vals = [num(v) for v in s.values]
         dets = [
             _det_pivoted([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
@@ -226,7 +226,7 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
     when the next doubling would pass ``_MAX_WORK_FACTOR`` times the
     requested mantissa.
     """
-    target = cfg.working_bits()
+    target = cfg.bits
     floor_b2 = mp.mpf(2) ** (-2 * target)
     count = 2 * n + 1 if n_moments is None else n_moments
     max_bits = _MAX_WORK_FACTOR * target
@@ -322,7 +322,7 @@ def jacobi_to_moments(J: JacobiMatrix, m: int) -> MomentSequence:
 
     exact = all_exact(cfg, q, b)
     num = Fraction if exact else to_mpf
-    with wp(cfg.working_bits() + 16):
+    with wp(cfg.bits + 16):
         qv = [num(x) for x in q]
         bv = [num(x) for x in b]
         v = [num(0)] * size

@@ -17,7 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import mpmath as mp
 
@@ -26,8 +26,6 @@ BIGFLOAT = "bigfloat"
 DOUBLE = "double"
 
 _MODES = (RATIONAL, BIGFLOAT, DOUBLE)
-
-Real = Union[int, float, Fraction, mp.mpf]
 
 # mpmath's working precision is process-global state; every precision block
 # in this package funnels through this reentrant lock so concurrent callers
@@ -61,33 +59,38 @@ def wp(bits: int) -> _LockedPrecision:
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Arithmetic mode plus the comparison tolerances used by that mode.
+    """Arithmetic mode and mantissa size; the tolerances follow from them.
 
     ``bits`` is the mantissa size for ``bigfloat`` work; in ``rational`` mode
     it only controls the precision of unavoidable irrational outputs (square
-    roots of exact values).
+    roots of exact values); ``double`` mode is 53 bits by definition.
     """
 
     mode: str = BIGFLOAT
     bits: int = 256
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown arithmetic mode {self.mode!r}")
         if self.mode == BIGFLOAT and self.bits < 53:
             raise ValueError("bigfloat mantissa must be at least 53 bits")
+        if self.mode == DOUBLE and self.bits != 53:
+            raise ValueError(f"double mode has 53 bits, got {self.bits!r}")
         if self.bits <= 0:
             raise ValueError("bits must be positive")
-        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0 and self.mode != RATIONAL:
-            # default tolerances: half the mantissa, which leaves ample slack
-            # for legitimate rounding while still catching real defects
-            tol = math.ldexp(1.0, -(self.working_bits() // 2))
-            object.__setattr__(self, "abs_tol", tol)
-            object.__setattr__(self, "rel_tol", tol)
+
+    @property
+    def abs_tol(self) -> float:
+        """Comparison floor: none in rational mode, 1e-12 for doubles, and
+        half the mantissa for bigfloats, which leaves ample slack for
+        legitimate rounding while still catching real defects."""
+        if self.mode == RATIONAL:
+            return 0.0
+        return 1e-12 if self.mode == DOUBLE else math.ldexp(1.0, -(self.bits // 2))
+
+    @property
+    def rel_tol(self) -> float:
+        return 1e-9 if self.mode == DOUBLE else self.abs_tol
 
     @classmethod
     def rational(cls, bits: int = 256) -> "PrecisionConfig":
@@ -99,10 +102,7 @@ class PrecisionConfig:
 
     @classmethod
     def double(cls) -> "PrecisionConfig":
-        return cls(mode=DOUBLE, bits=53, abs_tol=1e-12, rel_tol=1e-9)
-
-    def working_bits(self) -> int:
-        return 53 if self.mode == DOUBLE else self.bits
+        return cls(mode=DOUBLE, bits=53)
 
     # -- serialization ----------------------------------------------------
 
@@ -116,13 +116,14 @@ class PrecisionConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrecisionConfig":
+        """The config of a ``precision`` entry; ``bits`` is ignored in double
+        mode, and the tolerance keys of earlier versions are ignored."""
         if not isinstance(obj, dict):
             raise ValueError("precision must be a JSON object")
         mode = obj.get("mode", BIGFLOAT)
-        bits = document_int(obj.get("bits", 256), "bits")
-        abs_tol = float(obj.get("abs_tol", 0.0))
-        rel_tol = float(obj.get("rel_tol", 0.0))
-        return cls(mode=mode, bits=bits, abs_tol=abs_tol, rel_tol=rel_tol)
+        if mode == DOUBLE:
+            return cls.double()
+        return cls(mode=mode, bits=document_int(obj.get("bits", 256), "bits"))
 
 
 def document_precision(obj: dict, override: Optional[PrecisionConfig]) -> PrecisionConfig:
@@ -257,7 +258,7 @@ def sqrt_number(x, cfg: PrecisionConfig):
         rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
             return Fraction(rn, rd)
-    with wp(cfg.working_bits()):
+    with wp(cfg.bits):
         root = mp.sqrt(to_mpf(x) if isinstance(x, Fraction) else x)
     return float(root) if cfg.mode == DOUBLE else root
 
@@ -275,10 +276,9 @@ def format_number(x, cfg: PrecisionConfig) -> str:
         return str(x)
     if isinstance(x, float):
         return repr(x)
-    bits = cfg.working_bits()
     # nstr must not see the value re-rounded at the ambient precision
-    with wp(max(bits, mp.mp.prec)):
-        return mp.nstr(x, decimal_digits(bits), strip_zeros=True)
+    with wp(max(cfg.bits, mp.mp.prec)):
+        return mp.nstr(x, decimal_digits(cfg.bits), strip_zeros=True)
 
 
 def parse_complex(s, cfg: PrecisionConfig):
@@ -302,7 +302,7 @@ def parse_complex(s, cfg: PrecisionConfig):
 def format_complex(z, cfg: PrecisionConfig) -> str:
     """Render ``a+bi`` with both parts at the configured precision."""
     # mpc() and abs() round to the ambient precision, which may be lower
-    with wp(max(cfg.working_bits(), mp.mp.prec)):
+    with wp(max(cfg.bits, mp.mp.prec)):
         z = mp.mpc(z)
         re, im = z.real, z.imag
         sign = "+" if im >= 0 else "-"
@@ -317,8 +317,6 @@ def agreeing_bits(a, b) -> float:
         diff = abs(da - db)
         scale = max(abs(da), abs(db))
         if diff == 0:
-            return math.inf
-        if scale == 0:
             return math.inf
         ratio = scale / diff
         if ratio <= 1:

@@ -21,7 +21,7 @@ def assert_matches_lanczos(mu, n, partial=False):
     """measure_to_jacobi(mu, n) against the Lanczos oracle: same depth, and
     every entry within 2^-(bits-8) of it relative to max(|entry|, 1)."""
     pts, wts = mu.effective_atoms()
-    bits = mu.precision.working_bits()
+    bits = mu.precision.bits
     J = measure_to_jacobi(mu, n, partial=partial)
     q_ref, b_ref = lanczos_recurrence(pts, wts, min(n, len(pts)), bits, partial)
     assert J.n_stored == len(q_ref)

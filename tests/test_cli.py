@@ -12,7 +12,7 @@ import pytest
 import momprob
 from momprob import errors
 from momprob.cli import _exit_code, main
-from momprob.precision import convert
+from momprob.precision import PrecisionConfig, convert
 
 
 def run_cli(capsys, *argv):
@@ -658,6 +658,34 @@ class TestInfiniteDamping:
         assert (code, out, err) == (2, "", self.MESSAGE)
 
 
+class TestGaussDampRoutes:
+    # one reader for transform entries: a JSON-number exponent is read by its
+    # decimal text, so a measure document, a pipeline document and the flag
+    # damp by the same exponent and give the same matrix
+    ATOMS = {"kind": "atomic", "points": ["-1", "0", "2"], "weights": ["1/4", "1/2", "1/4"],
+             "precision": {"mode": "bigfloat", "bits": 128}}
+
+    def test_same_matrix(self, capsys, tmp_path):
+        def jacobi(*argv, doc):
+            code, out, _ = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+            assert code == 0
+            J = json.loads(out)
+            J = J.get("jacobi", J)
+            return J["q"], J["b"]
+
+        damp = [{"gauss_damp": 0.1}]
+        code, out, _ = run_cli(capsys, "transform", "--gauss-damp", "0.1",
+                               "--in", write_json(tmp_path, "atoms.json", self.ATOMS))
+        assert code == 0
+        routes = [
+            jacobi("measure-to-jacobi", "--n", "3", doc=dict(self.ATOMS, transforms=damp)),
+            jacobi("pipeline", doc={"measure": self.ATOMS, "transforms": damp, "n": 3}),
+            jacobi("measure-to-jacobi", "--n", "3", doc=json.loads(out)),
+        ]
+        assert routes[0] == routes[1] == routes[2]
+        assert routes[0][0][0].startswith("0.024457073025904936105")
+
+
 class TestDocumentIntegers:
     # integers in documents are read exactly: a bool or a non-integral
     # number is refused with exit 2, not truncated
@@ -782,7 +810,8 @@ class TestQuadratureSpecValues:
         ({"max_subdiv": -1}, "max_subdiv must be nonnegative"),
         ({"tol": "nan"}, "tol must be finite and positive, got nan"),
         ({"tol": "inf"}, "tol must be finite and positive, got inf"),
-    ], ids=["max-subdiv-negative", "tol-nan", "tol-inf"])
+        ({"tol": True}, "expected a number, got True"),
+    ], ids=["max-subdiv-negative", "tol-nan", "tol-inf", "tol-bool"])
     def test_validation_error(self, capsys, tmp_path, entry, message):
         doc = json.loads(json.dumps(ADAPTIVE_GAUSSIAN))
         doc["quadrature"].update(entry)
@@ -793,18 +822,25 @@ class TestQuadratureSpecValues:
 
 
 class TestPrecisionTolerances:
-    # a NaN abs_tol turned the s_0 = 1 check off; an infinite one read every
-    # sequence as not positive
+    # the tolerances follow from the mode: a document's abs_tol or rel_tol
+    # neither turns the s_0 = 1 check off nor reads positive D_k as zero
     @pytest.mark.parametrize("field, value", [
-        ("abs_tol", "nan"), ("abs_tol", "inf"), ("rel_tol", "nan"),
+        (field, value) for field in ("abs_tol", "rel_tol") for value in ("10", "nan", "inf", True)
     ])
     def test_validation_error(self, capsys, tmp_path, field, value):
-        doc = {"values": ["5", "0", "1"],
-               "precision": {"mode": "bigfloat", "bits": 128, field: value}}
-        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "1", "--in",
-                                 write_json(tmp_path, "in.json", doc))
+        precision = {"mode": "bigfloat", "bits": 128, field: value}
+        unnormalized = {"values": ["5", "0", "1", "0", "3"], "precision": precision}
+        code, out, err = run_cli(capsys, "moments-to-jacobi", "--n", "1", "--in",
+                                 write_json(tmp_path, "in.json", unnormalized))
         assert (code, out) == (2, "")
-        assert err == "error: ValueError: tolerances must be finite and nonnegative\n"
+        assert err == "error: ValueError: normalized sequence requires s_0 = 1\n"
+        gauss = write_json(tmp_path, "gauss.json",
+                           dict(unnormalized, values=["1", "0", "1", "0", "3"]))
+        code, out, _ = run_cli(capsys, "validate-moments", "--k-max", "2", "--in", gauss)
+        assert code == 0 and json.loads(out)["positive"] is True
+        code, out, _ = run_cli(capsys, "moments-to-jacobi", "--n", "2", "--in", gauss)
+        assert code == 0
+        assert json.loads(out)["precision"] == PrecisionConfig.bigfloat(128).to_json()
 
 
 class TestDocumentShape:
@@ -872,7 +908,10 @@ class TestBooleanNumbers:
         (["classify"], {"q": [0, True], "b": [1]}),
         (["measure-to-jacobi", "--n", "2"], dict(ATOMS, points=[False, 1, 2])),
         (["measure-to-jacobi", "--n", "2"], dict(ATOMS, weights=["1/4", "1/2", True])),
-    ], ids=["moments", "jacobi", "measure-points", "measure-weights"])
+        (["pipeline"], {"measure": ATOMS, "n": 3, "classify": {"eps_zero": True}}),
+        (["pipeline"], {"measure": ATOMS, "n": 3, "classify": {"eps_stable": True}}),
+    ], ids=["moments", "jacobi", "measure-points", "measure-weights", "pipeline-eps-zero",
+            "pipeline-eps-stable"])
     def test_validation_error(self, capsys, tmp_path, argv, doc, mode):
         code, out, err = run_cli(capsys, *argv, "--mode", mode,
                                  "--in", write_json(tmp_path, "in.json", doc))

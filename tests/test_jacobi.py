@@ -256,7 +256,7 @@ class TestClassify:
         if J.precision.mode == "double":
             assert all(type(r) is float for r in v.radii)
         else:
-            assert all(r._mpf_[3] <= J.precision.working_bits() for r in v.radii)
+            assert all(r._mpf_[3] <= J.precision.bits for r in v.radii)
 
     def test_verdict_serializes(self, hermite256):
         v = classify(hermite256, ClassifyPolicy(n_max=1000))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -24,17 +25,45 @@ def test_mode_validation():
         PrecisionConfig(mode="decimal")
     with pytest.raises(ValueError):
         PrecisionConfig(mode="bigfloat", bits=32)
-    with pytest.raises(ValueError):
-        PrecisionConfig(abs_tol=-1.0)
+    with pytest.raises(ValueError, match="^double mode has 53 bits, got 256$"):
+        PrecisionConfig(mode="double", bits=256)
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_tolerance_rejected(field, value):
-    with pytest.raises(ValueError, match="^tolerances must be finite and nonnegative$"):
+    # no config carries a tolerance of its own: the constructor takes none,
+    # and a document's tolerance key gives way to the mode's
+    with pytest.raises(TypeError):
         PrecisionConfig(**{field: value})
-    with pytest.raises(ValueError, match="^tolerances must be finite and nonnegative$"):
-        PrecisionConfig.from_json({field: str(value)})
+    cfg = PrecisionConfig.from_json({field: str(value)})
+    assert cfg == PrecisionConfig() and getattr(cfg, field) == math.ldexp(1.0, -128)
+
+
+def test_config_is_mode_and_bits():
+    assert [f.name for f in dataclasses.fields(PrecisionConfig)] == ["mode", "bits"]
+
+
+# a document's tolerance keys are ignored: the tolerances follow from the mode
+@pytest.mark.parametrize("doc, made, tols", [
+    ({"mode": "rational", "abs_tol": "1"}, PrecisionConfig.rational(), (0.0, 0.0)),
+    ({"mode": "double"}, PrecisionConfig.double(), (1e-12, 1e-9)),
+    ({"mode": "bigfloat", "bits": 128, "rel_tol": "1"}, PrecisionConfig.bigfloat(128),
+     (math.ldexp(1.0, -64), math.ldexp(1.0, -64))),
+], ids=["rational", "double", "bigfloat"])
+def test_derived_tolerances(doc, made, tols):
+    cfg = PrecisionConfig.from_json(doc)
+    assert cfg == made
+    assert (cfg.abs_tol, cfg.rel_tol) == tols
+    assert cfg.to_json() == dict(mode=cfg.mode, bits=cfg.bits,
+                                 abs_tol=repr(tols[0]), rel_tol=repr(tols[1]))
+
+
+def test_double_mode_is_53_bits():
+    # a double document's bits are ignored, as the arithmetic ignores them
+    for doc in ({"mode": "double"}, {"mode": "double", "bits": 256}):
+        assert PrecisionConfig.from_json(doc) == PrecisionConfig.double()
+    assert PrecisionConfig.double().bits == 53
 
 
 def test_default_tolerances_scale_with_bits():
@@ -128,7 +157,7 @@ def test_sqrt_number_correctly_rounded_from_any_precision():
         exact = mp.sqrt(x)
     for cfg in (PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
                 PrecisionConfig.rational(64)):
-        with mp.workprec(cfg.working_bits()):
+        with mp.workprec(cfg.bits):
             want = +exact
         got = sqrt_number(x, cfg)
         assert got == want
