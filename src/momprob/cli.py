@@ -69,8 +69,6 @@ _EXIT_CODES = {
     InsufficientMoments: EXIT_VALIDATION,
     RealPoint: EXIT_VALIDATION,
     ValueError: EXIT_VALIDATION,  # includes json.JSONDecodeError
-    KeyError: EXIT_VALIDATION,
-    TypeError: EXIT_VALIDATION,
     OSError: EXIT_VALIDATION,
 }
 
@@ -423,7 +421,7 @@ def run_pipeline(doc: dict, cfg=None) -> dict:
     Expected keys: "measure" (measure JSON), optional "transforms" list,
     "n" (recurrence depth), optional "classify" policy overrides.
     """
-    if "measure" not in doc:
+    if not isinstance(doc, dict) or "measure" not in doc:
         raise ValueError("pipeline document needs a 'measure' entry")
     mu = Measure.from_json(doc["measure"], precision=cfg)
     constants = []

@@ -10,9 +10,9 @@ Christiansen, J. Math. Anal. Appl. 277 (2003)):
 
     q_k = e^(2k-3/2) (1 + e^-1 - e^-k),    b_k = e^(2k-1) sqrt(1 - e^-k).
 
-The adaptive Hankel route of :mod:`momprob.moments` fed with
-:func:`lognormal_moment` reproduces these values and is kept as the
-independent check in the tests.
+The adaptive Hankel route of :mod:`momprob.moments`, fed the moments
+exp(k^2/2) stored at a higher precision, reproduces these values and is kept
+as the independent check in the tests.
 """
 from __future__ import annotations
 
@@ -40,12 +40,6 @@ def hermite_like(precision: Optional[PrecisionConfig] = None) -> JacobiMatrix:
             return mp.mpf(0), +bk
 
     return JacobiMatrix(generator=gen, precision=cfg, family=HERMITE_LIKE)
-
-
-def lognormal_moment(k: int, prec: int):
-    """s_k = exp(k^2/2) at ``prec`` bits."""
-    with wp(prec):
-        return mp.exp(mp.mpf(k) ** 2 / 2)
 
 
 @lru_cache(maxsize=32)

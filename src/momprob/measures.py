@@ -98,6 +98,8 @@ class Multiplier:
         """The multiplier of a transform entry, ``{"gauss_damp": x}`` or
         ``{"power_lift": n}``; a JSON-number exponent is read by its decimal
         text, like a flag value."""
+        if not isinstance(item, dict):
+            raise ValueError(f"a transform entry must be a JSON object, got {item!r}")
         if "gauss_damp" in item:
             return cls("gauss_damp", convert(str(item["gauss_damp"]), cfg))
         if "power_lift" in item:
@@ -153,7 +155,7 @@ _WEIGHTS = {
 
 
 def weight_function(name: str):
-    if name not in _WEIGHTS:
+    if not isinstance(name, str) or name not in _WEIGHTS:
         raise ValueError(f"unknown weight {name!r} (have: {sorted(_WEIGHTS)})")
     return _WEIGHTS[name]
 
@@ -424,8 +426,8 @@ class Measure(object):
                       for item in document_list(obj.get("transforms", []), "transforms")]
         scale = convert(obj.get("scale", 1), cfg)
         if kind == "atomic":
-            pts = [convert(x, cfg) for x in document_list(obj["points"], "points")]
-            wts = [convert(x, cfg) for x in document_list(obj["weights"], "weights")]
+            pts = [convert(x, cfg) for x in document_list(obj.get("points"), "points")]
+            wts = [convert(x, cfg) for x in document_list(obj.get("weights"), "weights")]
             return cls("atomic", points=pts, weights=wts, transforms=transforms,
                        scale=scale, precision=cfg)
         if kind == "density":
@@ -444,7 +446,7 @@ class Measure(object):
             support = obj.get("support", REAL_LINE)
             if support != REAL_LINE:
                 support = tuple(convert(x, cfg) for x in document_list(support, "support"))
-            return cls("density", weight_name=obj["weight"], support=support,
+            return cls("density", weight_name=obj.get("weight"), support=support,
                        quadrature=spec, transforms=transforms, scale=scale,
                        precision=cfg)
         raise ValueError(f"unknown measure kind {kind!r}")

@@ -68,11 +68,13 @@ class MomentSequence:
         for v in self.values:
             if not is_finite_number(v):
                 raise ValueError("moments must be finite")
-        s0 = self.values[0]
-        if self.precision.mode == RATIONAL:
-            if Fraction(s0) != 1:
-                raise ValueError("normalized sequence requires s_0 = 1")
-        elif abs(float(to_mpf(s0) - 1)) > max(self.precision.abs_tol, 1e-12):
+        cfg, s0 = self.precision, self.values[0]
+        if cfg.mode == RATIONAL:
+            off = Fraction(s0) != 1
+        else:
+            with wp(cfg.bits):
+                off = abs(to_mpf(s0) - 1) > cfg.abs_tol
+        if off:
             raise ValueError("normalized sequence requires s_0 = 1")
 
     def __len__(self):
@@ -94,7 +96,7 @@ class MomentSequence:
     @classmethod
     def from_json(cls, obj: dict, precision: Optional[PrecisionConfig] = None) -> "MomentSequence":
         cfg = document_precision(obj, precision)
-        return cls.from_values(document_list(obj["values"], "values"), cfg)
+        return cls.from_values(document_list(obj.get("values"), "values"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +177,6 @@ def _all_positive(dets, cfg: PrecisionConfig) -> bool:
 # Escalation stops before the working mantissa would pass this multiple of
 # the requested one: 4x, 8x, ..., 256x allows six agreement checks.
 _MAX_WORK_FACTOR = 256
-# Runs that cancellation has reduced to noise still share a bit or two by
-# chance, so agreement below this floor that fails to rise is not a stall.
-_NOISE_BITS = 16
 
 
 def _ldl_recurrence(svals, n):
@@ -212,38 +211,46 @@ def _ldl_recurrence(svals, n):
     return q, b2[1:]
 
 
-def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
-    """Adaptive-precision moments -> Jacobi for regenerable moment values.
+def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
+    """First ``n`` diagonal / ``n-1`` off-diagonal recurrence coefficients.
 
-    ``source(k, prec)`` must return s_k accurately at ``prec`` bits.  The
-    factorization runs at a working precision that starts at four times the
+    The coefficients need s_0..s_{2n-1}; when s_{2n} is also supplied the
+    strict positivity of the full Hankel section is verified.  A nonpositive
+    pivot raises DegenerateHankel (finitely supported input).
+
+    Rational input is factored exactly.  In float modes the stored values
+    are read as given, at a working precision that starts at four times the
     requested mantissa and doubles until two consecutive runs agree on every
     coefficient, which certifies the output against Hankel cancellation.  A
     run that finds a nonpositive pivot counts as a failed agreement; the
     DegenerateHankel is raised when two runs in a row stop at the same
-    pivot, or at the cap.  Escalation gives up with PrecisionLoss as soon as
-    a doubling fails to raise an agreement of at least ``_NOISE_BITS``, or
-    when the next doubling would pass ``_MAX_WORK_FACTOR`` times the
-    requested mantissa.
+    pivot, or at the cap.  Escalation gives up with PrecisionLoss when the
+    next doubling would pass ``_MAX_WORK_FACTOR`` times the requested
+    mantissa.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if len(s) < 2 * n:
+        raise InsufficientMoments(f"need at least {2 * n} moments, got {len(s)}")
+    cfg = s.precision
+    stored = s.values[: 2 * n + 1]
+    if cfg.mode == RATIONAL:
+        return JacobiMatrix.from_squares(*_ldl_recurrence([Fraction(v) for v in stored], n), cfg)
+
     target = cfg.bits
     floor_b2 = mp.mpf(2) ** (-2 * target)
-    count = 2 * n + 1 if n_moments is None else n_moments
-    max_bits = _MAX_WORK_FACTOR * target
 
     def compute(p):
         """(q, b2) at ``p`` bits, or the DegenerateHankel the run raised."""
         with wp(p):
-            svals = [to_mpf(source(k, p)) for k in range(count)]
             try:
-                return _ldl_recurrence(svals, n)
+                return _ldl_recurrence([to_mpf(v) for v in stored], n)
             except DegenerateHankel as exc:
                 return exc
 
-    p = 4 * target
+    p, agree = 4 * target, -math.inf
     prev = compute(p)
-    best, stalled = -math.inf, False
-    while not (stalled or 2 * p > max_bits):
+    while 2 * p <= _MAX_WORK_FACTOR * target:
         p *= 2
         cur = compute(p)
         if DegenerateHankel in (type(prev), type(cur)):  # no agreement to check
@@ -253,53 +260,19 @@ def _jacobi_from_moment_source(source, n, cfg, n_moments=None):
             continue
         (q_prev, b2_prev), (q_cur, b2_cur) = prev, cur
         with wp(p):
-            agree = math.inf
-            for a, b in zip(q_prev + b2_prev, q_cur + b2_cur):
-                agree = min(agree, agreeing_bits(a, b))
+            agree = min(agreeing_bits(a, b) for a, b in zip(q_prev + b2_prev, q_cur + b2_cur))
             scale = max([abs(x) for x in q_cur] + [mp.mpf(1)])
             collapsing = any(x < floor_b2 * scale * scale for x in b2_cur)
         if agree >= target + 8:
-            break
+            return JacobiMatrix.from_squares(q_cur, b2_cur, cfg)
         if collapsing:
-            raise DegenerateHankel(
-                "off-diagonal collapses below resolvable size "
-                "(finite-support input at this precision)"
-            )
-        stalled = best >= _NOISE_BITS and agree <= best
-        best = max(best, agree)
+            raise DegenerateHankel("off-diagonal collapses below resolvable size "
+                                   "(finite-support input at this precision)")
         prev = cur
-    else:
-        if isinstance(prev, DegenerateHankel):
-            raise prev
-        raise PrecisionLoss(
-            f"moments->Jacobi stalled at {best:.1f} agreeing bits "
-            f"(target {target}) after escalating to {p} bits"
-        )
-    return JacobiMatrix.from_squares(q_cur, b2_cur, cfg)
-
-
-def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
-    """First ``n`` diagonal / ``n-1`` off-diagonal recurrence coefficients.
-
-    The coefficients need s_0..s_{2n-1}; when s_{2n} is also supplied the
-    strict positivity of the full Hankel section is verified.  A nonpositive
-    pivot raises DegenerateHankel (finitely supported input).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(s) < 2 * n:
-        raise InsufficientMoments(f"need at least {2 * n} moments, got {len(s)}")
-    cfg = s.precision
-    if cfg.mode == RATIONAL:
-        svals = [Fraction(v) for v in s.values[: 2 * n + 1]]
-        return JacobiMatrix.from_squares(*_ldl_recurrence(svals, n), cfg)
-
-    stored = s.values[: 2 * n + 1]
-
-    def source(k, prec):
-        return stored[k]  # stored values are exact binary rationals, reused as-is
-
-    return _jacobi_from_moment_source(source, n, cfg, n_moments=len(stored))
+    if isinstance(prev, DegenerateHankel):
+        raise prev
+    raise PrecisionLoss(f"moments->Jacobi stalled at {agree:.1f} agreeing bits "
+                        f"(target {target}) after escalating to {p} bits")
 
 
 # ---------------------------------------------------------------------------

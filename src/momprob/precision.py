@@ -20,12 +20,16 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+from mpmath import libmp
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
 DOUBLE = "double"
 
 _MODES = (RATIONAL, BIGFLOAT, DOUBLE)
+# Largest mantissa and document integer (size, count or exponent); a mantissa
+# of 10^400 bits overflows mpmath's precision setter and leaves it set
+_MAX_INT = 2 ** 24
 
 # mpmath's working precision is process-global state; every precision block
 # in this package funnels through this reentrant lock so concurrent callers
@@ -76,8 +80,8 @@ class PrecisionConfig:
             raise ValueError("bigfloat mantissa must be at least 53 bits")
         if self.mode == DOUBLE and self.bits != 53:
             raise ValueError(f"double mode has 53 bits, got {self.bits!r}")
-        if self.bits <= 0:
-            raise ValueError("bits must be positive")
+        if not 0 < self.bits <= _MAX_INT:
+            raise ValueError(f"bits must be in 1..{_MAX_INT}, got {self.bits!r}")
 
     @property
     def abs_tol(self) -> float:
@@ -140,13 +144,16 @@ def document_precision(obj: dict, override: Optional[PrecisionConfig]) -> Precis
 
 def document_int(x, what: str) -> int:
     """An integer read from a document, as an integral number or string
-    ("2" from ``to_json``); bools and fractions raise ValueError."""
+    ("2" from ``to_json``); bools, fractions and integers above ``_MAX_INT``
+    in size raise ValueError."""
     try:
         f = _ratio(str(x))  # str(True) is no number
     except ValueError:
         f = None
     if f is None or f.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    if abs(f) > _MAX_INT:
+        raise ValueError(f"{what} must be at most {_MAX_INT} in size, got {x!r}")
     return int(f)
 
 
@@ -169,13 +176,17 @@ def _ratio(text: str) -> Fraction:
 
 def convert(x, cfg: PrecisionConfig):
     """Coerce ``x`` (number or decimal/ratio string) into cfg's arithmetic;
-    a bool is no number and raises ValueError."""
-    if isinstance(x, bool):
+    anything else, a bool, null, list or object included, raises ValueError
+    naming it, as does an int or ratio too large for a double."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, mp.mpf, str)):
         raise ValueError(f"expected a number, got {x!r}")
     if cfg.mode == RATIONAL:
         return to_fraction(x)
     if cfg.mode == DOUBLE:
-        return float(_ratio(x)) if isinstance(x, str) and "/" in x else float(x)
+        try:
+            return float(_ratio(x)) if isinstance(x, str) and "/" in x else float(x)
+        except OverflowError:
+            raise ValueError(f"{x!r} overflows a double") from None
     # bigfloat
     with wp(cfg.bits):
         return to_mpf(x)
@@ -205,13 +216,14 @@ def to_fraction(x) -> Fraction:
 
 
 def to_mpf(x):
-    """Convert to mpf at the current working precision."""
+    """Convert to mpf at the current working precision, rounding once."""
     if isinstance(x, mp.mpf):
         return +x
     if isinstance(x, str) and "/" in x:
         x = _ratio(x)
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.mp.prec,
+                                               libmp.round_nearest))
     return mp.mpf(x)
 
 
@@ -238,28 +250,35 @@ def rounded(values, cfg: PrecisionConfig) -> list:
         return [complex(x) if isinstance(x, (complex, mp.mpc)) else float(x) for x in values]
     keep = cfg.mode == RATIONAL
     with wp(cfg.bits):
-        return [x if keep and isinstance(x, (int, Fraction)) else +mp.mpmathify(x)
+        return [x if keep and isinstance(x, (int, Fraction))
+                else to_mpf(x) if isinstance(x, Fraction) else +mp.mpmathify(x)
                 for x in values]
 
 
 def sqrt_number(x, cfg: PrecisionConfig):
     """Square root in cfg's arithmetic, the one root rule.
 
-    A float or mpf x, at whatever precision it carries, gives its root
-    correctly rounded to the working mantissa (a float in double mode).  An
+    Any x, at whatever precision it carries, gives its root correctly
+    rounded to the working mantissa (a float in double mode), except that an
     int or Fraction x gives its exact root in rational mode when numerator
-    and denominator are perfect squares; otherwise it is first rounded to
-    the working mantissa.
+    and denominator are perfect squares.
     """
     if x < 0:
         raise ValueError("square root of negative value")
-    if cfg.mode == RATIONAL and isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
+    if isinstance(x, (int, Fraction)):
+        n, d = Fraction(x).as_integer_ratio()
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if cfg.mode == RATIONAL and rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
-    with wp(cfg.bits):
-        root = mp.sqrt(to_mpf(x) if isinstance(x, Fraction) else x)
+        # an integer root of n/d to bits + 2 or more bits, a sticky bit for
+        # any remainder, then one rounding
+        s = max(0, cfg.bits + 4 - (n.bit_length() - d.bit_length()) // 2)
+        r = math.isqrt((n << 2 * s) // d)
+        man = 2 * r + (r * r * d != n << 2 * s)
+        root = mp.make_mpf(libmp.from_man_exp(man, -s - 1, cfg.bits, libmp.round_nearest))
+    else:
+        with wp(cfg.bits):
+            root = mp.sqrt(x)
     return float(root) if cfg.mode == DOUBLE else root
 
 

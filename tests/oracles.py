@@ -259,6 +259,12 @@ def hankel_det_oracle(moments, k):
     )
 
 
+def lognormal_moment(k: int, prec: int):
+    """s_k = exp(k^2/2) of the lognormal moment problem at ``prec`` bits."""
+    with wp(prec):
+        return mp.exp(mp.mpf(k) ** 2 / 2)
+
+
 def atomic_moments(points, weights, m):
     """Exact moments of a rational atomic measure."""
     pts = [Fraction(p) for p in points]

@@ -86,6 +86,16 @@ class TestValidateMoments:
         assert code == 0
         assert calls == [1, 2, 3, 4, 5]
 
+    def test_s0_checked_at_the_working_precision(self, capsys, tmp_path):
+        # s_0 = 1 + 1e-13 is 2^-43 off, far above the 2^-128 floor of 256
+        # bits; a float comparison against 1e-12 let it through
+        doc = {"values": ["1.0000000000001", "0", "1", "0", "3"],
+               "precision": {"mode": "bigfloat", "bits": 256}}
+        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "2",
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: normalized sequence requires s_0 = 1\n"
+
     def test_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "validate-moments", "--in", "/no/such.json",
                                "--k-max", "2")
@@ -767,8 +777,8 @@ class TestExitCodes:
          None, 2, "RealPoint"),
         (["jacobi-to-moments", "--m", "2"], {"b": ["1"]}, 2, "ValueError"),
         (["measure-to-jacobi", "--n", "1"], {"kind": "atomic", "weights": ["1"]},
-         2, "KeyError"),
-        (["validate-moments", "--k-max", "1"], {"values": ["1", None, "1"]}, 2, "TypeError"),
+         2, "ValueError"),
+        (["validate-moments", "--k-max", "1"], {"values": ["1", None, "1"]}, 2, "ValueError"),
         (["jacobi-to-moments", "--m", "10"], {"q": ["0", "0"], "b": ["1"]},
          3, "CoefficientExhausted"),
         (["stone", "--route", "operator", "--family", "hermite_like", "--alpha", "1/2",
@@ -795,6 +805,8 @@ class TestExitCodes:
                 assert _exit_code(cls("x")) == (2 if cls in validation else 3), cls
         assert _exit_code(json.JSONDecodeError("x", "", 0)) == 2
         assert _exit_code(ZeroDivisionError()) is None
+        # a TypeError or KeyError is a programming error, not a bad document
+        assert _exit_code(TypeError()) is None and _exit_code(KeyError()) is None
 
 
 ADAPTIVE_GAUSSIAN = {"kind": "density", "weight": "gaussian",
@@ -896,6 +908,69 @@ class TestDocumentLists:
         code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {what} must be a JSON list, got {value!r}\n"
+
+
+class TestWrongJsonTypes:
+    # a null, list or object where a number belongs, a missing required
+    # field and a transform entry that is no object are validation errors
+    # naming what is wrong, not a TypeError or KeyError from the numerics
+    ATOMS = TestZeroDenominator.ATOMS
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["validate-moments", "--k-max", "1"], {"values": ["1", None, "1"]},
+         "expected a number, got None"),
+        (["moments-to-jacobi", "--n", "1"], {"values": ["1", [0], "1"]},
+         "expected a number, got [0]"),
+        (["jacobi-to-moments", "--m", "2"], {"q": [None], "b": []},
+         "expected a number, got None"),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, weights=["1/4", {}, "1/4"]),
+         "expected a number, got {}"),
+        (["measure-to-jacobi", "--n", "2"], dict(ADAPTIVE_GAUSSIAN, support=[None, "1"]),
+         "expected a number, got None"),
+        (["validate-moments", "--k-max", "1"], {"precision": {"mode": "rational"}},
+         "values must be a JSON list, got None"),
+        (["measure-to-jacobi", "--n", "2"], {"kind": "atomic", "weights": ["1"]},
+         "points must be a JSON list, got None"),
+        (["measure-to-jacobi", "--n", "2"], {"kind": "atomic", "points": ["1"]},
+         "weights must be a JSON list, got None"),
+        (["measure-to-jacobi", "--n", "2"], {"kind": "density"},
+         "density measure needs a weight name and quadrature"),
+        (["measure-to-jacobi", "--n", "2"], dict(ADAPTIVE_GAUSSIAN, weight=["gaussian"]),
+         "unknown weight ['gaussian'] (have: ['gaussian', 'lognormal-density', 'std_normal'])"),
+        (["measure-to-jacobi", "--n", "2"], dict(ATOMS, transforms=["gauss_damp"]),
+         "a transform entry must be a JSON object, got 'gauss_damp'"),
+        (["pipeline"], {"measure": ATOMS, "transforms": [1], "n": 2},
+         "a transform entry must be a JSON object, got 1"),
+        (["pipeline"], ["measure"], "pipeline document needs a 'measure' entry"),
+    ], ids=["moments-null", "moments-list", "jacobi-null", "measure-object", "support-null",
+            "missing-values", "missing-points", "missing-weights", "missing-weight",
+            "weight-list", "transform-string", "pipeline-transform-number",
+            "pipeline-list"])
+    def test_validation_error(self, capsys, tmp_path, argv, doc, message):
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message}\n"
+
+    def test_int_too_large_for_a_double(self, capsys, tmp_path):
+        # float(10**400) raised OverflowError, which no exit code covers
+        doc = {"values": [1, 10 ** 400, 1]}
+        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "1", "--mode", "double",
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {10 ** 400!r} overflows a double\n"
+
+    @pytest.mark.parametrize("argv, doc, what, value", [
+        (["validate-moments", "--k-max", "1"],
+         {"values": ["1", "0", "1"], "precision": {"mode": "bigfloat", "bits": 10 ** 400}},
+         "bits", 10 ** 400),
+        (["spectrum", "--n", "2"], {"family": "lognormal", "n": 1e300}, "family n", 1e300),
+    ], ids=["bits", "family-n"])
+    def test_huge_integer_refused(self, capsys, tmp_path, argv, doc, what, value):
+        # a mantissa of 10^400 bits overflowed mpmath's precision setting and
+        # left it set; a family of 10^300 rows ran until memory ran out
+        code, out, err = run_cli(capsys, *argv, "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {what} must be at most 16777216 in size, got {value!r}\n"
 
 
 class TestBooleanNumbers:

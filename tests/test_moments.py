@@ -20,8 +20,8 @@ from momprob import (
 )
 from momprob import families, moments
 from momprob.errors import CoefficientExhausted
-from momprob.moments import _jacobi_from_moment_source, _ldl_recurrence
-from momprob.precision import agreeing_bits, convert
+from momprob.moments import _ldl_recurrence
+from momprob.precision import agreeing_bits, to_mpf
 
 from oracles import (
     STD_NORMAL_MOMENTS,
@@ -29,6 +29,7 @@ from oracles import (
     atomic_moments,
     gram_schmidt_recurrence,
     hankel_det_oracle,
+    lognormal_moment,
 )
 
 
@@ -293,10 +294,12 @@ class TestLognormalInverse:
 
 class TestLognormalClosedForm:
     def test_agrees_with_hankel_route(self):
-        # the adaptive Hankel route on the exact moments stays as the oracle
+        # the adaptive Hankel route on the exact moments stays as the oracle:
+        # stored at 4096 bits, every run reads them at its own precision
         cfg = PrecisionConfig.bigfloat(512)
         J = families.lognormal(30, cfg)
-        H = _jacobi_from_moment_source(families.lognormal_moment, 30, cfg)
+        s = MomentSequence(tuple(lognormal_moment(k, 4096) for k in range(61)), cfg)
+        H = moments_to_jacobi(s, 30)
         with mp.workprec(512 + 64):
             for k, (a, b) in enumerate(zip(J._q + J._b, H._q + H._b)):
                 assert agreeing_bits(a, b) >= 504, f"coefficient {k}"
@@ -307,81 +310,91 @@ class TestLognormalClosedForm:
 
         # the adaptive route and the LDL^T kernel under every Hankel route,
         # looked up in the moments module at call time
-        for name in ("_jacobi_from_moment_source", "_ldl_recurrence"):
+        for name in ("moments_to_jacobi", "_ldl_recurrence"):
             monkeypatch.setattr(moments, name, refuse)
         families._lognormal_coeffs.cache_clear()
         J = families.lognormal(30, PrecisionConfig.bigfloat(512))
         assert J.n_stored == 30 and J.family == "lognormal"
 
 
+# six atoms at c + (-2, ..., 3): the Hankel section of order 5 loses about
+# 2 * 5 * log2(c) bits to cancellation, so a larger c needs more runs
+SIX_WEIGHTS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8),
+               Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
+
+
+def shifted_six_atoms(c, t=53):
+    """Exact moments s_0..s_10 of the six atoms, kept as Fractions in a
+    bigfloat sequence of ``t`` bits."""
+    values = atomic_moments([c + k for k in range(-2, 4)], SIX_WEIGHTS, 10)
+    return MomentSequence(tuple(values), PrecisionConfig.bigfloat(t))
+
+
+@pytest.fixture
+def run_bits(monkeypatch):
+    """The working precision of every LDL^T run, in call order."""
+    seen = []
+
+    def counting(svals, n):
+        seen.append(mp.mp.prec)
+        return _ldl_recurrence(svals, n)
+
+    monkeypatch.setattr(moments, "_ldl_recurrence", counting)
+    return seen
+
+
 class TestPrecisionEscalation:
-    def test_unstable_source_raises(self):
-        # a source whose values never stabilize across precisions cannot be
-        # certified and must end in PrecisionLoss, not a silent wrong answer
-        cfg = PrecisionConfig.bigfloat(128)
-        calls = {"n": 0}
+    def exact_rounded(self, s, n):
+        # the exact rational route, rounded once to the sequence's precision
+        return JacobiMatrix.from_squares(*_ldl_recurrence(list(s.values), n), s.precision)
 
-        def jitter_source(k, prec):
-            calls["n"] += 1
-            with mp.workprec(prec):
-                base = [1, 0, 1, 0, 3, 0, 15][k]
-                return mp.mpf(base) + mp.mpf(2) ** (-20) * ((calls["n"] * 37) % 11)
-
-        with pytest.raises((PrecisionLoss, DegenerateHankel)):
-            _jacobi_from_moment_source(jitter_source, 3, cfg)
-
-    def test_source_losing_ten_times_the_target_certifies(self):
-        # below 10t working bits the runs are noise (a point mass whose
-        # location flips with the precision), above it their error is
-        # 2^(10t - p): two checks agree on a bit or so, then 32t certifies
+    def test_source_losing_ten_times_the_target_certifies(self, run_bits):
+        # c = 2^60 costs about 600 bits, over ten times t = 53: the runs up to
+        # 16t are noise or stop at a pivot, and 16t against 32t certifies
         t = 53
-        seen = []
+        s = shifted_six_atoms(2 ** 60, t)
+        J = moments_to_jacobi(s, 5)
+        assert run_bits == [4 * t, 8 * t, 16 * t, 32 * t]
+        expect = self.exact_rounded(s, 5)
+        assert (J._q, J._b) == (expect._q, expect._b)
 
-        def lossy_source(k, prec):
-            seen.append(prec)
-            with mp.workprec(prec):
-                w = min(mp.mpf(1) / 4, mp.mpf(2) ** (10 * t - prec))
-                return mp.factorial(k) + w * (2 + prec.bit_length() % 2) ** k
-
-        J = _jacobi_from_moment_source(lossy_source, 4, PrecisionConfig.bigfloat(t))
-        assert max(seen) == 32 * t
-        # exponential weight: Laguerre recurrence q_k = 2k - 1, b_k = k
-        assert list(J._q) == [1, 3, 5, 7] and list(J._b) == [1, 2, 3]
-
-    def test_run_with_a_nonpositive_pivot_escalates(self):
-        # below 8t working bits s_4 is 5 short, which makes d_2 = -1; that
-        # run counts as a failed agreement, so the loop doubles and 8t and
-        # 16t certify the Laguerre recurrence
+    def test_run_with_a_nonpositive_pivot_escalates(self, run_bits):
+        # c = 2^30: the 4t run finds a nonpositive pivot, which counts as a
+        # failed agreement, so the loop doubles and 8t and 16t certify
         t = 53
-        seen = []
+        s = shifted_six_atoms(2 ** 30, t)
+        with mp.workprec(4 * t):
+            with pytest.raises(DegenerateHankel):
+                _ldl_recurrence([to_mpf(v) for v in s.values], 5)
+        J = moments_to_jacobi(s, 5)
+        assert run_bits == [4 * t, 8 * t, 16 * t]
+        expect = self.exact_rounded(s, 5)
+        assert (J._q, J._b) == (expect._q, expect._b)
 
-        def source(k, prec):
-            seen.append(prec)
-            return factorial(k) - (5 if k == 4 and prec < 8 * t else 0)
-
-        J = _jacobi_from_moment_source(source, 4, PrecisionConfig.double())
-        assert sorted(set(seen)) == [4 * t, 8 * t, 16 * t]
-        assert list(J._q) == [1, 3, 5, 7] and list(J._b) == [1, 2, 3]
+    def test_cap_raises_precision_loss(self, run_bits, monkeypatch):
+        # the same input with the cap at 16t: no two runs agree before it
+        t = 53
+        monkeypatch.setattr(moments, "_MAX_WORK_FACTOR", 16)
+        with pytest.raises(PrecisionLoss, match=(
+                rf"^moments->Jacobi stalled at .* agreeing bits \(target {t}\) "
+                rf"after escalating to {16 * t} bits$")):
+            moments_to_jacobi(shifted_six_atoms(2 ** 60, t), 5)
+        assert run_bits == [4 * t, 8 * t, 16 * t]
 
     @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(256)],
                              ids=["double", "bigfloat-256"])
-    def test_finite_support_raises_after_two_runs(self, cfg):
+    def test_finite_support_raises_after_two_runs(self, cfg, run_bits):
         # three atoms: every run stops at d_3, as the exact factorization
         # does, and the second run that agrees on it ends the escalation
         values = atomic_moments([-1, 0, 2], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 8)
         with pytest.raises(DegenerateHankel) as exact:
             moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.rational()), 4)
-        seen = []
-
-        def source(k, prec):
-            seen.append(prec)
-            return convert(values[k], cfg)
-
+        run_bits.clear()
         with pytest.raises(DegenerateHankel) as got:
-            _jacobi_from_moment_source(source, 4, cfg)
+            moments_to_jacobi(MomentSequence.from_values(values, cfg), 4)
         assert str(got.value) == str(exact.value) == (
             "Hankel pivot d_3 is not positive (finite-support input)")
-        assert len(set(seen)) == 2
+        assert run_bits == [4 * cfg.bits, 8 * cfg.bits]
 
     @pytest.mark.parametrize("moment, n, pivot", [
         (factorial, 40, 21),
@@ -416,28 +429,23 @@ class TestPrecisionEscalation:
             hi = (Fraction(b) + Fraction(nextafter(b, inf))) / 2
             assert lo * lo <= x <= hi * hi, k
 
-    def test_noise_limited_source_stalls_early(self):
-        # a fixed 2^-40 error that changes with the precision holds the
-        # agreement near 38 bits; the first doubling that fails to raise it
-        # must end the escalation, long before the work cap
-        cfg = PrecisionConfig.bigfloat(128)
-        seen = []
-
-        def noisy_source(k, prec):
-            seen.append(prec)
-            with mp.workprec(prec):
-                x = 2 + prec.bit_length() % 2
-                return mp.factorial(k) + mp.mpf(2) ** (-40) * x ** k
-
-        with pytest.raises(PrecisionLoss):
-            _jacobi_from_moment_source(noisy_source, 4, cfg)
-        assert max(seen) == 16 * 128
-
 
 class TestMomentSequenceValidation:
     def test_normalized_flag_enforced(self, rational):
         with pytest.raises(ValueError):
             MomentSequence.from_values([2, 0, 1], rational)
+
+    def test_s0_floor_is_the_mode_tolerance(self):
+        # s_0 is compared at the working precision against abs_tol: 2^-128
+        # at 256 bits, 1e-12 in double mode
+        big = PrecisionConfig.bigfloat(256)
+        MomentSequence.from_values([1 + Fraction(1, 2 ** 200), 0, 1], big)
+        MomentSequence.from_values([1 + 1e-13, 0, 1], PrecisionConfig.double())
+        for s0 in (1 + Fraction(1, 2 ** 100), "1.0000000000001"):
+            with pytest.raises(ValueError, match="^normalized sequence requires s_0 = 1$"):
+                MomentSequence.from_values([s0, 0, 1], big)
+        with pytest.raises(ValueError, match="^normalized sequence requires s_0 = 1$"):
+            MomentSequence.from_values([1 + 1e-11, 0, 1], PrecisionConfig.double())
 
     def test_json_roundtrip(self):
         cfg = PrecisionConfig.bigfloat(128)

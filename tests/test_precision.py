@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from momprob.precision import (
     rounded,
     sqrt_number,
     to_fraction,
+    to_mpf,
 )
 
 
@@ -38,6 +40,15 @@ def test_non_finite_tolerance_rejected(field, value):
         PrecisionConfig(**{field: value})
     cfg = PrecisionConfig.from_json({field: str(value)})
     assert cfg == PrecisionConfig() and getattr(cfg, field) == math.ldexp(1.0, -128)
+
+
+def test_bits_bounded():
+    prec = mp.mp.prec
+    for bits in (0, 2 ** 24 + 1, 10 ** 400):
+        with pytest.raises(ValueError, match="^bits must be in 1..16777216, got "):
+            PrecisionConfig.rational(bits)
+    assert mp.mp.prec == prec
+    assert PrecisionConfig.bigfloat(2 ** 24).bits == 2 ** 24
 
 
 def test_config_is_mode_and_bits():
@@ -187,3 +198,53 @@ def test_rounding_boundary_stays_in_precision():
         text = (src / name).read_text()
         assert not re.search(r"\bDOUBLE\b", text), name
         assert not re.search(r"\bmath\.sqrt\(", text), name
+
+
+def nearest(f: Fraction, bits: int):
+    """``f`` rounded to nearest (ties to even) at ``bits`` bits, exactly."""
+    e = bits - (f.numerator.bit_length() - f.denominator.bit_length())
+    while abs(f) * Fraction(2) ** e >= 2 ** bits:
+        e -= 1
+    while abs(f) * Fraction(2) ** e < 2 ** (bits - 1):
+        e += 1
+    with mp.workprec(bits):
+        return mp.mpf((round(f * Fraction(2) ** e), -e))
+
+
+def random_ratios(count, seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.getrandbits(200) | 1, rng.getrandbits(120) | 1) * rng.choice([1, -1])
+            for _ in range(count)]
+
+
+def test_to_mpf_rounds_a_ratio_once():
+    # mpf(p) / q rounded p to the mantissa and then the quotient: a quarter
+    # of 64-bit results were an ulp off
+    with mp.workprec(64):
+        for f in random_ratios(400, 1):
+            assert to_mpf(f) == nearest(f, 64), f
+            assert convert(f"{f.numerator}/{f.denominator}", PrecisionConfig.bigfloat(64)) \
+                == nearest(f, 64), f
+
+
+def test_rounded_ratio_is_nearest():
+    # mpmathify rounds a Fraction toward zero
+    ratios = random_ratios(200, 2)
+    assert rounded(ratios, PrecisionConfig.bigfloat(64)) == [nearest(f, 64) for f in ratios]
+
+
+def test_sqrt_number_of_a_ratio_is_correctly_rounded():
+    # the root of a non-square ratio, against a 2,000-bit root rounded to
+    # 256 bits; rounding the ratio first missed 184 of these by an ulp
+    cfg = PrecisionConfig.rational(256)
+    for n in range(1, 40):
+        for d in range(2, 40):
+            f = Fraction(n, d)
+            if isinstance(sqrt_number(f, cfg), Fraction):
+                continue  # a square ratio has its exact root
+            with mp.workprec(2000):
+                exact = mp.sqrt(mp.mpf(n) / d)
+            with mp.workprec(256):
+                assert sqrt_number(f, cfg) == +exact, f
+    with mp.workprec(53):
+        assert sqrt_number(Fraction(2, 3), PrecisionConfig.double()) == float(mp.sqrt(mp.mpf(2) / 3))
