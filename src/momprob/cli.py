@@ -38,10 +38,10 @@ from .jacobi import (
 from .measures import Measure, Multiplier, measure_to_jacobi
 from .moments import (
     MomentSequence,
-    _all_positive,
     hankel_determinants,
     jacobi_to_moments,
     moments_to_jacobi,
+    validate_positive,
 )
 from .precision import (
     BIGFLOAT,
@@ -257,7 +257,7 @@ def _dispatch(args) -> int:
         s = _load_moments(args)
         dets = hankel_determinants(s, args.k_max)
         _emit(args, {
-            "positive": _all_positive(dets, s.precision),
+            "positive": validate_positive(s, args.k_max),
             "determinants": [format_number(d, s.precision) for d in dets],
         })
         return EXIT_OK

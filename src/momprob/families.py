@@ -16,13 +16,14 @@ as the independent check in the tests.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
 
 from .jacobi import JacobiMatrix
-from .precision import BIGFLOAT, PrecisionConfig, document_int, wp
+from .precision import BIGFLOAT, PrecisionConfig, document_int, sqrt_number, wp
 
 HERMITE_LIKE = "hermite_like"
 LOGNORMAL = "lognormal"
@@ -31,13 +32,9 @@ LOGNORMAL = "lognormal"
 def hermite_like(precision: Optional[PrecisionConfig] = None) -> JacobiMatrix:
     """q = 0, b_k = sqrt(k/2); coefficients generated on demand."""
     cfg = precision if precision is not None else PrecisionConfig()
-    bits = cfg.bits
 
     def gen(k: int):
-        with wp(bits + 8):
-            bk = mp.sqrt(mp.mpf(k) / 2)
-        with wp(bits):
-            return mp.mpf(0), +bk
+        return mp.mpf(0), sqrt_number(Fraction(k, 2), cfg)
 
     return JacobiMatrix(generator=gen, precision=cfg, family=HERMITE_LIKE)
 

@@ -511,7 +511,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
     cfg = mu.precision
     if mu._section is not None:
         q, b2 = mu._section
-        return _jacobi_from_squares(q[:n], b2[:n - 1], cfg, partial)
+        return _jacobi_from_squares(q[:n], b2[:n - 1], mu, partial)
     pts, wts = mu.effective_atoms()
     exact = all_exact(cfg, pts, wts)
     num = to_fraction if exact else to_mpf
@@ -546,7 +546,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
                 tk = sig * (q[k] - lam) - gam * tprev
                 q[k] -= tk - tprev
                 pn = tk * tk / sig if sig > 0 else tsig * bk
-    return _jacobi_from_squares(q, b2[1:], cfg, partial)
+    return _jacobi_from_squares(q, b2[1:], mu, partial)
 
 
 def christoffel_step(q, b2):
@@ -599,15 +599,18 @@ def _squared(q, b, cfg: PrecisionConfig):
         return [num(x) for x in q], [num(x) ** 2 for x in b]
 
 
-def _jacobi_from_squares(q, b2, cfg: PrecisionConfig, partial: bool) -> JacobiMatrix:
-    """The Jacobi matrix with diagonal ``q`` and squared off-diagonal ``b2``.
+def _jacobi_from_squares(q, b2, mu: Measure, partial: bool) -> JacobiMatrix:
+    """The Jacobi matrix of ``mu`` with diagonal ``q`` and squared off-diagonal ``b2``.
 
     The entries are exact (rational mode with int or Fraction entries) or
-    carry guard bits over ``cfg``; they are rounded once to ``cfg``.  A
-    square at or below 2^-(2 bits) ends the resolvable support: with
-    ``partial`` the output stops there, otherwise FiniteSupport is raised.
+    carry guard bits over mu's precision; they are rounded once to it.  A
+    square at or below 2^-(2 bits) min(1, max|atom|)^2, the eigensolver's
+    min(1, |T|) rule, ends the resolvable support: with ``partial`` the
+    output stops there, otherwise FiniteSupport is raised.
     """
-    floor2 = 0 if all_exact(cfg, q, b2) else mp.ldexp(1, -2 * cfg.bits)
+    cfg = mu.precision
+    unit = min(1, to_mpf(max(abs(t) for t in mu.base_atoms()[0])))
+    floor2 = 0 if all_exact(cfg, q, b2) else mp.ldexp(unit * unit, -2 * cfg.bits)
     depth = next((k for k, x in enumerate(b2, 1) if not x > floor2), len(q))
     if depth < len(q) and not partial:
         raise FiniteSupport(

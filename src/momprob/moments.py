@@ -142,12 +142,7 @@ def hankel_determinants(s: MomentSequence, k_max: int):
     four times the requested mantissa (Hankel conditioning degrades fast) and
     rounded back on return.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if len(s) < 2 * k_max + 1:
-        raise InsufficientMoments(
-            f"need {2 * k_max + 1} moments for D_{k_max}, got {len(s)}"
-        )
+    _check_order(s, k_max)
     cfg = s.precision
     num = Fraction if cfg.mode == RATIONAL else to_mpf
     with wp(4 * cfg.bits):
@@ -159,16 +154,28 @@ def hankel_determinants(s: MomentSequence, k_max: int):
     return rounded(dets, cfg)
 
 
+def _check_order(s: MomentSequence, k_max: int):
+    """Refuse a negative ``k_max``, or one past the moments ``s`` holds:
+    D_k and the pivot d_k read s_0..s_2k."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    if len(s) < 2 * k_max + 1:
+        raise InsufficientMoments(f"need {2 * k_max + 1} moments for D_{k_max}, got {len(s)}")
+
+
 def validate_positive(s: MomentSequence, k_max: int) -> bool:
-    """Strict positivity of D_0 ... D_{k_max} (solvability of the problem)."""
-    return _all_positive(hankel_determinants(s, k_max), s.precision)
-
-
-def _all_positive(dets, cfg: PrecisionConfig) -> bool:
-    """Whether every determinant is positive: above zero in rational mode,
-    above ``cfg.abs_tol`` otherwise."""
-    floor = 0 if cfg.mode == RATIONAL else cfg.abs_tol
-    return all(d > floor for d in dets)
+    """Strict positivity of D_0 ... D_{k_max} (solvability of the problem):
+    whether :func:`moments_to_jacobi` of order ``k_max``, which reads every
+    pivot d_0..d_{k_max}, finds none nonpositive.  Exact in rational mode,
+    certified by agreement in float modes (PrecisionLoss where it cannot be).
+    """
+    _check_order(s, k_max)
+    try:
+        if k_max:  # d_0 = s_0 = 1
+            moments_to_jacobi(s, k_max)
+    except DegenerateHankel:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +192,10 @@ def _ldl_recurrence(svals, n):
     ``svals`` must hold s_0..s_{2n-1}, optionally also s_{2n}, in a field
     that supports comparison with zero (Fraction, or mpf under an ambient
     workprec).  The coefficients themselves need only s_0..s_{2n-1}; when
-    s_{2n} is present the last pivot d_n is additionally checked.  Raises
-    DegenerateHankel on a nonpositive pivot.  Column k steps to
+    s_{2n} is present the last pivot d_n is additionally checked, and
+    b_n^2 = d_n / d_{n-1} follows the others, so the squares hold every
+    pivot that was read.  Raises DegenerateHankel on a nonpositive pivot.
+    Column k steps to
     sigma_(k+1,l) = sigma_(k,l+1) - q_(k+1) sigma_(k,l) - b_k^2 sigma_(k-1,l).
     """
     zero = svals[0] - svals[0]
@@ -196,15 +205,18 @@ def _ldl_recurrence(svals, n):
     d_prev, r_prev = zero + 1, zero
     q, b2 = [], []
     for k in range(n + 1):
-        if cur and not cur[0] > 0:  # d_n is read only when s_2n is given
+        if not cur:  # d_n is read only when s_2n is given
+            break
+        d = cur[0]
+        if not d > 0:
             raise DegenerateHankel(
                 f"Hankel pivot d_{k} is not positive (finite-support input)"
             )
+        b2.append(d / d_prev)
         if k == n:
             break
-        d, r = cur[0], cur[1] / cur[0]
+        r = cur[1] / d
         q.append(r - r_prev)
-        b2.append(d / d_prev)
         prev, cur = cur, [x2 - q[k] * x1 - b2[k] * p
                           for x1, x2, p in zip(cur[1:], cur[2:], prev[2:])]
         d_prev, r_prev = d, r
@@ -221,7 +233,8 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
     Rational input is factored exactly.  In float modes the stored values
     are read as given, at a working precision that starts at four times the
     requested mantissa and doubles until two consecutive runs agree on every
-    coefficient, which certifies the output against Hankel cancellation.  A
+    coefficient, and on b_n^2 = d_n / d_{n-1} when s_{2n} is supplied, which
+    certifies the output and every pivot against Hankel cancellation.  A
     run that finds a nonpositive pivot counts as a failed agreement; the
     DegenerateHankel is raised when two runs in a row stop at the same
     pivot, or at the cap.  Escalation gives up with PrecisionLoss when the
@@ -235,7 +248,8 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
     cfg = s.precision
     stored = s.values[: 2 * n + 1]
     if cfg.mode == RATIONAL:
-        return JacobiMatrix.from_squares(*_ldl_recurrence([Fraction(v) for v in stored], n), cfg)
+        q, b2 = _ldl_recurrence([Fraction(v) for v in stored], n)
+        return JacobiMatrix.from_squares(q, b2[:n - 1], cfg)
 
     target = cfg.bits
     floor_b2 = mp.mpf(2) ** (-2 * target)
@@ -264,7 +278,7 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
             scale = max([abs(x) for x in q_cur] + [mp.mpf(1)])
             collapsing = any(x < floor_b2 * scale * scale for x in b2_cur)
         if agree >= target + 8:
-            return JacobiMatrix.from_squares(q_cur, b2_cur, cfg)
+            return JacobiMatrix.from_squares(q_cur, b2_cur[:n - 1], cfg)
         if collapsing:
             raise DegenerateHankel("off-diagonal collapses below resolvable size "
                                    "(finite-support input at this precision)")

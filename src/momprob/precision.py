@@ -28,7 +28,7 @@ DOUBLE = "double"
 
 _MODES = (RATIONAL, BIGFLOAT, DOUBLE)
 # Largest mantissa and document integer (size, count or exponent); a mantissa
-# of 10^400 bits overflows mpmath's precision setter and leaves it set
+# of 10^400 bits overflows mpmath's precision setter
 _MAX_INT = 2 ** 24
 
 # mpmath's working precision is process-global state; every precision block
@@ -46,8 +46,13 @@ class _LockedPrecision:
 
     def __enter__(self):
         MP_LOCK.acquire()
-        self._inner = mp.workprec(self.bits)
-        return self._inner.__enter__()
+        prec, self._inner = mp.mp.prec, mp.workprec(self.bits)
+        try:
+            return self._inner.__enter__()
+        except BaseException:  # mpmath stores a mantissa it then fails to set
+            mp.mp.prec = prec
+            MP_LOCK.release()
+            raise
 
     def __exit__(self, *exc):
         try:

@@ -96,6 +96,27 @@ class TestValidateMoments:
         assert (code, out) == (2, "")
         assert err == "error: ValueError: normalized sequence requires s_0 = 1\n"
 
+    @pytest.mark.parametrize("k_max", [5, 10])
+    @pytest.mark.parametrize("mode", ["rational", "double", "bigfloat"])
+    def test_uniform_measure_positive_in_every_mode(self, capsys, tmp_path, mode, k_max):
+        # s_k = 1/(k+1): the verdict comes from the certified pivots, not from
+        # D_5 = 5.4e-18 or D_10 = 3.0e-65 against 1e-12 or 2^-128
+        doc = {"values": [f"1/{k + 1}" for k in range(2 * k_max + 1)]}
+        code, out, _ = run_cli(capsys, "validate-moments", "--k-max", str(k_max),
+                               "--mode", mode, "--in", write_json(tmp_path, "in.json", doc))
+        assert code == 0
+        assert json.loads(out)["positive"] is True
+
+    def test_uncertified_verdict_exits_3(self, capsys, tmp_path):
+        # three atoms {0, 2, 4} at k_max 4 in double mode: no two runs agree,
+        # so no verdict is printed
+        doc = {"values": ["1", "5/2", "9", "34", "132", "520", "2064", "8224", "32832"],
+               "precision": {"mode": "double"}}
+        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "4",
+                                 "--in", write_json(tmp_path, "in.json", doc))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: PrecisionLoss: ")
+
     def test_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "validate-moments", "--in", "/no/such.json",
                                "--k-max", "2")
@@ -486,7 +507,9 @@ class TestAlphaParsing:
 # and jacobi.py two hand-written recurrence loops; the shared kernels in
 # tridiag.py must reproduce every byte.
 KERNEL_STDOUT_SHA256 = {
-    "pi-eval": "a7a9b9ce71982eb4b613b4cff02ecd5562f6842e6011f89d13266a93007e145e",
+    # re-pinned when the Hermite rows took their roots from sqrt_number:
+    # b_170 was an ulp off, which moves the values from pi_171 on
+    "pi-eval": "98247bc3a84ee5b29b5af42d4a85bc4b475885dc70b9b3374afef451e95ec4a8",
     "pi-eval-double": "6eda0142bc25a0c51cac377e40e1124457c349eeae28232e17b84608087a3594",
     "pi-eval-lognormal": "49a3c59954961aa6e0ff8c776ec1fd4863be3c2107005d221828f774bc778573",
     "weyl-radii": "4c00b786788f61bdef9bcfc3264f36c40ce0fc4439424d44262f804d46f8bac9",
@@ -507,7 +530,9 @@ KERNEL_STDOUT_SHA256 = {
     "transform-power-lift": "aa976af3819fc3e77e39594635e8a20e1d9bc5791736bcce0f590a060b48f458",
     # printed while moments.py rounded results to each mode by hand
     "validate-moments-rational": "a1fdfab2eb5ca314d60dbf0f695c0b481be53e38d51cc4e62791034971e439db",
-    "validate-moments-double": "e0adc852f8065e018063d9164fb69be5b5dded759da0f736e75ebe38ce97415b",
+    # re-pinned when the verdict came from the certified pivots: it read
+    # false, D_5 = 5.4e-18 of a positive definite sequence being below 1e-12
+    "validate-moments-double": "b98577834882f6fd2a19beaf84098f190e9cfa968ba927cf11bcdcbaf3de8d61",
     "validate-moments-bigfloat": "294b8218c448eb150ae80baa1fb5e815e6a605eb2b9c343181ea79ee54a17a21",
     "moments-to-jacobi-bigfloat": "bb9aff95fc56b4967d395fef4c64c87d19954bb53d41dfb3a897702fe4a064bb",
 }

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -22,6 +24,13 @@ from momprob import (
 from momprob.families import hermite_like, lognormal
 
 from conftest import assert_close
+
+
+@pytest.fixture(scope="module")
+def hermite_roots_2000():
+    """sqrt(k/2) for k = 1..8192 at 2,000 bits, to be rounded once."""
+    with mp.workprec(2000):
+        return [mp.sqrt(mp.mpf(k) / 2) for k in range(1, 8193)]
 
 
 class TestJacobiMatrix:
@@ -82,6 +91,29 @@ class TestJacobiMatrix:
         assert J.diag(2) == 0
         with pytest.raises(ValueError, match="nonpositive off-diagonal entry"):
             J.diag(3)
+
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                                     PrecisionConfig.bigfloat(256), PrecisionConfig.bigfloat(512)],
+                             ids=["double", "64", "256", "512"])
+    def test_hermite_roots_correctly_rounded(self, cfg, hermite_roots_2000):
+        # the root of k/2 to bits + 8, rounded again, missed 17 of these at
+        # 256 bits by an ulp (b_170 first) and 16 in double mode (b_275 first)
+        gen = hermite_like(cfg).generator
+        with mp.workprec(cfg.bits):
+            want = [+x for x in hermite_roots_2000]
+        assert [gen(k)[1] for k in range(1, len(want) + 1)] == want
+        assert type(gen(2)[1]) is (float if cfg.mode == "double" else mp.mpf)
+
+    def test_hermite_roots_exact_in_rational_mode(self):
+        # b_k = sqrt(k/2) is the integer m at k = 2 m^2, and irrational otherwise
+        gen = hermite_like(PrecisionConfig.rational(256)).generator
+        for k in range(1, 2 * 30 ** 2 + 1):
+            bk = gen(k)[1]
+            m = math.isqrt(k // 2)
+            if k == 2 * m * m:
+                assert bk == Fraction(m) and isinstance(bk, Fraction), k
+            else:
+                assert isinstance(bk, mp.mpf), k
 
     def test_json_roundtrip(self, cfg256):
         with mp.workprec(256):

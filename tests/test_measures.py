@@ -303,6 +303,32 @@ class TestMeasureToJacobi:
         J = measure_to_jacobi(two_atom_rational, 5, partial=True)
         assert J.n_stored == 2
 
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(256)],
+                             ids=["double", "bigfloat-256"])
+    def test_scaled_atoms_scale_the_matrix_exactly(self, cfg):
+        # RKPW takes only + - * /, so atoms times 2^-k give q and b times
+        # exactly 2^-k; the exhaustion floor scales with min(1, max|atom|)^2,
+        # where an absolute 2^-(2 bits) cut the small atoms at level 1
+        pts = [Fraction(-3), Fraction(-1, 3), Fraction(1, 2), Fraction(2), Fraction(5)]
+        wts = [Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(1, 4), Fraction(3, 20)]
+        J = measure_to_jacobi(Measure.atomic(pts, wts, precision=cfg), 5)
+        for k in (1, 100, 200, 300, 1000):
+            Jk = measure_to_jacobi(Measure.atomic([p / 2 ** k for p in pts], wts, precision=cfg), 5)
+            assert Jk._q == tuple(mp.ldexp(x, -k) for x in J._q), k
+            assert Jk._b == tuple(mp.ldexp(x, -k) for x in J._b), k
+
+    @pytest.mark.parametrize("cfg, c", [
+        (PrecisionConfig.double(), Fraction(1, 2 ** 100)),
+        (PrecisionConfig.double(), Fraction(1, 2 ** 200)),
+        (PrecisionConfig.bigfloat(256), Fraction(1, 2 ** 300)),
+    ], ids=["double-2^-100", "double-2^-200", "bigfloat-2^-300"])
+    def test_small_atoms_resolve_every_level(self, cfg, c):
+        # three atoms -c, 0, c carry three levels, as rational mode finds
+        wts = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        assert measure_to_jacobi(Measure.atomic([-c, 0, c], wts, precision=cfg), 3).n_stored == 3
+        exact = measure_to_jacobi(Measure.atomic([-c, 0, c], wts, precision=PrecisionConfig.rational()), 3)
+        assert exact.n_stored == 3
+
 
 class TestMeasureToJacobiAgainstLanczos:
     """The RKPW kernel against full-reorthogonalization Lanczos (oracles)."""

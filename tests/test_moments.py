@@ -85,6 +85,44 @@ class TestValidatePositive:
         s = MomentSequence.from_values([1], rational)
         assert validate_positive(s, 0) is True
 
+    def test_insufficient(self, rational):
+        s = MomentSequence.from_values([1, 0, 1, 0], rational)
+        with pytest.raises(InsufficientMoments, match=r"^need 5 moments for D_2, got 4$"):
+            validate_positive(s, 2)
+
+    @pytest.mark.parametrize("k_max", [5, 10])
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.rational(), PrecisionConfig.double(),
+                                     PrecisionConfig.bigfloat(256)],
+                             ids=["rational", "double", "bigfloat-256"])
+    def test_uniform_measure_positive_in_every_mode(self, cfg, k_max):
+        # s_k = 1/(k+1), the uniform measure on [0, 1]: D_5 = 5.4e-18 and
+        # D_10 = 3.0e-65 are positive, though below the absolute floors
+        # 1e-12 (double) and 2^-128 (256 bits) that once decided the verdict
+        s = MomentSequence.from_values([Fraction(1, k + 1) for k in range(2 * k_max + 1)], cfg)
+        assert validate_positive(s, k_max) is True
+
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                                     PrecisionConfig.bigfloat(256)],
+                             ids=["double", "bigfloat-64", "bigfloat-256"])
+    def test_zero_last_pivot_in_float_modes(self, cfg):
+        # five dyadic atoms are stored exactly and d_5 = 0, which each run
+        # rounds to noise; b_5^2 = d_5 / d_4 must agree between runs, so
+        # noise that is positive twice in a row does not read as positive
+        vals = atomic_moments([-6, -2, Fraction(-1, 2), 0, 2],
+                              [Fraction(1, 4), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4),
+                               Fraction(1, 8)], 10)
+        assert validate_positive(MomentSequence.from_values(vals, PrecisionConfig.rational()), 5) is False
+        assert validate_positive(MomentSequence.from_values(vals, cfg), 5) is False
+
+    def test_precision_loss_propagates(self):
+        # three atoms {0, 2, 4} at k_max 4: the double-mode runs stop at
+        # different pivots, so no verdict is certified; 128 bits certify false
+        vals = atomic_moments([0, 2, 4], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 8)
+        with pytest.raises(PrecisionLoss):
+            validate_positive(MomentSequence.from_values(vals, PrecisionConfig.double()), 4)
+        s = MomentSequence.from_values(vals, PrecisionConfig.bigfloat(128))
+        assert validate_positive(s, 4) is False
+
 
 class TestMomentsToJacobi:
     def test_std_normal_oracle(self, rational):
@@ -169,6 +207,17 @@ def atomic_sections(draw, max_excess):
     return atomic_moments(pts, wts, 2 * n), n, length
 
 
+def assert_gram_schmidt(s, n, length):
+    """The kernel's coefficients from s[:length] are Gram-Schmidt's; given
+    s_2n, which enters Gram-Schmidt only through a norm no output reads, the
+    kernel adds b_n^2 = d_n / d_(n-1)."""
+    q, b2 = _ldl_recurrence(s[:length], n)
+    assert (q, b2[:n - 1]) == gram_schmidt_recurrence(s, n)
+    D = [1] + [hankel_det_oracle(s, k) for k in range(n + 1)]  # D_-1 = 1
+    last = [D[n + 1] * D[n - 1] / D[n] ** 2]  # pivots are d_k = D_k / D_(k-1)
+    assert b2[n - 1:] == (last if length == 2 * n + 1 else [])
+
+
 class TestChebyshevKernel:
     """The Hankel kernel against classical Gram-Schmidt and permutation
     determinants (oracles); n <= 5 keeps the permutation expansion cheap."""
@@ -179,7 +228,7 @@ class TestChebyshevKernel:
         s, n, length = section
         if length == 2 * n + 1 and hankel_det_oracle(s, n) == 0:
             length -= 1  # n atoms: d_n = 0 is checked once s_2n is given
-        assert _ldl_recurrence(s[:length], n) == gram_schmidt_recurrence(s, n)
+        assert_gram_schmidt(s, n, length)
 
     @settings(max_examples=80, deadline=None)
     @given(atomic_sections(max_excess=1), st.data())
@@ -191,8 +240,7 @@ class TestChebyshevKernel:
         checked = range(n + 1 if length == 2 * n + 1 else n)
         bad = [k for k in checked if hankel_det_oracle(s, k) <= 0]
         if not bad:
-            # s_2n enters Gram-Schmidt only through a norm no output reads
-            assert _ldl_recurrence(s[:length], n) == gram_schmidt_recurrence(s, n)
+            assert_gram_schmidt(s, n, length)
             return
         with pytest.raises(DegenerateHankel, match=rf"^Hankel pivot d_{bad[0]} is not positive"):
             _ldl_recurrence(s[:length], n)
@@ -346,7 +394,8 @@ def run_bits(monkeypatch):
 class TestPrecisionEscalation:
     def exact_rounded(self, s, n):
         # the exact rational route, rounded once to the sequence's precision
-        return JacobiMatrix.from_squares(*_ldl_recurrence(list(s.values), n), s.precision)
+        q, b2 = _ldl_recurrence(list(s.values), n)
+        return JacobiMatrix.from_squares(q, b2[:n - 1], s.precision)
 
     def test_source_losing_ten_times_the_target_certifies(self, run_bits):
         # c = 2^60 costs about 600 bits, over ten times t = 53: the runs up to
@@ -395,6 +444,16 @@ class TestPrecisionEscalation:
         assert str(got.value) == str(exact.value) == (
             "Hankel pivot d_3 is not positive (finite-support input)")
         assert run_bits == [4 * cfg.bits, 8 * cfg.bits]
+
+    def test_collapsing_offdiagonal_raises(self):
+        # two atoms without s_2n: b_2^2 = d_2 / d_1 is zero, rounded to noise
+        # that no two runs agree on and that lies far below 2^-128 q^2
+        vals = atomic_moments([-5, -1], [Fraction(2, 3), Fraction(1, 3)], 5)
+        s = MomentSequence(tuple(vals), PrecisionConfig.bigfloat(64))
+        with pytest.raises(DegenerateHankel, match=(
+                r"^off-diagonal collapses below resolvable size \(finite-support input "
+                r"at this precision\)$")):
+            moments_to_jacobi(s, 3)
 
     @pytest.mark.parametrize("moment, n, pivot", [
         (factorial, 40, 21),

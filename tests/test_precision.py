@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import mpmath as mp
 import pytest
 
 from momprob.precision import (
+    MP_LOCK,
     PrecisionConfig,
     agreeing_bits,
     convert,
@@ -19,6 +21,7 @@ from momprob.precision import (
     sqrt_number,
     to_fraction,
     to_mpf,
+    wp,
 )
 
 
@@ -248,3 +251,26 @@ def test_sqrt_number_of_a_ratio_is_correctly_rounded():
                 assert sqrt_number(f, cfg) == +exact, f
     with mp.workprec(53):
         assert sqrt_number(Fraction(2, 3), PrecisionConfig.double()) == float(mp.sqrt(mp.mpf(2) / 3))
+
+
+def test_precision_block_failing_on_entry_restores_state():
+    # mpmath stores 10^400 bits before its setter overflows; the block used
+    # to leave that mantissa set, so every later operation overflowed, and
+    # to keep the lock, so no other thread could take it
+    prec = mp.mp.prec
+    with pytest.raises(OverflowError):
+        with wp(10 ** 400):
+            pass
+    assert mp.mp.prec == prec
+    assert mp.mpf(1) / 3 == mp.mpf(1) / mp.mpf(3)
+    taken = []
+
+    def take():
+        if MP_LOCK.acquire(timeout=0.5):
+            MP_LOCK.release()
+            taken.append(True)
+
+    other = threading.Thread(target=take)
+    other.start()
+    other.join()
+    assert taken == [True]

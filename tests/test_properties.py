@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from momprob import (
     JacobiMatrix,
     Measure,
+    MomentSequence,
     PrecisionConfig,
+    PrecisionLoss,
     classify,
     ClassifyPolicy,
     gauss_damp,
@@ -17,10 +19,13 @@ from momprob import (
     pi_eval,
     power_reweight,
     truncation_spectrum,
+    validate_positive,
     weyl_radius,
 )
+from momprob.precision import to_fraction
 
 from conftest import assert_matches_lanczos
+from oracles import atomic_moments
 
 CFG = PrecisionConfig.bigfloat(192)
 
@@ -160,3 +165,45 @@ def test_rkpw_matches_lanczos(mu):
     n = len(mu.points)
     assert_matches_lanczos(mu, n)
     assert_matches_lanczos(mu, n + 2, partial=True)
+
+
+@st.composite
+def atomic_positivity_cases(draw):
+    """(s_0..s_2k, k, atoms): exact moments of 1-7 distinct atoms m/d in
+    [-4, 4] with d <= 4, and a k_max of 1-6, so the sequence is positive
+    definite exactly when atoms > k_max.  The weights are 1..5 out of the
+    next power of two, the last taking the rest, so dyadic atoms give
+    moments a float mode may store exactly, zero pivots included."""
+    pts = draw(st.lists(st.fractions(-4, 4, max_denominator=4), min_size=1, max_size=7,
+                        unique=True))
+    wts = draw(st.lists(st.integers(1, 5), min_size=len(pts) - 1, max_size=len(pts) - 1))
+    total = 1 << sum(wts).bit_length()
+    wts.append(total - sum(wts))
+    k_max = draw(st.integers(1, 6), label="k_max")
+    values = atomic_moments(sorted(pts), [Fraction(w, total) for w in wts], 2 * k_max)
+    return values, k_max, len(pts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atomic_positivity_cases())
+def test_float_positivity_is_never_a_guess(case):
+    # a float verdict is about the stored moments, the exact ones rounded to
+    # the mode: it is never true where rational mode on those values says
+    # false, and with more atoms than k_max it is true, as for the exact
+    # moments.  PrecisionLoss is allowed where the atoms are too few.
+    values, k_max, atoms = case
+    exact = MomentSequence.from_values(values, PrecisionConfig.rational())
+    assert validate_positive(exact, k_max) is (atoms > k_max)
+    for cfg in (PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                PrecisionConfig.bigfloat(256)):
+        s = MomentSequence.from_values(values, cfg)
+        stored = MomentSequence.from_values([to_fraction(v) for v in s.values],
+                                            PrecisionConfig.rational())
+        if atoms > k_max:
+            assert validate_positive(s, k_max) is True
+            continue
+        try:
+            verdict = validate_positive(s, k_max)
+        except PrecisionLoss:
+            continue
+        assert verdict <= validate_positive(stored, k_max), cfg
