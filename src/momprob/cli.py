@@ -1,8 +1,9 @@
 """Command-line front end with JSON input/output.
 
 Every library pipeline is reachable from exactly one subcommand.  Numbers
-cross the boundary as decimal strings at the configured precision, so a
-fixed command line plus fixed input files produce byte-identical output.
+cross the boundary as decimal strings at the configured precision, flag
+values included, so a fixed command line plus fixed input files produce
+byte-identical output.
 
 Exit codes: 0 success, 2 validation failure (bad flags, malformed JSON,
 violated preconditions), 3 numerical failure (degenerate input, precision
@@ -88,11 +89,15 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, family=False, verdict=False):
+    def command(name, run, help, family=False, verdict=False):
+        """Subcommand ``name``, run by ``run``, with the common flags; a
+        ``verdict`` command's ``run`` also says whether it is inconclusive."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run, verdict=verdict)
         sp.add_argument("--in", dest="infile", help="input JSON file (- for stdin)")
         sp.add_argument("--out", dest="outfile", help="output JSON file (default stdout)")
         sp.add_argument("--mode", choices=[RATIONAL, BIGFLOAT, DOUBLE], default=None)
-        sp.add_argument("--precision-bits", type=int, default=None)
+        sp.add_argument("--precision-bits", default=None)
         if verdict:
             sp.add_argument("--strict", action="store_true",
                             help="exit 4 on inconclusive verdicts")
@@ -101,48 +106,47 @@ def _build_parser():
             sp.add_argument("--family-n", type=int, default=None)
         return sp
 
-    sp = add_common(sub.add_parser("validate-moments", help="Hankel positivity check"))
+    sp = command("validate-moments", _validate_moments, "Hankel positivity check")
     sp.add_argument("--k-max", type=int, required=True)
 
-    sp = add_common(sub.add_parser("moments-to-jacobi", help="moments -> recurrence"))
+    sp = command("moments-to-jacobi", lambda a: moments_to_jacobi(_load_moments(a), a.n).to_json(),
+                 "moments -> recurrence")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("jacobi-to-moments", help="recurrence -> moments"), family=True)
+    sp = command("jacobi-to-moments", lambda a: jacobi_to_moments(_load_jacobi(a), a.m).to_json(),
+                 "recurrence -> moments", family=True)
     sp.add_argument("--m", type=int, required=True)
 
-    sp = add_common(sub.add_parser("pi-eval", help="orthonormal polynomial values at z"),
-                    family=True)
+    sp = command("pi-eval", _pi_eval, "orthonormal polynomial values at z", family=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("weyl-radii", help="nested circle radii at z"), family=True)
+    sp = command("weyl-radii", _weyl_radii, "nested circle radii at z", family=True)
     sp.add_argument("--z", default="i")
     sp.add_argument("--n-list", default=None, help="comma-separated checkpoint list")
-    sp.add_argument("--n-max", type=int, default=None)
+    sp.add_argument("--n-max", default=None)  # read by _policy
     sp.add_argument("--csv", dest="csvfile", default=None,
                     help="also write an n,radius CSV trace")
 
-    sp = add_common(sub.add_parser("classify", help="determinacy classification"),
-                    family=True, verdict=True)
+    sp = command("classify", _classify, "determinacy classification", family=True, verdict=True)
     sp.add_argument("--z", default="i")
-    sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--eps-zero", type=float, default=None)
-    sp.add_argument("--eps-stable", type=float, default=None)
-    sp.add_argument("--window", type=int, default=None)
+    for flag in ("--n-max", "--eps-zero", "--eps-stable", "--window"):
+        sp.add_argument(flag)  # read by _policy, as in a pipeline document
     sp.add_argument("--csv", dest="csvfile", default=None)
 
-    sp = add_common(sub.add_parser("spectrum", help="Gauss measure of a finite section"),
-                    family=True)
+    sp = command("spectrum", lambda a: truncation_spectrum(_load_jacobi(a), a.n).to_json(),
+                 "Gauss measure of a finite section", family=True)
     sp.add_argument("--n", type=int, required=True, help="truncation size")
 
-    sp = add_common(sub.add_parser("transform", help="reweight a measure"))
+    sp = command("transform", _transform, "reweight a measure")
     sp.add_argument("--gauss-damp", dest="alpha", default=None)
     sp.add_argument("--power-lift", dest="lift", type=int, default=None)
 
-    sp = add_common(sub.add_parser("measure-to-jacobi", help="measure -> recurrence"))
+    sp = command("measure-to-jacobi", lambda a: measure_to_jacobi(_load_measure(a), a.n).to_json(),
+                 "measure -> recurrence")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("stone", help="damped-vector basis matrix"), family=True)
+    sp = command("stone", _stone, "damped-vector basis matrix", family=True)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--route", choices=["measure", "operator"], default="measure")
@@ -150,11 +154,10 @@ def _build_parser():
     sp.add_argument("--truncation", type=int, default=None,
                     help="operator route: finite-section size N")
 
-    sp = add_common(sub.add_parser("f-basis", help="weighted-polynomial basis matrix"))
+    sp = command("f-basis", _f_basis, "weighted-polynomial basis matrix")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add_common(sub.add_parser("gram-check", help="orthonormality of the weighted basis"),
-                    family=True)
+    sp = command("gram-check", _gram_check, "orthonormality of the weighted basis", family=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--probe", action="store_true",
                     help="representation probe: smallest singular value of the "
@@ -162,28 +165,22 @@ def _build_parser():
     sp.add_argument("--truncation", type=int, default=None)
     sp.add_argument("--g", default="1", help="probe vector, comma-separated")
 
-    sp = add_common(sub.add_parser("index", help="index of determinacy scan"), verdict=True)
+    sp = command("index", _index, "index of determinacy scan", verdict=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--alpha", default=None,
                     help="damp the measure first (infinite-index probe)")
     sp.add_argument("--depth", type=int, default=None)
 
-    add_common(sub.add_parser("pipeline", help="transform -> convert -> classify"),
-               verdict=True)
+    command("pipeline", _pipeline, "transform -> convert -> classify", verdict=True)
     return p
 
 
 def _config_from_args(args):
-    """Precision set by --mode/--precision-bits, or None to keep the input's."""
-    if args.mode is None and args.precision_bits is None:
-        return None
-    mode = args.mode if args.mode is not None else BIGFLOAT
-    bits = 256 if args.precision_bits is None else args.precision_bits
-    if mode == BIGFLOAT:
-        return PrecisionConfig.bigfloat(bits)
-    if mode == RATIONAL:
-        return PrecisionConfig.rational(bits)
-    return PrecisionConfig.double()
+    """Precision set by --mode/--precision-bits, read as a document's
+    ``precision`` entry, or None to keep the input's."""
+    given = {key: value for key, value in (("mode", args.mode), ("bits", args.precision_bits))
+             if value is not None}
+    return PrecisionConfig.from_json(given) if given else None
 
 
 def _read_json(args):
@@ -210,6 +207,16 @@ def _load_measure(args) -> Measure:
     return Measure.from_json(_read_json(args), precision=_config_from_args(args))
 
 
+def _load_section(args, needs: str):
+    """The Jacobi matrix and ``--g`` vector of an operator-side command, with
+    ``--g`` entries read like document numbers; ``needs`` names the command
+    in the refusal of a missing ``--truncation``."""
+    J = _load_jacobi(args)
+    if args.truncation is None:
+        raise ValueError(f"{needs} needs --truncation N")
+    return J, [convert(x, J.precision) for x in args.g.split(",")]
+
+
 def _emit(args, obj) -> None:
     text = json.dumps(obj, indent=2)
     if args.outfile:
@@ -219,9 +226,6 @@ def _emit(args, obj) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _parse_policy_point(text) -> complex:
-    return complex(parse_complex(text, PrecisionConfig.double()))
-
 # ClassifyPolicy fields that classify's flags and a pipeline document's
 # "classify" entry may set, with their parsers
 _POLICY_KEYS = {
@@ -229,7 +233,7 @@ _POLICY_KEYS = {
     "eps_zero": partial(convert, cfg=PrecisionConfig.double()),
     "eps_stable": partial(convert, cfg=PrecisionConfig.double()),
     "window": partial(document_int, what="window"),
-    "z": _parse_policy_point,
+    "z": partial(parse_complex, cfg=PrecisionConfig.double()),
     "start": partial(document_int, what="start"),
 }
 
@@ -250,169 +254,107 @@ def _write_csv(path, checkpoints, radii, cfg):
             fh.write(f"{n},{format_number(r, cfg)}\n")
 
 
+# -- subcommands: each returns its output document, a verdict command also
+# whether the verdict is inconclusive
+
+
+def _validate_moments(args):
+    s = _load_moments(args)
+    dets = hankel_determinants(s, args.k_max)
+    return {"positive": validate_positive(s, args.k_max),
+            "determinants": [format_number(d, s.precision) for d in dets]}
+
+
+def _pi_eval(args):
+    J = _load_jacobi(args)
+    z = parse_complex(args.z, J.precision)
+    return {"z": format_complex(z, J.precision),
+            "values": [format_complex(v, J.precision) for v in pi_eval(J, z, args.n)]}
+
+
+def _weyl_radii(args):
+    J = _load_jacobi(args)
+    z = parse_complex(args.z, J.precision)
+    if args.n_list:
+        ns = sorted({document_int(x, "n_list") for x in args.n_list.split(",")})
+    else:
+        ns = _policy({"n_max": args.n_max}, n_max=1024).checkpoints()
+    radii = weyl_radii(J, z, ns)
+    if args.csvfile:
+        _write_csv(args.csvfile, ns, radii, J.precision)
+    return {"z": format_complex(z, J.precision), "checkpoints": ns,
+            "radii": [format_number(r, J.precision) for r in radii]}
+
+
+def _classify(args):
+    J = _load_jacobi(args)
+    verdict = classify(J, _policy(vars(args)))
+    if args.csvfile:
+        _write_csv(args.csvfile, verdict.checkpoints, verdict.radii, J.precision)
+    return verdict.to_json(J.precision), verdict.verdict == INCONCLUSIVE
+
+
+def _transform(args):
+    mu = _load_measure(args)
+    if args.alpha is None and args.lift is None:
+        raise ValueError("transform needs --gauss-damp and/or --power-lift")
+    if args.alpha is not None:
+        mu = mu.gauss_damp(convert(args.alpha, mu.precision))
+    if args.lift is not None:
+        mu = mu.power_reweight(args.lift)[0]
+    return mu.to_json()
+
+
+def _stone(args):
+    if args.route == "measure":
+        mu = _load_measure(args)
+        return stone_jacobi_measure_route(mu, convert(args.alpha, mu.precision), args.n).to_json()
+    J, g = _load_section(args, "operator route")
+    J, basis = stone_jacobi_operator_route(J, convert(args.alpha, J.precision), g,
+                                           N=args.truncation, n=args.n)
+    return dict(J.to_json(), basis_columns=[[format_number(x, J.precision) for x in col]
+                                            for col in basis.vectors])
+
+
+def _f_basis(args):
+    mu = _load_measure(args)
+    J, C = f_basis_jacobi(mu, args.n)
+    return dict(J.to_json(), normalization=format_number(C, mu.precision))
+
+
+def _gram_check(args):
+    if args.probe:
+        J, g = _load_section(args, "the representation probe")
+        smin = representation_diagnostic(J, g, N=args.truncation, n=args.n)
+        return {"n": args.n, "truncation": args.truncation,
+                "smallest_singular_value": repr(smin)}
+    dev, imag = gram_deviation(f_basis_gram(_load_measure(args), args.n))
+    return {"n": args.n, "max_identity_deviation": repr(dev),
+            "max_imaginary_residue": repr(imag)}
+
+
+def _index(args):
+    mu = _load_measure(args)
+    if args.alpha is not None:
+        report = infinite_index_probe(mu, convert(args.alpha, mu.precision), args.n_max,
+                                      depth=args.depth)
+    else:
+        report = index_of_determinacy(mu, args.n_max, depth=args.depth)
+    # an inconclusive level ends the scan, so the report reads "at least"
+    return (report.to_json(mu.precision),
+            any(v.verdict == INCONCLUSIVE for _, v in report.per_level))
+
+
+def _pipeline(args):
+    result = run_pipeline(_read_json(args), _config_from_args(args))
+    return result, result["verdict"]["verdict"] == INCONCLUSIVE
+
+
 def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "validate-moments":
-        s = _load_moments(args)
-        dets = hankel_determinants(s, args.k_max)
-        _emit(args, {
-            "positive": validate_positive(s, args.k_max),
-            "determinants": [format_number(d, s.precision) for d in dets],
-        })
-        return EXIT_OK
-
-    if cmd == "moments-to-jacobi":
-        s = _load_moments(args)
-        J = moments_to_jacobi(s, args.n)
-        _emit(args, J.to_json())
-        return EXIT_OK
-
-    if cmd == "jacobi-to-moments":
-        J = _load_jacobi(args)
-        s = jacobi_to_moments(J, args.m)
-        _emit(args, s.to_json())
-        return EXIT_OK
-
-    if cmd == "pi-eval":
-        J = _load_jacobi(args)
-        z = parse_complex(args.z, J.precision)
-        vals = pi_eval(J, z, args.n)
-        _emit(args, {
-            "z": format_complex(z, J.precision),
-            "values": [format_complex(v, J.precision) for v in vals],
-        })
-        return EXIT_OK
-
-    if cmd == "weyl-radii":
-        J = _load_jacobi(args)
-        z = parse_complex(args.z, J.precision)
-        if args.n_list:
-            ns = sorted({int(x) for x in args.n_list.split(",")})
-        else:
-            ns = ClassifyPolicy(n_max=1024 if args.n_max is None else args.n_max).checkpoints()
-        radii = weyl_radii(J, z, ns)
-        if args.csvfile:
-            _write_csv(args.csvfile, ns, radii, J.precision)
-        _emit(args, {
-            "z": format_complex(z, J.precision),
-            "checkpoints": ns,
-            "radii": [format_number(r, J.precision) for r in radii],
-        })
-        return EXIT_OK
-
-    if cmd == "classify":
-        J = _load_jacobi(args)
-        verdict = classify(J, _policy(vars(args)))
-        if args.csvfile:
-            _write_csv(args.csvfile, verdict.checkpoints, verdict.radii, J.precision)
-        _emit(args, verdict.to_json(J.precision))
-        if args.strict and verdict.verdict == INCONCLUSIVE:
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    if cmd == "spectrum":
-        J = _load_jacobi(args)
-        mu = truncation_spectrum(J, args.n)
-        _emit(args, mu.to_json())
-        return EXIT_OK
-
-    if cmd == "transform":
-        mu = _load_measure(args)
-        applied = False
-        if args.alpha is not None:
-            mu = mu.gauss_damp(convert(args.alpha, mu.precision))
-            applied = True
-        if args.lift is not None:
-            mu, C = mu.power_reweight(args.lift)
-            applied = True
-        if not applied:
-            raise ValueError("transform needs --gauss-damp and/or --power-lift")
-        _emit(args, mu.to_json())
-        return EXIT_OK
-
-    if cmd == "measure-to-jacobi":
-        mu = _load_measure(args)
-        J = measure_to_jacobi(mu, args.n)
-        _emit(args, J.to_json())
-        return EXIT_OK
-
-    if cmd == "stone":
-        if args.route == "operator":
-            J_in = _load_jacobi(args)
-            if args.truncation is None:
-                raise ValueError("operator route needs --truncation N")
-            g = [float(x) for x in str(args.g).split(",")]
-            J, basis = stone_jacobi_operator_route(
-                J_in, convert(args.alpha, J_in.precision), g,
-                N=args.truncation, n=args.n,
-            )
-            obj = J.to_json()
-            obj["basis_columns"] = [
-                [format_number(x, J.precision) for x in col] for col in basis.vectors
-            ]
-            _emit(args, obj)
-            return EXIT_OK
-        mu = _load_measure(args)
-        J = stone_jacobi_measure_route(mu, convert(args.alpha, mu.precision), args.n)
-        _emit(args, J.to_json())
-        return EXIT_OK
-
-    if cmd == "f-basis":
-        mu = _load_measure(args)
-        J, C = f_basis_jacobi(mu, args.n)
-        obj = J.to_json()
-        obj["normalization"] = format_number(C, mu.precision)
-        _emit(args, obj)
-        return EXIT_OK
-
-    if cmd == "gram-check":
-        if args.probe:
-            J = _load_jacobi(args)
-            if args.truncation is None:
-                raise ValueError("the representation probe needs --truncation N")
-            g = [float(x) for x in str(args.g).split(",")]
-            smin = representation_diagnostic(J, g, N=args.truncation, n=args.n)
-            _emit(args, {
-                "n": args.n,
-                "truncation": args.truncation,
-                "smallest_singular_value": repr(smin),
-            })
-            return EXIT_OK
-        mu = _load_measure(args)
-        G = f_basis_gram(mu, args.n)
-        dev, imag = gram_deviation(G)
-        _emit(args, {
-            "n": args.n,
-            "max_identity_deviation": repr(dev),
-            "max_imaginary_residue": repr(imag),
-        })
-        return EXIT_OK
-
-    if cmd == "index":
-        mu = _load_measure(args)
-        if args.alpha is not None:
-            report = infinite_index_probe(
-                mu, convert(args.alpha, mu.precision), args.n_max,
-                depth=args.depth,
-            )
-        else:
-            report = index_of_determinacy(mu, args.n_max, depth=args.depth)
-        _emit(args, report.to_json(mu.precision))
-        if args.strict and report.kind == "at_least" and any(
-            v.verdict == INCONCLUSIVE for _, v in report.per_level
-        ):
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    if cmd == "pipeline":
-        result = run_pipeline(_read_json(args), _config_from_args(args))
-        _emit(args, result)
-        if args.strict and result.get("verdict", {}).get("verdict") == INCONCLUSIVE:
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {cmd!r}")
+    out = args.run(args)
+    doc, inconclusive = out if args.verdict else (out, False)
+    _emit(args, doc)
+    return EXIT_INCONCLUSIVE if inconclusive and args.strict else EXIT_OK
 
 
 def run_pipeline(doc: dict, cfg=None) -> dict:

@@ -54,6 +54,7 @@ from .precision import (
     format_number,
     is_finite_number,
     pairwise_sum,
+    rounded,
     to_fraction,
     to_mpf,
     wp,
@@ -288,8 +289,7 @@ class Measure(object):
                 if not mp.isfinite(v):
                     raise NonFinite("integrand not finite at a support point")
             total = pairwise_sum(vals)
-        with wp(cfg.bits):
-            return +total
+        return rounded([total], cfg)[0]
 
     def _integrate_adaptive(self, f: Callable):
         cfg = self.precision
@@ -318,8 +318,7 @@ class Measure(object):
                 raise QuadratureFailure(
                     f"error estimate {mp.nstr(err, 5)} exceeds budget {spec.tol}"
                 )
-        with wp(cfg.bits):
-            return +val
+        return rounded([val], cfg)[0]
 
     def total_mass(self):
         return self.integrate(lambda t: 1)
@@ -453,27 +452,13 @@ class Measure(object):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers (the functional surface of the module)
+# module-level operations (the functional surface of the module)
 
-
-def integrate(mu: Measure, f: Callable):
-    return mu.integrate(f)
-
-
-def normalize(mu: Measure):
-    return mu.normalize()
-
-
-def gauss_damp(mu: Measure, alpha):
-    return mu.gauss_damp(alpha)
-
-
-def power_reweight(mu: Measure, n: int):
-    return mu.power_reweight(n)
-
-
-def moments_of(mu: Measure, m: int):
-    return mu.moments(m)
+integrate = Measure.integrate
+normalize = Measure.normalize
+gauss_damp = Measure.gauss_damp
+power_reweight = Measure.power_reweight
+moments_of = Measure.moments
 
 
 def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatrix:

@@ -276,12 +276,14 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
         with wp(p):
             agree = min(agreeing_bits(a, b) for a, b in zip(q_prev + b2_prev, q_cur + b2_cur))
             scale = max([abs(x) for x in q_cur] + [mp.mpf(1)])
-            collapsing = any(x < floor_b2 * scale * scale for x in b2_cur)
+            # b_k^2 = d_k / d_(k-1): the first pivot that collapses, if any
+            collapsed = next((k for k, x in enumerate(b2_cur, 1)
+                              if x < floor_b2 * scale * scale), None)
         if agree >= target + 8:
             return JacobiMatrix.from_squares(q_cur, b2_cur[:n - 1], cfg)
-        if collapsing:
-            raise DegenerateHankel("off-diagonal collapses below resolvable size "
-                                   "(finite-support input at this precision)")
+        if collapsed is not None:
+            raise DegenerateHankel(f"Hankel pivot d_{collapsed} collapses below resolvable "
+                                   "size (finite-support input at this precision)")
         prev = cur
     if isinstance(prev, DegenerateHankel):
         raise prev

@@ -306,20 +306,27 @@ def format_number(x, cfg: PrecisionConfig) -> str:
 
 
 def parse_complex(s, cfg: PrecisionConfig):
-    """Parse ``a+bi`` / ``bi`` / ``a`` strings (or numbers) to mpc/complex."""
+    """An ``a+bi`` / ``bi`` / ``a`` string (``j`` for ``i``), or a number, as
+    an mpc (complex in double mode).  Each part is read by ``convert``, like
+    a document number; a non-finite part raises ValueError."""
     if isinstance(s, (complex, mp.mpc)):
-        z = s
+        parts = [s.real, s.imag]
     else:
-        import re
-
-        text = str(s).strip().replace(" ", "")
-        text = text.replace("i", "j")
-        # complex() wants an explicit coefficient: j -> 1j, +j -> +1j, ...
-        text = re.sub(r"(?<![0-9.])j", "1j", text)
-        try:
-            z = complex(text)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse complex number {s!r}") from exc
+        text = str(s).replace(" ", "").replace("j", "i")
+        parts = [text, "0"]
+        if text.endswith("i"):  # b starts at the last sign outside an exponent
+            cut = max((k for k, c in enumerate(text)
+                       if c in "+-" and k > 0 and text[k - 1] not in "eE"), default=0)
+            b = text[cut:-1]
+            parts = [text[:cut] or "0", b + "1" if b in ("", "+", "-") else b]
+    try:
+        parts = [convert(x, cfg) for x in parts]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse complex number {s!r}") from exc
+    if not all(is_finite_number(x) for x in parts):
+        raise ValueError(f"complex number {s!r} is not finite")
+    with wp(cfg.bits):  # rounds a rational part, once; the others are exact
+        z = mp.mpc(*(to_mpf(x) for x in parts))
     return rounded([z], cfg)[0]
 
 

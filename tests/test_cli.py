@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 
 import momprob
 from momprob import errors
-from momprob.cli import _exit_code, main
-from momprob.precision import PrecisionConfig, convert
+from momprob.bases import representation_diagnostic, stone_jacobi_operator_route
+from momprob.cli import _build_parser, _exit_code, main
+from momprob.precision import PrecisionConfig, convert, format_number
 
 
 def run_cli(capsys, *argv):
@@ -1077,3 +1079,76 @@ class TestBadUsage:
         code, out, err = run_cli(capsys, *argv, "--strict")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --strict" in err
+
+
+class TestFlagNumbers:
+    # a number on the command line is read as the same number in a document:
+    # ratios and decimals at the configured precision, non-finite refused
+    def test_z_read_at_the_configured_precision(self, capsys):
+        code, out, _ = run_cli(capsys, "pi-eval", *HERMITE, "--z", "0.1+i", "--n", "2")
+        cfg = PrecisionConfig.bigfloat(256)
+        assert code == 0
+        assert json.loads(out)["z"] == format_number(convert("0.1", cfg), cfg) + "+1.0i"
+
+    ATOMS = {"kind": "atomic", "points": ["-1", "0", "1"], "weights": ["1/4", "1/2", "1/4"]}
+
+    @pytest.mark.parametrize("z", ["nan+i", "inf", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["pi-eval", *HERMITE, "--n", "2"],
+        ["weyl-radii", *HERMITE, "--n-list", "8"],
+        ["classify", *HERMITE],
+        ["pipeline"],
+    ], ids=["pi-eval", "weyl-radii", "classify", "pipeline"])
+    def test_bad_z_is_a_validation_error(self, capsys, tmp_path, argv, z):
+        if argv == ["pipeline"]:
+            doc = {"measure": self.ATOMS, "n": 2, "classify": {"z": z}}
+            argv = argv + ["--in", write_json(tmp_path, "in.json", doc)]
+        else:
+            argv = argv + ["--z", z]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: ")
+
+    def test_g_read_like_a_document_number(self, capsys):
+        cfg = PrecisionConfig()
+        J = momprob.families.make("hermite_like", precision=cfg)
+        g = [convert("1/3", cfg), convert("1", cfg)]
+        probe = ["gram-check", "--probe", *HERMITE, "--truncation", "12", "--n", "3"]
+        code, out, _ = run_cli(capsys, *probe, "--g", "1/3,1")
+        assert code == 0
+        smin = json.loads(out)["smallest_singular_value"]
+        assert smin == repr(representation_diagnostic(J, g, N=12, n=3))
+
+        stone = ["stone", "--route", "operator", *HERMITE, "--alpha", "1/2",
+                 "--truncation", "8", "--n", "2"]
+        code, out, _ = run_cli(capsys, *stone, "--g", "1/3,1")
+        assert code == 0
+        section, basis = stone_jacobi_operator_route(J, convert("1/2", cfg), g, N=8, n=2)
+        assert json.loads(out) == dict(section.to_json(), basis_columns=[
+            [format_number(x, cfg) for x in col] for col in basis.vectors])
+        # not the double nearest 1/3, as a float() reading gave
+        assert run_cli(capsys, *stone, "--g", repr(1 / 3) + ",1")[1] != out
+
+    def test_policy_flags_read_like_a_pipeline_document(self, capsys):
+        argv = ["classify", *HERMITE, "--n-max", "64"]
+        got = run_cli(capsys, *argv, "--eps-zero", "1/1000")
+        assert got[0] == 0
+        assert got == run_cli(capsys, *argv, "--eps-zero", "0.001")
+
+
+SUBCOMMANDS = sorted(next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+class TestSubcommands:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help(self, capsys, name):
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: momprob {name} ")
+
+    def test_readme_lists_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        listed = {line.split()[1] for line in block.splitlines() if line.startswith("momprob ")}
+        assert listed == set(SUBCOMMANDS)

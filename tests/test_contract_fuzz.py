@@ -3,15 +3,19 @@
 Every subcommand that reads a document is fed a valid document, or one with
 a single defect: an entry replaced by an edge value (a null, bool, list or
 object where a number belongs, a bad number string, an int too large for a
-double, a broken precision block) or a field deleted.  Whatever the
-document, ``main`` returns one of the documented exit codes (0/2/3/4) with no
-exception escaping it, writes an error exactly when it fails, and prints the
-same bytes when run twice.
+double, a broken precision block) or a field deleted.  The flags that carry
+numbers (``--z``, ``--g``, ``--alpha``, ``--gauss-damp``, ``--eps-zero`` and
+``--n-list``) are fed good values and the edge strings in every mode.
+Whatever the input, ``main`` returns one of the documented exit codes
+(0/2/3/4) with no exception escaping it, writes an error exactly when it
+fails, prints no non-finite number, and prints the same bytes when run
+twice.
 """
 import contextlib
 import copy
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,10 +25,11 @@ from momprob.cli import main
 
 EXIT_CODES = {0, 2, 3, 4}
 GOOD_TEXT = ["0", "1", "-1", "2", "1/2", "-3/4", "0.25", "1e3", "1e-40", "1.0000000000001"]
+EDGE_TEXT = ["nan", "inf", "-inf", "1/0", "x", "", "1/2/3", "0x10"]
+EDGE_NUMBERS = [10 ** 400, -(10 ** 400), 1e300, -1e-300]
 EDGE = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "1/0", "x", "", "1/2/3", "0x10"]),
-    st.sampled_from([None, True, False, [], [1], {}, {"1": 0}, 10 ** 400, -(10 ** 400),
-                     1e300, -1e-300]),
+    st.sampled_from(EDGE_TEXT),
+    st.sampled_from([None, True, False, [], [1], {}, {"1": 0}, *EDGE_NUMBERS]),
 )
 PRECISION = st.one_of(st.fixed_dictionaries({"mode": st.sampled_from(["rational", "bigfloat"]),
                                              "bits": st.integers(53, 256)}),
@@ -176,6 +181,46 @@ def test_documented_exit_codes_and_stable_output(infile, cmd):
     code, out, err = run(argv)
     assert code in EXIT_CODES, (argv, doc, err)
     assert (code == 0) == (err == "") == (out != ""), (argv, doc, err)
+    assert not re.search(r"\b(nan|inf)\b", out), (argv, doc, out)
+    assert run(argv) == (code, out, err)
+
+
+HERMITE = ["--family", "hermite_like"]
+ATOMS = {"kind": "atomic", "points": ["-1", "0", "1/2", "2"],
+         "weights": ["1/4", "1/4", "1/4", "1/4"]}
+# a flag value: a good number, a complex one for --z, or an edge string
+FLAG_VALUE = st.one_of(
+    st.sampled_from(GOOD_TEXT + ["i", "-2i", "1/3-2i", "1e-3+i", "1,2", "2,0,1/3"]),
+    st.sampled_from(EDGE_TEXT + [str(x) for x in EDGE_NUMBERS] + ["nan+i", "1-infi", "1,nan"]),
+)
+FLAG_COMMANDS = st.sampled_from([
+    lambda v: ["pi-eval", *HERMITE, "--z", v, "--n", "3"],
+    lambda v: ["weyl-radii", *HERMITE, "--z", v, "--n-list", "2,4"],
+    lambda v: ["weyl-radii", *HERMITE, "--z", "i", "--n-list", v],
+    lambda v: ["classify", *HERMITE, "--n-max", "16", "--z", v],
+    lambda v: ["classify", *HERMITE, "--n-max", "16", "--eps-zero", v],
+    lambda v: ["stone", "--route", "operator", *HERMITE, "--alpha", "1/2",
+               "--truncation", "8", "--n", "2", "--g", v],
+    lambda v: ["stone", "--route", "operator", *HERMITE, "--alpha", v,
+               "--truncation", "8", "--n", "2"],
+    lambda v: ["gram-check", "--probe", *HERMITE, "--truncation", "8", "--n", "2", "--g", v],
+    lambda v: ["stone", "--alpha", v, "--n", "2", "--in", "{atoms}"],
+    lambda v: ["transform", "--gauss-damp", v, "--in", "{atoms}"],
+    lambda v: ["index", "--n-max", "2", "--alpha", v, "--in", "{atoms}"],
+])
+
+
+@pytest.mark.filterwarnings("ignore::momprob.errors.AlphaBelowThreshold")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cmd=FLAG_COMMANDS, value=FLAG_VALUE,
+       mode=st.sampled_from(["rational", "bigfloat", "double"]))
+def test_flag_values_keep_the_contract(infile, cmd, value, mode):
+    infile.write_text(json.dumps(ATOMS))
+    argv = [arg.format(atoms=infile) for arg in cmd(value)] + ["--mode", mode]
+    code, out, err = run(argv)
+    assert code in EXIT_CODES, (argv, err)
+    assert (code == 0) == (err == "") == (out != ""), (argv, err)
+    assert not re.search(r"\b(nan|inf)\b", out), (argv, out)
     assert run(argv) == (code, out, err)
 
 

@@ -451,9 +451,26 @@ class TestPrecisionEscalation:
         vals = atomic_moments([-5, -1], [Fraction(2, 3), Fraction(1, 3)], 5)
         s = MomentSequence(tuple(vals), PrecisionConfig.bigfloat(64))
         with pytest.raises(DegenerateHankel, match=(
-                r"^off-diagonal collapses below resolvable size \(finite-support input "
+                r"^Hankel pivot d_2 collapses below resolvable size \(finite-support input "
                 r"at this precision\)$")):
             moments_to_jacobi(s, 3)
+
+    @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                                     PrecisionConfig.bigfloat(256)],
+                             ids=["double", "bigfloat-64", "bigfloat-256"])
+    def test_collapse_names_the_pivot_exact_factorization_stops_at(self, cfg):
+        # five dyadic atoms with s_10 given: d_5 = 0 exactly; the float runs
+        # round it to noise that collapses, and the message names d_5 as the
+        # exact factorization does
+        vals = atomic_moments([-6, -2, Fraction(-1, 2), 0, 2],
+                              [Fraction(1, 4), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4),
+                               Fraction(1, 8)], 10)
+        with pytest.raises(DegenerateHankel, match=r"^Hankel pivot d_5 is not positive"):
+            moments_to_jacobi(MomentSequence.from_values(vals, PrecisionConfig.rational()), 5)
+        with pytest.raises(DegenerateHankel, match=(
+                r"^Hankel pivot d_5 collapses below resolvable size \(finite-support input "
+                r"at this precision\)$")):
+            moments_to_jacobi(MomentSequence.from_values(vals, cfg), 5)
 
     @pytest.mark.parametrize("moment, n, pivot", [
         (factorial, 40, 21),

@@ -153,6 +153,32 @@ def test_parse_complex_forms():
         parse_complex("nonsense", cfg)
 
 
+MODES = [PrecisionConfig.rational(), PrecisionConfig.double(), PrecisionConfig.bigfloat(256)]
+
+
+@pytest.mark.parametrize("cfg", MODES, ids=["rational", "double", "bigfloat"])
+@pytest.mark.parametrize("text, a, b", [
+    ("1/3-2i", "1/3", "-2"), ("1e-3i", "0", "1e-3"), ("1e+3+2.5j", "1e+3", "2.5"),
+    ("0.1+i", "0.1", "1"), ("-i", "0", "-1"), ("-2.5E-1", "-0.25", "0"),
+])
+def test_parse_complex_reads_each_part_like_a_document(cfg, text, a, b):
+    # each part is the document number, rounded once to the mantissa: 0.1 is
+    # not the double nearest 0.1 at 256 bits, nor 1/3 in rational mode
+    z = parse_complex(text, cfg)
+    with wp(cfg.bits):
+        want = [to_mpf(convert(x, cfg)) for x in (a, b)]
+        assert [mp.mpf(z.real), mp.mpf(z.imag)] == want
+    assert isinstance(z, complex) == (cfg.mode == "double")
+
+
+@pytest.mark.parametrize("cfg", MODES, ids=["rational", "double", "bigfloat"])
+@pytest.mark.parametrize("text", ["nan+i", "1-infi", "inf", "-inf", "abc", "", "1++2i",
+                                  "1/0+i", "i+1"])
+def test_parse_complex_refuses_non_finite_and_malformed_parts(cfg, text):
+    with pytest.raises(ValueError):
+        parse_complex(text, cfg)
+
+
 @pytest.mark.parametrize("cfg", [PrecisionConfig.rational(), PrecisionConfig.double(),
                                  PrecisionConfig.bigfloat(128)],
                          ids=["rational", "double", "bigfloat"])
