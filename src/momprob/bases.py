@@ -24,7 +24,7 @@ from . import tridiag
 from .errors import AlphaBelowThreshold, FiniteSupport, TruncationTooSmall
 from .jacobi import JacobiMatrix
 from .measures import Measure, measure_to_jacobi, power_reweight
-from .precision import is_finite_number, pairwise_sum, to_mpf, wp
+from .precision import is_finite_number, pairwise_sum, rounded, to_mpf, wp
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,6 @@ class BasisAtTruncation:
 
     vectors: tuple  # tuple of columns, each a tuple of N coordinates
     N: int
-
-    def gram_defect(self, bits: int) -> float:
-        """max |<v_i, v_j> - delta_ij| over the stored columns, summed at ``bits`` + 16."""
-        worst = mp.mpf(0)
-        cols = self.vectors
-        with wp(bits + 16):
-            for i in range(len(cols)):
-                for j in range(i, len(cols)):
-                    g = mp.fsum(a * b for a, b in zip(cols[i], cols[j]))
-                    target = 1 if i == j else 0
-                    worst = max(worst, abs(g - target))
-        return float(worst)
 
 
 def stone_jacobi_measure_route(mu_g: Measure, alpha, n: int) -> JacobiMatrix:
@@ -141,12 +129,8 @@ def stone_jacobi_operator_route(
                     )
                 b_out.append(bk)
 
-    with wp(bits):
-        Jout = JacobiMatrix(
-            q=[+x for x in q_out], b=[+x for x in b_out], precision=cfg
-        )
-        columns = tuple(tuple(+x for x in col) for col in basis)
-    return Jout, BasisAtTruncation(vectors=columns, N=N)
+    Jout = JacobiMatrix(q=rounded(q_out, cfg), b=rounded(b_out, cfg), precision=cfg)
+    return Jout, BasisAtTruncation(vectors=tuple(tuple(rounded(col, cfg)) for col in basis), N=N)
 
 
 def f_basis_jacobi(mu: Measure, n: int) -> Tuple[JacobiMatrix, object]:
@@ -176,8 +160,7 @@ def f_basis_gram(mu: Measure, n: int):
     J, C = f_basis_jacobi(mu, n)
     pts, wts = atoms
     cfg = mu.precision
-    bits = cfg.bits
-    with wp(bits + 32):
+    with wp(cfg.bits + 32):
         q, b = J.coefficients(n)
         qq = [to_mpf(x) for x in q]
         bb = [to_mpf(x) for x in b]
@@ -198,8 +181,7 @@ def f_basis_gram(mu: Measure, n: int):
                 ]
                 row.append(pairwise_sum(entries))
             rows.append(row)
-    with wp(bits):
-        return [[+x for x in row] for row in rows]
+    return [rounded(row, cfg) for row in rows]
 
 
 def gram_deviation(gram) -> Tuple[float, float]:

@@ -82,6 +82,14 @@ def _exit_code(exc: BaseException):
     return None
 
 
+def _size(text: str) -> int:
+    """A size flag (``--n``, ``--truncation``, ...), read like a document integer."""
+    try:
+        return document_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="momprob",
@@ -103,23 +111,23 @@ def _build_parser():
                             help="exit 4 on inconclusive verdicts")
         if family:
             sp.add_argument("--family", default=None)
-            sp.add_argument("--family-n", type=int, default=None)
+            sp.add_argument("--family-n", type=_size, default=None)
         return sp
 
     sp = command("validate-moments", _validate_moments, "Hankel positivity check")
-    sp.add_argument("--k-max", type=int, required=True)
+    sp.add_argument("--k-max", type=_size, required=True)
 
     sp = command("moments-to-jacobi", lambda a: moments_to_jacobi(_load_moments(a), a.n).to_json(),
                  "moments -> recurrence")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
 
     sp = command("jacobi-to-moments", lambda a: jacobi_to_moments(_load_jacobi(a), a.m).to_json(),
                  "recurrence -> moments", family=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_size, required=True)
 
     sp = command("pi-eval", _pi_eval, "orthonormal polynomial values at z", family=True)
     sp.add_argument("--z", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
 
     sp = command("weyl-radii", _weyl_radii, "nested circle radii at z", family=True)
     sp.add_argument("--z", default="i")
@@ -136,40 +144,40 @@ def _build_parser():
 
     sp = command("spectrum", lambda a: truncation_spectrum(_load_jacobi(a), a.n).to_json(),
                  "Gauss measure of a finite section", family=True)
-    sp.add_argument("--n", type=int, required=True, help="truncation size")
+    sp.add_argument("--n", type=_size, required=True, help="truncation size")
 
     sp = command("transform", _transform, "reweight a measure")
     sp.add_argument("--gauss-damp", dest="alpha", default=None)
-    sp.add_argument("--power-lift", dest="lift", type=int, default=None)
+    sp.add_argument("--power-lift", dest="lift", type=_size, default=None)
 
     sp = command("measure-to-jacobi", lambda a: measure_to_jacobi(_load_measure(a), a.n).to_json(),
                  "measure -> recurrence")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
 
     sp = command("stone", _stone, "damped-vector basis matrix", family=True)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
     sp.add_argument("--route", choices=["measure", "operator"], default="measure")
     sp.add_argument("--g", default="1", help="operator route: comma-separated vector")
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_size, default=None,
                     help="operator route: finite-section size N")
 
     sp = command("f-basis", _f_basis, "weighted-polynomial basis matrix")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
 
     sp = command("gram-check", _gram_check, "orthonormality of the weighted basis", family=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size, required=True)
     sp.add_argument("--probe", action="store_true",
                     help="representation probe: smallest singular value of the "
                          "shifted power-orbit columns of a Jacobi matrix input")
-    sp.add_argument("--truncation", type=int, default=None)
+    sp.add_argument("--truncation", type=_size, default=None)
     sp.add_argument("--g", default="1", help="probe vector, comma-separated")
 
     sp = command("index", _index, "index of determinacy scan", verdict=True)
-    sp.add_argument("--n-max", type=int, required=True)
+    sp.add_argument("--n-max", type=_size, required=True)
     sp.add_argument("--alpha", default=None,
                     help="damp the measure first (infinite-index probe)")
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", type=_size, default=None)
 
     command("pipeline", _pipeline, "transform -> convert -> classify", verdict=True)
     return p

@@ -23,7 +23,7 @@ from typing import Optional
 import mpmath as mp
 
 from .jacobi import JacobiMatrix
-from .precision import BIGFLOAT, PrecisionConfig, document_int, sqrt_number, wp
+from .precision import BIGFLOAT, PrecisionConfig, document_int, rounded, sqrt_number, wp
 
 HERMITE_LIKE = "hermite_like"
 LOGNORMAL = "lognormal"
@@ -46,8 +46,8 @@ def _lognormal_coeffs(n: int, bits: int):
         e1 = mp.exp(-1)
         q = [mp.exp(2 * k - mp.mpf(3) / 2) * (1 + e1 - mp.exp(-k)) for k in range(1, n + 1)]
         b = [mp.exp(2 * k - 1) * mp.sqrt(1 - mp.exp(-k)) for k in range(1, n)]
-    with wp(bits):
-        return tuple(+x for x in q), tuple(+x for x in b)
+    cfg = PrecisionConfig.bigfloat(bits)
+    return tuple(rounded(q, cfg)), tuple(rounded(b, cfg))
 
 
 def lognormal(n: int, precision: Optional[PrecisionConfig] = None) -> JacobiMatrix:

@@ -348,4 +348,5 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     cfg = J.precision
     nodes, weights = tridiag.gauss_rule(q, b, cfg.bits)
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
-    return measures.Measure.atomic(nodes, weights, precision=out_cfg)._with_section(q, b)
+    return measures.Measure.atomic(rounded(nodes, out_cfg), rounded(weights, out_cfg),
+                                   precision=out_cfg)._with_section(q, b)

@@ -8,8 +8,9 @@ of multipliers
     power_lift(n):      (1 + t^2)^n        (n may be negative)
 
 applied lazily at evaluation points, so products of transforms stay exact
-and the composition laws (alpha-additivity, power-lift inverses) hold
-structurally.  A scalar ``scale`` accumulates normalization constants.
+and the composition laws hold on the stack: power lifts add as ints, and
+damping exponents add exactly and are rounded once (alpha-additivity).  A
+scalar ``scale`` accumulates normalization constants.
 
 A measure may keep its section: the unrounded (q, b^2) of the whole Jacobi
 matrix of its atoms, stack included (``truncation_spectrum`` sets it).  A
@@ -108,12 +109,15 @@ class Multiplier:
         raise ValueError(f"unknown transform entry {item!r}")
 
 
-def _merge_stack(stack, mult: Multiplier):
-    """Append a multiplier, merged exactly into a same-form neighbor; an
+def _merge_stack(stack, mult: Multiplier, cfg: PrecisionConfig):
+    """Append a multiplier, merged into a same-form neighbor: power lifts
+    add as ints, damping exponents exactly and rounded once to cfg.  An
     entry whose exponent comes out zero is dropped."""
     stack = list(stack)
     if stack and stack[-1].form == mult.form:
-        mult = Multiplier(mult.form, stack.pop().param + mult.param)
+        prev = stack.pop().param
+        mult = Multiplier(mult.form, prev + mult.param if mult.form == "power_lift"
+                          else rounded([to_fraction(prev) + to_fraction(mult.param)], cfg)[0])
     if mult.param != 0:
         stack.append(mult)
     return tuple(stack)
@@ -240,9 +244,10 @@ class Measure(object):
         if self.quadrature.rule != "gauss_from_jacobi":
             return None
         if self._atoms is None:
+            cfg = self.precision
             q, b = self.quadrature.reference.coefficients(self.quadrature.n_nodes)
-            nodes, weights = tridiag.gauss_rule(q, b, self.precision.bits)
-            self._atoms = tuple(nodes), tuple(weights)
+            nodes, weights = tridiag.gauss_rule(q, b, cfg.bits)
+            self._atoms = tuple(rounded(nodes, cfg)), tuple(rounded(weights, cfg))
         return self._atoms
 
     def effective_atoms(self):
@@ -347,20 +352,16 @@ class Measure(object):
                 if mv <= 0:
                     raise ZeroMass("measure has nonpositive total mass")
                 new_scale = to_mpf(self.scale) / mv
-        return self._replace(scale=new_scale), mass
+        return self._replace(scale=rounded([new_scale], self.precision)[0]), mass
 
     def gauss_damp(self, alpha) -> "Measure":
         """Multiply by exp(-2*alpha*t^2) and renormalize.
 
-        Damping by alpha1 then alpha2 merges exactly into alpha1 + alpha2 on
-        the stack, so the composition law holds structurally.
+        Damping by alpha1 then alpha2 merges into alpha1 + alpha2 on the
+        stack, summed exactly and rounded once, so the composition law holds
+        to the working precision.
         """
-        cfg = self.precision
-        if cfg.mode == RATIONAL:
-            a = to_fraction(alpha)
-        else:
-            with wp(cfg.bits):
-                a = to_mpf(alpha)
+        a = convert(alpha, self.precision)
         if a == 0:
             return self
         return self._reweighted(Multiplier("gauss_damp", a))[0]
@@ -387,7 +388,8 @@ class Measure(object):
         """Multiply by ``mult`` and renormalize; returns (measure, mass).  The
         one place the stack changes: the result keeps ``section``, the image
         of the section a power lift passes, and none otherwise."""
-        out = self._replace(transforms=_merge_stack(self.transforms, mult), _section=section)
+        out = self._replace(transforms=_merge_stack(self.transforms, mult, self.precision),
+                            _section=section)
         return out.normalize()
 
     # -- serialization ---------------------------------------------------------

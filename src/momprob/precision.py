@@ -213,10 +213,8 @@ def to_fraction(x) -> Fraction:
         if not mp.isfinite(x):
             raise ValueError("cannot convert non-finite value to rational")
         sign, man, exp, _ = x._mpf_
-        if man == 0:
-            return Fraction(0)
-        frac = Fraction(man) * (Fraction(2) ** exp)
-        return -frac if sign else frac
+        man = -man if sign else man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise TypeError(f"cannot convert {type(x).__name__} to rational")
 
 
@@ -270,20 +268,16 @@ def sqrt_number(x, cfg: PrecisionConfig):
     """
     if x < 0:
         raise ValueError("square root of negative value")
-    if isinstance(x, (int, Fraction)):
-        n, d = Fraction(x).as_integer_ratio()
-        rn, rd = math.isqrt(n), math.isqrt(d)
-        if cfg.mode == RATIONAL and rn * rn == n and rd * rd == d:
-            return Fraction(rn, rd)
-        # an integer root of n/d to bits + 2 or more bits, a sticky bit for
-        # any remainder, then one rounding
-        s = max(0, cfg.bits + 4 - (n.bit_length() - d.bit_length()) // 2)
-        r = math.isqrt((n << 2 * s) // d)
-        man = 2 * r + (r * r * d != n << 2 * s)
-        root = mp.make_mpf(libmp.from_man_exp(man, -s - 1, cfg.bits, libmp.round_nearest))
-    else:
-        with wp(cfg.bits):
-            root = mp.sqrt(x)
+    n, d = to_fraction(x).as_integer_ratio()
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if all_exact(cfg, [x]) and rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    # an integer root of n/d to bits + 2 or more bits, a sticky bit for any
+    # remainder, then one rounding
+    s = max(0, cfg.bits + 4 - (n.bit_length() - d.bit_length()) // 2)
+    r = math.isqrt((n << 2 * s) // d)
+    man = 2 * r + (r * r * d != n << 2 * s)
+    root = mp.make_mpf(libmp.from_man_exp(man, -s - 1, cfg.bits, libmp.round_nearest))
     return float(root) if cfg.mode == DOUBLE else root
 
 
@@ -332,12 +326,11 @@ def parse_complex(s, cfg: PrecisionConfig):
 
 def format_complex(z, cfg: PrecisionConfig) -> str:
     """Render ``a+bi`` with both parts at the configured precision."""
-    # mpc() and abs() round to the ambient precision, which may be lower
+    z = rounded([z], cfg)[0]
+    # abs() rounds to the ambient precision, which may be lower
     with wp(max(cfg.bits, mp.mp.prec)):
-        z = mp.mpc(z)
-        re, im = z.real, z.imag
-        sign = "+" if im >= 0 else "-"
-        return f"{format_number(re, cfg)}{sign}{format_number(abs(im), cfg)}i"
+        sign = "+" if z.imag >= 0 else "-"
+        return f"{format_number(z.real, cfg)}{sign}{format_number(abs(z.imag), cfg)}i"
 
 
 def agreeing_bits(a, b) -> float:

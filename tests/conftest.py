@@ -1,7 +1,15 @@
+import re
+
 import mpmath as mp
 import pytest
 
-from momprob import PrecisionConfig, families, measure_to_jacobi, truncation_spectrum
+from momprob import (
+    PrecisionConfig,
+    families,
+    gram_deviation,
+    measure_to_jacobi,
+    truncation_spectrum,
+)
 from momprob.precision import to_mpf
 
 from oracles import lanczos_recurrence
@@ -15,6 +23,36 @@ def assert_close(a, b, tol, msg=""):
         else:
             diff = abs(to_mpf(a) - to_mpf(b))
         assert diff <= tol, f"{msg} |diff| = {mp.nstr(diff, 8)} > {tol}"
+
+
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_COMPLEX = re.compile(rf"({_NUMBER})[-+]({_NUMBER})i")
+
+
+def decimal_strings(doc, precision=None):
+    """(precision, s) for each decimal string s of a JSON document, with the
+    ``precision`` entry nearest above it (None outside any).  The parts of
+    an ``a+bi`` value count; integers, ``p/q`` strings and the precision
+    entries themselves do not."""
+    if isinstance(doc, dict):
+        precision = doc.get("precision", precision)
+        doc = [value for key, value in doc.items() if key != "precision"]
+    if isinstance(doc, list):
+        for value in doc:
+            yield from decimal_strings(value, precision)
+    elif isinstance(doc, str):
+        z = _COMPLEX.fullmatch(doc)
+        for s in z.groups() if z else [doc]:
+            if re.fullmatch(_NUMBER, s) and re.search(r"[.eE]", s):
+                yield precision, s
+
+
+def column_gram_deviation(basis, bits):
+    """max |G - I| of the Gram matrix of the basis columns, summed at bits + 16."""
+    cols = basis.vectors
+    with mp.workprec(bits + 16):
+        return gram_deviation([[mp.fsum(a * b for a, b in zip(u, v)) for v in cols]
+                               for u in cols])[0]
 
 
 def assert_matches_lanczos(mu, n, partial=False):

@@ -16,6 +16,8 @@ from momprob.bases import representation_diagnostic, stone_jacobi_operator_route
 from momprob.cli import _build_parser, _exit_code, main
 from momprob.precision import PrecisionConfig, convert, format_number
 
+from conftest import decimal_strings
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -454,18 +456,24 @@ FIVE_ATOMS = {
 # SHA-256 of stdout as printed while the CLI parsed alpha values with a
 # parser of its own; precision.convert must reproduce every byte.
 ALPHA_STDOUT_SHA256 = {
-    ("transform-1/2", "rational"): "39942801b9fdc0dd47ddbbe1a6571f483ea911a58aac70c325f740da64046c37",
-    ("transform-1/2", "double"): "316de412deeada1aafee651f04f6a7cd051059ba4879894483d3a098a0ccd491",
-    ("transform-1/2", "bigfloat"): "a69c4af50a8331f7082d9d91cdb413d819d62700a1640226602a561cda95ef76",
-    ("transform-0.3", "rational"): "426cef36a3808d9894bfe8b106d7559971f3de8c9703f2c33d8c7f0ff00caca5",
-    ("transform-0.3", "double"): "e68253344018a2dc75d46f3bc94f993223ed73d6cac1a791876ad98272d4f121",
+    # re-pinned when normalize rounded its scale through precision.rounded:
+    # the scale prints as its 256-bit value (it printed 80 digits of a
+    # 272-bit quotient); in double mode the scale and the exponent print as
+    # doubles ("0.3", where the 53-bit mpf printed "0.299999999999999989")
+    ("transform-1/2", "rational"): "5c998c5fb8117aca836a9a0278c1ad42919c0393b2b6bf321f8e239c59e1ca02",
+    ("transform-1/2", "double"): "e457c2b991ffddacabc5658428bc72dd3e54a4ce621f151b1003bcad30db8c72",
+    ("transform-1/2", "bigfloat"): "7d39d7a4b1c2162a6fb24aa008813687cd9ee7b21cad2a2fb31ddd4a202aaa9c",
+    ("transform-0.3", "rational"): "20a7dd01dacf5eb7aee1e227d3a5cb255e2dda0f7a8c4640cb82ab9c764f8805",
+    ("transform-0.3", "double"): "8d275c2a8cd1562c0b6ec19d0c1330c5e4db00f38bae04974d2c9aee7e47f743",
     # the gauss_damp exponent is written at the measure's 256 bits
-    ("transform-0.3", "bigfloat"): "aa991b4c835863039065cca90ab619e65ab349037f49c30d1c305bfa4dde37f0",
+    ("transform-0.3", "bigfloat"): "969c8cdcdc5a3cb8f4661634d819cdd2377ad5274a50ea76592ef0ecb3eb85a1",
     ("stone", "rational"): "49e9274cb9139d7f5a865d5a3158c18379f62bba34009930afdcf5047cf5d0b0",
     ("stone", "double"): "533ec8d362c3803f9fb83ee26f5a644f32d6891540cced92268d31009e64a901",
     ("stone", "bigfloat"): "87bbab4021e3f5027dd7880fd850170e32a592d2dcf0fbc37ee1f9b730e48126",
     ("stone-operator", "rational"): "8b38828689d676ec7520d7c2225e02940c44eb073e40e35da0ef993e1e78534d",
-    ("stone-operator", "double"): "360d44eec1353b97ee7008753cb21fb6be0728f84474752489a6d40dfdeb1eb9",
+    # re-pinned when the operator route returned through precision.rounded:
+    # q, b and the basis columns print as doubles, not as 53-bit mpfs
+    ("stone-operator", "double"): "5db5d5ff6279f999cf45a5b1cf5afa60211241611670023db933d6cdd1d916d4",
     ("stone-operator", "bigfloat"): "4887d959fe311386964eb61ecd1d73c407bee7f4444cc05174609c0baafca81e",
     # the verdict's radii are printed at the working precision, not the
     # doubled scan precision (Python floats in double mode)
@@ -512,14 +520,18 @@ KERNEL_STDOUT_SHA256 = {
     # re-pinned when the Hermite rows took their roots from sqrt_number:
     # b_170 was an ulp off, which moves the values from pi_171 on
     "pi-eval": "98247bc3a84ee5b29b5af42d4a85bc4b475885dc70b9b3374afef451e95ec4a8",
-    "pi-eval-double": "6eda0142bc25a0c51cac377e40e1124457c349eeae28232e17b84608087a3594",
+    # re-pinned when format_complex formatted rounded([z], cfg)[0]: both parts
+    # of each value print as doubles, not as 53-bit mpfs
+    "pi-eval-double": "d0538c1f483592cc518cb42d47a391612b5becf8b0d2624c92054a262b715b7c",
     "pi-eval-lognormal": "49a3c59954961aa6e0ff8c776ec1fd4863be3c2107005d221828f774bc778573",
     "weyl-radii": "4c00b786788f61bdef9bcfc3264f36c40ce0fc4439424d44262f804d46f8bac9",
     # the verdict's radii are printed at the working precision, not the
     # doubled scan precision
     "classify-csv": "3e54e2b77d6bd9cc539d573819a82acd8a296974569c2f36244a3c5faa2bfa55",
     "classify-lognormal": "0c702cc23a687083285bbf06a35e5f902467f0654a3e69a0938e20f88f4f1599",
-    "spectrum-double": "1c38f6b247fe2e0f3c88a51ffcd91cc74f8887aed87a3fbb82cd5016165a46ee",
+    # re-pinned when truncation_spectrum rounded its Gauss nodes and weights
+    # through precision.rounded: they print as doubles, not as 53-bit mpfs
+    "spectrum-double": "069add41275930683fca49e0e0820fb97ed74e369d9ed7795671f6ec7dcbe473",
     "stone-operator": "54b349dfe89057980f4b5fd8b99684a854e910f4b101c86cf594c26eb67b8284",
     "gram-probe": "fa06b6dcaaafb71e6bbfc0b40c51b9449b8f13b977a0d039d6fffe10ddbb25ac",
     "jacobi-to-moments-bigfloat": "013208853e2a6f872d29b8de000824325d0a4d637411f9aec10a8b760fb6e517",
@@ -721,6 +733,67 @@ class TestGaussDampRoutes:
         ]
         assert routes[0] == routes[1] == routes[2]
         assert routes[0][0][0].startswith("0.024457073025904936105")
+
+
+class TestDampingMerge:
+    # two damping exponents merge into their exact sum, rounded once to the
+    # measure's precision (they were summed at 53 bits)
+    def test_two_entries_print_what_their_sum_prints(self, capsys, tmp_path):
+        def pipeline(transforms):
+            doc = {"measure": FIVE_ATOMS, "transforms": transforms, "n": 4,
+                   "classify": {"n_max": 4, "start": 2}}
+            code, out, _ = run_cli(capsys, "pipeline", "--mode", "bigfloat",
+                                   "--in", write_json(tmp_path, "in.json", doc))
+            assert code == 0
+            return json.loads(out)["jacobi"]
+
+        lift = {"power_lift": 1}
+        assert pipeline([{"gauss_damp": "1/10"}, {"gauss_damp": "1/5"}, lift]) \
+            == pipeline([{"gauss_damp": "3/10"}, lift])
+
+    def test_merged_exponent_at_the_measure_precision(self, capsys, tmp_path):
+        doc = dict(FIVE_ATOMS, precision={"mode": "bigfloat", "bits": 256})
+        code, out, _ = run_cli(capsys, "transform", "--gauss-damp", "1/10",
+                               "--in", write_json(tmp_path, "in.json", doc))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "transform", "--gauss-damp", "1/5",
+                               "--in", write_json(tmp_path, "damped.json", json.loads(out)))
+        assert code == 0
+        cfg = PrecisionConfig.bigfloat(256)
+        assert json.loads(out)["transforms"] == [
+            {"gauss_damp": format_number(convert("3/10", cfg), cfg)}]
+
+
+DOUBLE_COMMANDS = {
+    "spectrum": ["spectrum", *HERMITE, "--n", "6"],
+    "stone-measure": ["stone", "--alpha", "1/2", "--n", "3", "--in", "{atoms}"],
+    "stone-operator": ["stone", "--route", "operator", *HERMITE, "--alpha", "1/2",
+                       "--truncation", "12", "--n", "3"],
+    "transform": ["transform", "--gauss-damp", "0.3", "--in", "{atoms}"],
+    "f-basis": ["f-basis", "--n", "3", "--in", "{atoms}"],
+    "measure-to-jacobi": ["measure-to-jacobi", "--n", "3", "--in", "{atoms}"],
+    "pipeline": ["pipeline", "--in", "{pipeline}"],
+    "pi-eval": ["pi-eval", *HERMITE, "--z", "0.1+i", "--n", "5"],
+    "weyl-radii": ["weyl-radii", *HERMITE, "--z", "0.1+i", "--n-list", "2,4"],
+    "classify": ["classify", *HERMITE, "--z", "0.1+i", "--n-max", "16"],
+}
+
+
+class TestDoubleModePrintsDoubles:
+    # a double-mode result leaves through precision.rounded as a float, so it
+    # prints as a double's repr, never as a 53-bit mpf to 18 digits
+    @pytest.mark.parametrize("name", list(DOUBLE_COMMANDS))
+    def test_every_decimal_is_a_double_repr(self, capsys, tmp_path, name):
+        doc = {"measure": FIVE_ATOMS, "n": 4, "classify": {"n_max": 4, "start": 2},
+               "transforms": [{"gauss_damp": "1/10"}, {"gauss_damp": "1/5"}, {"power_lift": 1}]}
+        files = {"atoms": write_json(tmp_path, "atoms.json", FIVE_ATOMS),
+                 "pipeline": write_json(tmp_path, "pipeline.json", doc)}
+        argv = [arg.format(**files) for arg in DOUBLE_COMMANDS[name]]
+        code, out, _ = run_cli(capsys, *argv, "--mode", "double")
+        assert code == 0
+        printed = [s for _, s in decimal_strings(json.loads(out))]
+        assert printed
+        assert [s for s in printed if s != repr(float(s))] == []
 
 
 class TestDocumentIntegers:
@@ -1134,6 +1207,42 @@ class TestFlagNumbers:
         got = run_cli(capsys, *argv, "--eps-zero", "1/1000")
         assert got[0] == 0
         assert got == run_cli(capsys, *argv, "--eps-zero", "0.001")
+
+
+class TestSizeFlags:
+    # a size flag is read like a document integer: "2e0" is 2, and a ratio, a
+    # fraction or an integer above the size cap is refused before any work
+    def test_integral_decimal_reads_as_the_integer(self, capsys, tmp_path):
+        infile = write_json(tmp_path, "in.json", FIVE_ATOMS)
+        want = run_cli(capsys, "measure-to-jacobi", "--n", "2", "--in", infile)
+        assert want[0] == 0
+        assert run_cli(capsys, "measure-to-jacobi", "--n", "2e0", "--in", infile) == want
+
+    @pytest.mark.parametrize("value", ["1/2", "2.5", "99999999999"])
+    @pytest.mark.parametrize("argv", [
+        ["validate-moments", "--k-max", "{v}", "--in", "{moments}"],
+        ["moments-to-jacobi", "--n", "{v}", "--in", "{moments}"],
+        ["jacobi-to-moments", *HERMITE, "--m", "{v}"],
+        ["pi-eval", *HERMITE, "--z", "i", "--n", "{v}"],
+        ["spectrum", *HERMITE, "--n", "{v}"],
+        ["spectrum", "--family", "lognormal", "--family-n", "{v}", "--n", "2"],
+        ["transform", "--power-lift", "{v}", "--in", "{atoms}"],
+        ["measure-to-jacobi", "--n", "{v}", "--in", "{atoms}"],
+        ["stone", "--route", "operator", *HERMITE, "--alpha", "1/2", "--n", "2",
+         "--truncation", "{v}"],
+        ["f-basis", "--n", "{v}", "--in", "{atoms}"],
+        ["gram-check", "--n", "{v}", "--in", "{atoms}"],
+        ["index", "--n-max", "{v}", "--in", "{atoms}"],
+        ["index", "--n-max", "1", "--depth", "{v}", "--in", "{atoms}"],
+    ], ids=["k-max", "moments-n", "m", "pi-eval-n", "spectrum-n", "family-n", "power-lift",
+            "measure-n", "truncation", "f-basis-n", "gram-check-n", "n-max", "depth"])
+    def test_refused_before_any_work(self, capsys, tmp_path, argv, value):
+        files = {"atoms": write_json(tmp_path, "atoms.json", FIVE_ATOMS),
+                 "moments": write_json(tmp_path, "moments.json", KERNEL_INPUTS["moments"])}
+        argv = [arg.format(v=value, **files) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid" not in err and "must be" in err
 
 
 SUBCOMMANDS = sorted(next(action for action in _build_parser()._actions

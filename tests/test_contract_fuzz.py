@@ -9,7 +9,8 @@ numbers (``--z``, ``--g``, ``--alpha``, ``--gauss-damp``, ``--eps-zero`` and
 Whatever the input, ``main`` returns one of the documented exit codes
 (0/2/3/4) with no exception escaping it, writes an error exactly when it
 fails, prints no non-finite number, and prints the same bytes when run
-twice.
+twice.  On success, every decimal in a printed document with a precision
+entry reads back as a value that prints as the same decimal.
 """
 import contextlib
 import copy
@@ -22,6 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momprob.cli import main
+from momprob.precision import PrecisionConfig, convert, format_number
+
+from conftest import decimal_strings
 
 EXIT_CODES = {0, 2, 3, 4}
 GOOD_TEXT = ["0", "1", "-1", "2", "1/2", "-3/4", "0.25", "1e3", "1e-40", "1.0000000000001"]
@@ -164,6 +168,16 @@ def infile(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "in.json"
 
 
+def assert_decimals_read_back(out):
+    """Each decimal below a precision entry prints again unchanged when read
+    at it: as a double in double mode, at bigfloat(bits) otherwise."""
+    for precision, s in decimal_strings(json.loads(out)):
+        if precision is not None:
+            cfg = (PrecisionConfig.double() if precision["mode"] == "double"
+                   else PrecisionConfig.bigfloat(precision["bits"]))
+            assert format_number(convert(s, cfg), cfg) == s, (precision, s)
+
+
 def run(argv):
     """Exit code, stdout and stderr of one in-process run of ``main``."""
     out, err = io.StringIO(), io.StringIO()
@@ -183,6 +197,8 @@ def test_documented_exit_codes_and_stable_output(infile, cmd):
     assert (code == 0) == (err == "") == (out != ""), (argv, doc, err)
     assert not re.search(r"\b(nan|inf)\b", out), (argv, doc, out)
     assert run(argv) == (code, out, err)
+    if code == 0:
+        assert_decimals_read_back(out)
 
 
 HERMITE = ["--family", "hermite_like"]
@@ -222,6 +238,8 @@ def test_flag_values_keep_the_contract(infile, cmd, value, mode):
     assert (code == 0) == (err == "") == (out != ""), (argv, err)
     assert not re.search(r"\b(nan|inf)\b", out), (argv, out)
     assert run(argv) == (code, out, err)
+    if code == 0:
+        assert_decimals_read_back(out)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

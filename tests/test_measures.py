@@ -29,6 +29,7 @@ from momprob.measures import (
     inverse_christoffel_step,
 )
 from momprob.moments import MomentSequence
+from momprob.precision import convert
 
 from conftest import assert_close, assert_matches_lanczos
 from oracles import atomic_moments, gram_schmidt_recurrence, lanczos_recurrence
@@ -457,18 +458,28 @@ class TestMergeStack:
         assert up.transforms == (Multiplier("power_lift", 1),)
         assert down.transforms == ()
 
-    def test_damping_exponents_add(self):
-        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 4)))
-        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 8)))
+    def test_damping_exponents_add(self, cfg_rational):
+        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 4)), cfg_rational)
+        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 8)), cfg_rational)
         assert stack == (Multiplier("gauss_damp", Fraction(3, 8)),)
 
-    def test_different_forms_stay_separate(self):
-        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 2)))
-        stack = _merge_stack(stack, Multiplier("power_lift", -1))
-        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 2)))
+    def test_different_forms_stay_separate(self, cfg_rational):
+        stack = _merge_stack((), Multiplier("gauss_damp", Fraction(1, 2)), cfg_rational)
+        stack = _merge_stack(stack, Multiplier("power_lift", -1), cfg_rational)
+        stack = _merge_stack(stack, Multiplier("gauss_damp", Fraction(1, 2)), cfg_rational)
         assert [m.form for m in stack] == ["gauss_damp", "power_lift", "gauss_damp"]
-        assert _merge_stack(stack, Multiplier("gauss_damp", 0)) == stack
-        assert _merge_stack(stack, Multiplier("power_lift", 0)) == stack
+        assert _merge_stack(stack, Multiplier("gauss_damp", 0), cfg_rational) == stack
+        assert _merge_stack(stack, Multiplier("power_lift", 0), cfg_rational) == stack
+
+    def test_damping_exponents_add_at_the_working_precision(self, cfg256):
+        mu = Measure.atomic([-1, 0, 2], [1, 2, 1], precision=cfg256)
+        damped = mu.gauss_damp(convert("1/10", cfg256)).gauss_damp(convert("1/5", cfg256))
+        assert damped.transforms == (Multiplier("gauss_damp", convert("3/10", cfg256)),)
+
+    def test_normalized_scale_has_the_working_mantissa(self, cfg256):
+        mu = Measure.atomic([-1, 0, 2], [1, 2, 1], precision=cfg256)
+        scale = mu.gauss_damp(convert("0.3", cfg256)).scale
+        assert isinstance(scale, mp.mpf) and scale._mpf_[3] <= 256
 
 
 class TestMomentsOf:

@@ -279,6 +279,25 @@ def test_sqrt_number_of_a_ratio_is_correctly_rounded():
         assert sqrt_number(Fraction(2, 3), PrecisionConfig.double()) == float(mp.sqrt(mp.mpf(2) / 3))
 
 
+def test_sqrt_number_of_mpf_and_float_inputs_is_correctly_rounded():
+    # one integer root serves every input: mpf and float values against a
+    # 2,000-bit root rounded once
+    rng = random.Random(3)
+    with mp.workprec(320):
+        xs = [mp.mpf(rng.getrandbits(320)) * mp.mpf(2) ** rng.randint(-400, 80)
+              for _ in range(60)]
+    xs += [rng.uniform(0, 1e6) * 2.0 ** rng.randint(-60, 60) for _ in range(60)]
+    for cfg in (PrecisionConfig.bigfloat(256), PrecisionConfig.bigfloat(64),
+                PrecisionConfig.double()):
+        for x in xs:
+            with mp.workprec(2000):
+                exact = mp.sqrt(x)
+            with mp.workprec(cfg.bits):
+                want = +exact
+            got = sqrt_number(x, cfg)
+            assert got == want and isinstance(got, float) == (cfg.mode == "double"), x
+
+
 def test_precision_block_failing_on_entry_restores_state():
     # mpmath stores 10^400 bits before its setter overflows; the block used
     # to leave that mantissa set, so every later operation overflowed, and

@@ -121,7 +121,7 @@ def test_power_lift_inverse_exact(points, n):
 def test_damping_composition(a1, a2):
     mu = Measure.atomic([-1, 0, 2], [1, 2, 1], precision=CFG)
     two_steps = gauss_damp(gauss_damp(mu, a1), a2)
-    one_step = gauss_damp(mu, mp.mpf(a1) + mp.mpf(a2))
+    one_step = gauss_damp(mu, Fraction(a1) + Fraction(a2))
     p1, w1 = two_steps.effective_atoms()
     p2, w2 = one_step.effective_atoms()
     with mp.workprec(192):
