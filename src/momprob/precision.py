@@ -325,8 +325,12 @@ def parse_complex(s, cfg: PrecisionConfig):
 
 
 def format_complex(z, cfg: PrecisionConfig) -> str:
-    """Render ``a+bi`` with both parts at the configured precision."""
-    z = rounded([z], cfg)[0]
+    """Render ``a+bi`` with both parts at the configured precision.  An mpc
+    whose parts fit in ``cfg.bits`` is printed as it is outside double mode,
+    since rounding could not change it."""
+    if cfg.mode == DOUBLE or not isinstance(z, mp.mpc) or max(
+            part[3] for part in z._mpc_) > cfg.bits:
+        z = rounded([z], cfg)[0]
     # abs() rounds to the ambient precision, which may be lower
     with wp(max(cfg.bits, mp.mp.prec)):
         sign = "+" if z.imag >= 0 else "-"

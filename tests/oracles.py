@@ -3,8 +3,8 @@
 Everything here is deliberately naive and separate from the library code:
 classical Gram-Schmidt driven by raw moments in exact rationals,
 permutation-expansion determinants, Lanczos with full
-reorthogonalization on atoms, and the per-index Sturm bisection
-eigensolver.  These are the oracles the main routes are checked against.
+reorthogonalization on atoms, the per-index Sturm bisection
+eigensolver and the mpf Golub-Welsch weight pass.  These are the oracles the main routes are checked against.
 """
 from fractions import Fraction
 from itertools import permutations
@@ -228,6 +228,33 @@ def sturm_newton_eigenvalues(q, b, bits: int):
             out.append(x)
     with wp(bits):
         return [+x for x in out]
+
+
+def golub_welsch_weights(q, b, nodes, bits: int):
+    """Gauss weights at ``nodes`` from the orthonormal recurrence in mpf.
+
+    The library's weight pass before its int kernel: at bits + 24, the
+    weight at x is 1 / sum_k p_k(x)^2 with p_0 = 1 and b_k p_k = (x - q_k)
+    p_(k-1) - b_(k-1) p_(k-2) (Golub & Welsch, Math. Comp. 23, 1969),
+    renormalized to unit total mass and rounded to ``bits``.  The
+    recurrence is its own copy.
+    """
+    with wp(bits + 24):
+        qq = [to_mpf(v) for v in q]
+        bb = [to_mpf(v) for v in b]
+        weights = []
+        for x in nodes:
+            prev, cur, b_prev = 0, x ** 0, 0
+            vals = [cur]
+            for qk, bk in zip(qq, bb):
+                prev, cur = cur, ((x - qk) * cur - b_prev * prev) / bk
+                b_prev = bk
+                vals.append(cur)
+            weights.append(1 / mp.fsum(v * v for v in vals))
+        total = mp.fsum(weights)
+        weights = [w / total for w in weights]
+    with wp(bits):
+        return [+w for w in weights]
 
 
 def det_permutation(matrix):

@@ -5,7 +5,7 @@ from itertools import islice
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momprob import (
     CoefficientExhausted,
@@ -24,7 +24,8 @@ from momprob.tridiag import (
     poly_values,
     recurrence,
 )
-from oracles import sturm_newton_eigenvalues
+from momprob.precision import to_fraction
+from oracles import golub_welsch_weights, sturm_newton_eigenvalues
 
 
 def random_tridiag(n, seed):
@@ -104,17 +105,64 @@ def positive_b_sections(draw):
     return q, b, draw(st.sampled_from([53, 128, 256]))
 
 
+def is_rounding_tie(q, b, x, y, bits):
+    """Whether x and y are the two neighbours at ``bits`` of their midpoint
+    and that midpoint is exactly an eigenvalue of the section (the
+    characteristic polynomial in Fractions of the inputs vanishes there)."""
+    mid = (to_fraction(x) + to_fraction(y)) / 2
+    neighbours = {mp.make_mpf(mp.libmp.from_rational(mid.numerator, mid.denominator, bits, rnd))
+                  for rnd in (mp.libmp.round_floor, mp.libmp.round_ceiling)}
+    if neighbours != {x, y}:
+        return False
+    prev, cur = 1, to_fraction(q[0]) - mid
+    for qk, bk in zip(q[1:], b):
+        prev, cur = cur, (to_fraction(qk) - mid) * cur - to_fraction(bk) ** 2 * prev
+    return cur == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(positive_b_sections())
+# q + b is exact with 54 bits: a tie at 53, which the solvers round apart
+@example(([1.7088177948229786] * 2, [0.5283823035248676], 53))
 def test_eigenvalues_match_oracle_on_random_sections(section):
     q, b, bits = section
     got, ref = eigenvalues(q, b, bits), sturm_newton_eigenvalues(q, b, bits)
     assert len(got) == len(ref) == len(q)
     # below 1 in magnitude both solvers stop on an absolute step of
     # 2^-(bits+8), so a node at or near 0 (q = 0 with odd N has one at 0)
-    # is fixed only to that absolute size and may differ in its last bits
+    # is fixed only to that absolute size and may differ in its last bits;
+    # neither solver can tell an exact tie, so each may round it either way
     for x, y in zip(got, ref):
-        assert x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
+        assert (x == y or (abs(y) < 1 and abs(x - y) <= mp.mpf(2) ** -(bits + 7))
+                or is_rounding_tie(q, b, x, y, bits))
+
+
+@pytest.mark.parametrize("section, n, bits", [
+    *(pytest.param(hermite_section, n, 256, id=f"hermite-{n}-256") for n in range(48, 65)),
+    pytest.param(lognormal_section, 40, 512, id="lognormal-40-512"),
+])
+def test_weights_bit_identical_to_the_mpf_pass(section, n, bits):
+    # on these sections the int kernel and the mpf pass agree to the last bit
+    q, b = section(n, bits)
+    nodes, weights = gauss_rule(q, b, bits)
+    assert weights == golub_welsch_weights(q, b, nodes, bits)
+
+
+def assert_weights_match_oracle(q, b, bits):
+    """gauss_rule's weights within 2^-(bits-4), relatively, of the mpf pass
+    run at 2 bits on the same nodes."""
+    nodes, weights = gauss_rule(q, b, bits)
+    ref = golub_welsch_weights(q, b, nodes, 2 * bits)
+    assert len(weights) == len(q)
+    with mp.workprec(2 * bits):
+        for w, r in zip(weights, ref):
+            assert abs(w - r) <= r * mp.mpf(2) ** -(bits - 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_b_sections())
+def test_weights_match_oracle_on_random_sections(section):
+    assert_weights_match_oracle(*section)
 
 
 def wilkinson_plus(n=21):
@@ -127,6 +175,32 @@ def graded_powers_of_ten():
     # q_k = 10^k, b_k = 10^(k-1), k = -20..19: eigenvalues from 1e-20 to 1e19
     ks = range(-20, 20)
     return [Fraction(10) ** k for k in ks], [Fraction(10) ** (k - 1) for k in ks[1:]]
+
+
+def graded_exponentials():
+    # q_k = e^k, b_k = e^(k + 1/2), k = 1..20
+    with mp.workprec(400):
+        return ([mp.exp(mp.mpf(k)) for k in range(1, 21)],
+                [mp.exp(mp.mpf(k) + mp.mpf(1) / 2) for k in range(1, 20)])
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("make", [
+    pytest.param(wilkinson_plus, id="wilkinson-21-plus"),
+    pytest.param(graded_powers_of_ten, id="graded-10^k"),
+    pytest.param(graded_exponentials, id="graded-e^k"),
+    pytest.param(lambda: lognormal_section(40, 512), id="lognormal-40"),
+])
+def test_weights_match_oracle_on_hard_sections(make, bits):
+    assert_weights_match_oracle(*make(), bits)
+
+
+@pytest.mark.parametrize("b", [[1, 0], [1, -0.5]], ids=["zero", "negative"])
+def test_gauss_rule_needs_a_positive_off_diagonal(b):
+    # the monic recurrence never divides by b, so a zero or negative entry
+    # would give weights of another matrix instead of an error
+    with pytest.raises(ValueError, match="positive off-diagonal"):
+        gauss_rule([0, 0, 0], b, 64)
 
 
 @pytest.mark.parametrize("bits", [53, 256])
@@ -215,12 +289,14 @@ def test_eigenvalues_scale_with_the_matrix(exponent, bits):
 @pytest.mark.parametrize("exponent", [-400, 400])
 def test_graded_section_scales_exactly(exponent):
     # scaling by a power of two is exact, so a fixed-point scale that follows
-    # the grading as well as the norm gives exactly the scaled nodes
+    # the grading as well as the norm gives exactly the scaled nodes and
+    # the same weights
     q, b = lognormal_section(40, 512)
-    ref = eigenvalues(q, b, 512)
-    got = eigenvalues([mp.ldexp(v, exponent) for v in q],
-                      [mp.ldexp(v, exponent) for v in b], 512)
+    ref, ref_weights = gauss_rule(q, b, 512)
+    got, weights = gauss_rule([mp.ldexp(v, exponent) for v in q],
+                              [mp.ldexp(v, exponent) for v in b], 512)
     assert got == [mp.ldexp(x, exponent) for x in ref]
+    assert weights == ref_weights
 
 
 def test_truncation_spectrum_of_a_tiny_section():
@@ -300,9 +376,7 @@ def test_weights_sum_to_one_high_precision():
 def test_graded_spectrum_isolated():
     # off-diagonals spanning many orders of magnitude: neighbor gaps are
     # tiny relative to the spectral span, which exercises the isolation loop
-    with mp.workprec(400):
-        q = [mp.exp(mp.mpf(k)) for k in range(1, 21)]
-        b = [mp.exp(mp.mpf(k) + mp.mpf(1) / 2) for k in range(1, 20)]
+    q, b = graded_exponentials()
     ev = eigenvalues(q, b, 320)
     assert all(a < c for a, c in zip(ev, ev[1:]))
     # residual check via the recurrence: the (N+1)-st polynomial value must
