@@ -11,11 +11,14 @@ has the classical determinant identities
 i.e. exactly the determinantal formulas, read off a single factorization
 instead of a pile of minors.  The factor is built by the Chebyshev column
 recurrence in O(n^2) operations: sigma_(k,l) = d_k L[l][k] obeys the
-three-term recurrence, so only two columns are kept.  Exact rational
-arithmetic is used whenever the inputs are rational; otherwise the
-factorization runs in big floats at a multiple of the requested precision
-and escalates until two mantissa sizes agree, since Hankel conditioning
-grows super-exponentially with the order.
+three-term recurrence, so only two columns are kept.  One factorization
+answers every question asked of the moments: the coefficients, the
+positivity verdict and the determinants.  It is exact whenever the inputs
+are rational; otherwise it runs in big floats at a multiple of the
+requested precision and escalates until two mantissa sizes agree, since
+Hankel conditioning grows super-exponentially with the order, and a run
+that meets a nonpositive pivot hands the stored values to one exact run,
+so that finite support is decided, never guessed.
 
 The reverse map reads s_k off powers of a finite section: s_k is the top
 corner entry of T^k for any section of size at least floor(k/2)+1, exactly,
@@ -50,6 +53,7 @@ from .precision import (
     format_number,
     is_finite_number,
     rounded,
+    to_fraction,
     to_mpf,
     wp,
 )
@@ -100,58 +104,90 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Hankel determinants
+# The Hankel factorization: q, b^2, pivots and determinants
+
+# Escalation stops before the working mantissa would pass this multiple of
+# the requested one: 4x, 8x, ..., 256x allows six agreement checks.
+_MAX_WORK_FACTOR = 256
 
 
-def _det_pivoted(rows):
-    """Determinant by Gaussian elimination with partial pivoting.
+def _ldl_recurrence(svals, n):
+    """q_1..q_n, b_1^2..b_n^2 and D_0..D_n from the Hankel LDL^T factorization.
 
-    Works verbatim for Fractions (exact) and mpf entries; returns the exact
-    zero for rationally singular input.
+    ``svals`` must hold s_0..s_{2n-1}, optionally also s_{2n}, in a field
+    (Fraction, or mpf under an ambient workprec).  The pivot d_k gives
+    b_k^2 = d_k / d_{k-1} and D_k = d_0 d_1 ... d_k; the last pivot d_n,
+    with b_n^2 and D_n, is read only when s_{2n} is present.  The recurrence
+    needs only d_k != 0, so a negative pivot shows as a negative b_k^2 and
+    the run goes on; at a zero pivot the lists end with b_k^2 = D_k = 0.
+    Column k steps to
+    sigma_(k+1,l) = sigma_(k,l+1) - q_(k+1) sigma_(k,l) - b_k^2 sigma_(k-1,l).
     """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    if m == 1:
-        return a[0][0]
-    sign = 1
-    one = a[0][0] - a[0][0]  # typed zero
-    det = one + 1
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return one
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        det = det * a[col][col]
-        inv_free = a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] / inv_free
-            if f == 0:
-                continue
-            row_r, row_c = a[r], a[col]
-            for c in range(col + 1, m):
-                row_r[c] = row_r[c] - f * row_c[c]
-    return det * sign
+    zero = svals[0] - svals[0]
+    # sigma columns k-1 and k from their diagonal on; sigma_(-1,l) = 0, and
+    # the b_0^2 it is multiplied by is a placeholder, dropped on return
+    prev, cur = [zero] * len(svals), list(svals)
+    d_prev, r_prev, det = zero + 1, zero, zero + 1
+    q, b2, dets = [], [], []
+    for k in range(n + 1):
+        if not cur:  # d_n is read only when s_2n is given
+            break
+        d = cur[0]
+        det *= d
+        b2.append(d / d_prev)
+        dets.append(det)
+        if k == n or d == 0:
+            break
+        r = cur[1] / d
+        q.append(r - r_prev)
+        prev, cur = cur, [x2 - q[k] * x1 - b2[k] * p
+                          for x1, x2, p in zip(cur[1:], cur[2:], prev[2:])]
+        d_prev, r_prev = d, r
+    return q, b2[1:], dets
 
 
-def hankel_determinants(s: MomentSequence, k_max: int):
-    """Leading principal Hankel determinants D_0 ... D_{k_max}.
+def _first_nonpositive(b2):
+    """k of the first pivot d_k that is not positive, or None."""
+    return next((k for k, x in enumerate(b2, 1) if not x > 0), None)
 
-    Exact in rational mode.  In float modes each determinant is evaluated at
-    four times the requested mantissa (Hankel conditioning degrades fast) and
-    rounded back on return.
+
+def _factorization(s: MomentSequence, n: int):
+    """(q, b^2, D) of :func:`_ldl_recurrence` of order ``n`` on the stored
+    s_0..s_{2n} (s_{2n} if present), exact or certified.
+
+    Rational input is factored exactly.  In float modes the stored values
+    are read at a working precision that starts at four times the requested
+    mantissa and doubles until two consecutive runs agree to 8 bits past it
+    on every q_k, b_k^2 and D_k.  The first run that meets a nonpositive
+    pivot, or that disagrees with the last while a square lies below
+    2^-(2 bits) max(1, |q|)^2, hands over to one exact run on the stored
+    values, returned as it is.  Escalation gives up with PrecisionLoss when
+    the next doubling would pass ``_MAX_WORK_FACTOR`` times the requested
+    mantissa.
     """
-    _check_order(s, k_max)
-    cfg = s.precision
-    num = Fraction if cfg.mode == RATIONAL else to_mpf
-    with wp(4 * cfg.bits):
-        vals = [num(v) for v in s.values]
-        dets = [
-            _det_pivoted([[vals[i + j] for j in range(k + 1)] for i in range(k + 1)])
-            for k in range(k_max + 1)
-        ]
-    return rounded(dets, cfg)
+    stored = s.values[: 2 * n + 1]
+    target = s.precision.bits
+    if s.precision.mode != RATIONAL:
+        floor_b2 = mp.mpf(2) ** (-2 * target)
+        p, prev, agree = 4 * target, None, -math.inf
+        while p <= _MAX_WORK_FACTOR * target:
+            with wp(p):
+                run = _ldl_recurrence([to_mpf(v) for v in stored], n)
+                q, b2, dets = run
+                if _first_nonpositive(b2) is not None:
+                    break
+                if prev is not None:
+                    agree = min(agreeing_bits(a, b) for a, b in zip(prev, q + b2 + dets))
+                    if agree >= target + 8:
+                        return run
+                    scale = max([abs(x) for x in q] + [mp.mpf(1)])
+                    if any(x < floor_b2 * scale * scale for x in b2):
+                        break
+            prev, p = q + b2 + dets, 2 * p
+        else:
+            raise PrecisionLoss(f"moments->Jacobi stalled at {agree:.1f} agreeing bits "
+                                f"(target {target}) after escalating to {p // 2} bits")
+    return _ldl_recurrence([to_fraction(v) for v in stored], n)
 
 
 def _check_order(s: MomentSequence, k_max: int):
@@ -163,64 +199,54 @@ def _check_order(s: MomentSequence, k_max: int):
         raise InsufficientMoments(f"need {2 * k_max + 1} moments for D_{k_max}, got {len(s)}")
 
 
+def _det_pivoted(rows):
+    """Exact determinant of Fraction rows by Gaussian elimination, swapping
+    in the first nonzero pivot of each column."""
+    a = [list(r) for r in rows]
+    m, det = len(a), Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, m):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def hankel_determinants(s: MomentSequence, k_max: int):
+    """Leading principal Hankel determinants D_0 ... D_{k_max}: the running
+    products of the pivots of the factorization, exact in rational mode and
+    certified (or exact on the stored values) in float modes, rounded once
+    on return.  Past an exact zero pivot, where the recurrence stops, the
+    remaining minors are eliminated exactly."""
+    _check_order(s, k_max)
+    dets = _factorization(s, k_max)[2]
+    if len(dets) <= k_max:
+        vals = [to_fraction(v) for v in s.values]
+        dets += [_det_pivoted([vals[i:i + k + 1] for i in range(k + 1)])
+                 for k in range(len(dets), k_max + 1)]
+    return rounded(dets, s.precision)
+
+
 def validate_positive(s: MomentSequence, k_max: int) -> bool:
     """Strict positivity of D_0 ... D_{k_max} (solvability of the problem):
-    whether :func:`moments_to_jacobi` of order ``k_max``, which reads every
-    pivot d_0..d_{k_max}, finds none nonpositive.  Exact in rational mode,
-    certified by agreement in float modes (PrecisionLoss where it cannot be).
-    """
+    whether the factorization of order ``k_max``, the one
+    :func:`moments_to_jacobi` reads, has every pivot d_0..d_{k_max}
+    positive.  Exact in rational mode; in float modes certified by
+    agreement or decided exactly on the stored values (PrecisionLoss where
+    neither is reached)."""
     _check_order(s, k_max)
-    try:
-        if k_max:  # d_0 = s_0 = 1
-            moments_to_jacobi(s, k_max)
-    except DegenerateHankel:
-        return False
-    return True
+    return _first_nonpositive(_factorization(s, k_max)[1]) is None
 
 
 # ---------------------------------------------------------------------------
 # moments -> Jacobi
-
-# Escalation stops before the working mantissa would pass this multiple of
-# the requested one: 4x, 8x, ..., 256x allows six agreement checks.
-_MAX_WORK_FACTOR = 256
-
-
-def _ldl_recurrence(svals, n):
-    """q_1..q_n and b_1^2..b_{n-1}^2 from the Hankel LDL^T factorization.
-
-    ``svals`` must hold s_0..s_{2n-1}, optionally also s_{2n}, in a field
-    that supports comparison with zero (Fraction, or mpf under an ambient
-    workprec).  The coefficients themselves need only s_0..s_{2n-1}; when
-    s_{2n} is present the last pivot d_n is additionally checked, and
-    b_n^2 = d_n / d_{n-1} follows the others, so the squares hold every
-    pivot that was read.  Raises DegenerateHankel on a nonpositive pivot.
-    Column k steps to
-    sigma_(k+1,l) = sigma_(k,l+1) - q_(k+1) sigma_(k,l) - b_k^2 sigma_(k-1,l).
-    """
-    zero = svals[0] - svals[0]
-    # sigma columns k-1 and k from their diagonal on; sigma_(-1,l) = 0, and
-    # the b_0^2 it is multiplied by is a placeholder, dropped on return
-    prev, cur = [zero] * len(svals), list(svals)
-    d_prev, r_prev = zero + 1, zero
-    q, b2 = [], []
-    for k in range(n + 1):
-        if not cur:  # d_n is read only when s_2n is given
-            break
-        d = cur[0]
-        if not d > 0:
-            raise DegenerateHankel(
-                f"Hankel pivot d_{k} is not positive (finite-support input)"
-            )
-        b2.append(d / d_prev)
-        if k == n:
-            break
-        r = cur[1] / d
-        q.append(r - r_prev)
-        prev, cur = cur, [x2 - q[k] * x1 - b2[k] * p
-                          for x1, x2, p in zip(cur[1:], cur[2:], prev[2:])]
-        d_prev, r_prev = d, r
-    return q, b2[1:]
 
 
 def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
@@ -228,67 +254,21 @@ def moments_to_jacobi(s: MomentSequence, n: int) -> JacobiMatrix:
 
     The coefficients need s_0..s_{2n-1}; when s_{2n} is also supplied the
     strict positivity of the full Hankel section is verified.  A nonpositive
-    pivot raises DegenerateHankel (finitely supported input).
-
-    Rational input is factored exactly.  In float modes the stored values
-    are read as given, at a working precision that starts at four times the
-    requested mantissa and doubles until two consecutive runs agree on every
-    coefficient, and on b_n^2 = d_n / d_{n-1} when s_{2n} is supplied, which
-    certifies the output and every pivot against Hankel cancellation.  A
-    run that finds a nonpositive pivot counts as a failed agreement; the
-    DegenerateHankel is raised when two runs in a row stop at the same
-    pivot, or at the cap.  Escalation gives up with PrecisionLoss when the
-    next doubling would pass ``_MAX_WORK_FACTOR`` times the requested
-    mantissa.
+    pivot raises DegenerateHankel (finitely supported input), named as the
+    exact factorization of the stored values names it.  The coefficients
+    are exact in rational mode; in float modes they are certified by
+    agreement, or exact on the stored values, and rounded once (see
+    :func:`_factorization`).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if len(s) < 2 * n:
         raise InsufficientMoments(f"need at least {2 * n} moments, got {len(s)}")
-    cfg = s.precision
-    stored = s.values[: 2 * n + 1]
-    if cfg.mode == RATIONAL:
-        q, b2 = _ldl_recurrence([Fraction(v) for v in stored], n)
-        return JacobiMatrix.from_squares(q, b2[:n - 1], cfg)
-
-    target = cfg.bits
-    floor_b2 = mp.mpf(2) ** (-2 * target)
-
-    def compute(p):
-        """(q, b2) at ``p`` bits, or the DegenerateHankel the run raised."""
-        with wp(p):
-            try:
-                return _ldl_recurrence([to_mpf(v) for v in stored], n)
-            except DegenerateHankel as exc:
-                return exc
-
-    p, agree = 4 * target, -math.inf
-    prev = compute(p)
-    while 2 * p <= _MAX_WORK_FACTOR * target:
-        p *= 2
-        cur = compute(p)
-        if DegenerateHankel in (type(prev), type(cur)):  # no agreement to check
-            if type(prev) is type(cur) and str(prev) == str(cur):
-                raise cur  # two runs in a row stopped at the same pivot
-            prev = cur
-            continue
-        (q_prev, b2_prev), (q_cur, b2_cur) = prev, cur
-        with wp(p):
-            agree = min(agreeing_bits(a, b) for a, b in zip(q_prev + b2_prev, q_cur + b2_cur))
-            scale = max([abs(x) for x in q_cur] + [mp.mpf(1)])
-            # b_k^2 = d_k / d_(k-1): the first pivot that collapses, if any
-            collapsed = next((k for k, x in enumerate(b2_cur, 1)
-                              if x < floor_b2 * scale * scale), None)
-        if agree >= target + 8:
-            return JacobiMatrix.from_squares(q_cur, b2_cur[:n - 1], cfg)
-        if collapsed is not None:
-            raise DegenerateHankel(f"Hankel pivot d_{collapsed} collapses below resolvable "
-                                   "size (finite-support input at this precision)")
-        prev = cur
-    if isinstance(prev, DegenerateHankel):
-        raise prev
-    raise PrecisionLoss(f"moments->Jacobi stalled at {agree:.1f} agreeing bits "
-                        f"(target {target}) after escalating to {p} bits")
+    q, b2, _ = _factorization(s, n)
+    bad = _first_nonpositive(b2)
+    if bad is not None:
+        raise DegenerateHankel(f"Hankel pivot d_{bad} is not positive (finite-support input)")
+    return JacobiMatrix.from_squares(q, b2[:n - 1], s.precision)
 
 
 # ---------------------------------------------------------------------------

@@ -346,10 +346,9 @@ def agreeing_bits(a, b) -> float:
         scale = max(abs(da), abs(db))
         if diff == 0:
             return math.inf
-        ratio = scale / diff
-        if ratio <= 1:
-            return 0.0
-        return float(mp.log(ratio, 2))
+        # log2 of the ratio to double accuracy, from its mantissa and exponent
+        m, e = mp.frexp(scale / diff)
+        return max(0.0, e + math.log2(m))
 
 
 def pairwise_sum(values):

@@ -70,6 +70,10 @@ def gaussian_measure_file(tmp_path):
     })
 
 
+# moments of the three atoms {0, 2, 4} with weights 1/4, 1/4, 1/2
+THREE_ATOMS = ["1", "5/2", "9", "34", "132", "520", "2064", "8224", "32832"]
+
+
 class TestValidateMoments:
     def test_positive_sequence(self, capsys, gauss_moments_file):
         code, out, _ = run_cli(capsys, "validate-moments", "--in", gauss_moments_file,
@@ -79,8 +83,10 @@ class TestValidateMoments:
         assert doc["positive"] is True
         assert doc["determinants"] == ["1", "1", "2", "12", "288"]
 
-    def test_each_hankel_section_factored_once(self, capsys, monkeypatch,
+    def test_each_hankel_section_factored_once(self, capsys, monkeypatch, tmp_path,
                                                gauss_moments_file):
+        # the determinants are the pivot products of the one factorization;
+        # only the minors past an exact zero pivot are eliminated
         calls = []
         det = momprob.moments._det_pivoted
         monkeypatch.setattr(momprob.moments, "_det_pivoted",
@@ -88,7 +94,12 @@ class TestValidateMoments:
         code, _, _ = run_cli(capsys, "validate-moments", "--in", gauss_moments_file,
                              "--k-max", "4")
         assert code == 0
-        assert calls == [1, 2, 3, 4, 5]
+        assert calls == []
+        doc = {"values": THREE_ATOMS, "precision": {"mode": "double"}}
+        code, _, _ = run_cli(capsys, "validate-moments", "--k-max", "4",
+                             "--in", write_json(tmp_path, "in.json", doc))
+        assert code == 0
+        assert calls == [5]  # d_3 = 0: D_4 by elimination
 
     def test_s0_checked_at_the_working_precision(self, capsys, tmp_path):
         # s_0 = 1 + 1e-13 is 2^-43 off, far above the 2^-128 floor of 256
@@ -111,15 +122,24 @@ class TestValidateMoments:
         assert code == 0
         assert json.loads(out)["positive"] is True
 
-    def test_uncertified_verdict_exits_3(self, capsys, tmp_path):
-        # three atoms {0, 2, 4} at k_max 4 in double mode: no two runs agree,
-        # so no verdict is printed
-        doc = {"values": ["1", "5/2", "9", "34", "132", "520", "2064", "8224", "32832"],
-               "precision": {"mode": "double"}}
-        code, out, err = run_cli(capsys, "validate-moments", "--k-max", "4",
+    @pytest.mark.parametrize("precision, dets", [
+        ({"mode": "rational"}, ["1", "11/4", "8", "0", "0"]),
+        ({"mode": "double"}, ["1.0", "2.75", "8.0", "0.0", "0.0"]),
+        ({"mode": "bigfloat", "bits": 128}, ["1.0", "2.75", "8.0", "0.0", "0.0"]),
+    ], ids=["rational", "double", "bigfloat-128"])
+    def test_finite_support_verdict_in_every_mode(self, capsys, tmp_path, precision, dets):
+        # three atoms {0, 2, 4} at k_max 4: d_3 = 0, which float runs round
+        # to noise; the exact run on the stored values decides the verdict
+        doc = {"values": THREE_ATOMS, "precision": precision}
+        code, out, _ = run_cli(capsys, "validate-moments", "--k-max", "4",
+                               "--in", write_json(tmp_path, "in.json", doc))
+        assert code == 0
+        assert json.loads(out) == {"positive": False, "determinants": dets}
+        code, out, err = run_cli(capsys, "moments-to-jacobi", "--n", "4",
                                  "--in", write_json(tmp_path, "in.json", doc))
         assert (code, out) == (3, "")
-        assert err.startswith("error: PrecisionLoss: ")
+        assert err == ("error: DegenerateHankel: Hankel pivot d_3 is not positive "
+                       "(finite-support input)\n")
 
     def test_missing_file_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "validate-moments", "--in", "/no/such.json",

@@ -4,7 +4,7 @@ from math import factorial, inf, nextafter, prod
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momprob import (
     DegenerateHankel,
@@ -20,8 +20,8 @@ from momprob import (
 )
 from momprob import families, moments
 from momprob.errors import CoefficientExhausted
-from momprob.moments import _ldl_recurrence
-from momprob.precision import agreeing_bits, to_mpf
+from momprob.moments import _first_nonpositive, _ldl_recurrence
+from momprob.precision import agreeing_bits, rounded, to_fraction, to_mpf
 
 from oracles import (
     STD_NORMAL_MOMENTS,
@@ -72,6 +72,70 @@ class TestHankelDeterminants:
                 assert abs(d - e) < mp.mpf(2) ** -100
 
 
+def outcome(f, *args):
+    """What f(*args) returns, or the message of the DegenerateHankel it raises."""
+    try:
+        return f(*args)
+    except DegenerateHankel as exc:
+        return str(exc)
+
+
+@st.composite
+def indefinite_sequences(draw):
+    """s_0 = 1 and s_1..s_2k from a few small rationals: zero and negative
+    pivots are common, and so are nonzero minors past a zero pivot."""
+    k = draw(st.integers(1, 4), label="k_max")
+    tail = draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                         min_size=2 * k, max_size=2 * k))
+    return [Fraction(1), *tail], k
+
+
+@st.composite
+def stored_atomic_sequences(draw):
+    """Normalized moments of 1-4 rational atoms through s_2k, k <= 5, so k
+    may pass the number of atoms."""
+    pts = draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=4,
+                        unique=True))
+    wts = draw(st.lists(st.integers(1, 6), min_size=len(pts), max_size=len(pts)))
+    k = draw(st.integers(1, 5), label="k_max")
+    return atomic_moments(pts, [Fraction(w, sum(wts)) for w in wts], 2 * k), k
+
+
+class TestDeterminantOracle:
+    """The determinants are the pivot products of the one factorization,
+    also where the sequence is not positive definite."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(indefinite_sequences())
+    @example(([Fraction(v) for v in (1, 1, 1, 0, 2)], 2))  # D_1 = 0, D_2 = -1
+    def test_rational_determinants_match_permutation_oracle(self, sequence):
+        s, k = sequence
+        dets = hankel_determinants(MomentSequence.from_values(s, PrecisionConfig.rational()), k)
+        assert dets == [hankel_det_oracle(s, j) for j in range(k + 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(stored_atomic_sequences())
+    def test_float_modes_match_rational_mode_on_the_stored_values(self, sequence):
+        # a float mode judges the values it stores; rational mode on their
+        # exact values gives the same verdict, the same pivot and the same
+        # determinants, rounded once
+        values, k = sequence
+        for cfg in (PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                    PrecisionConfig.bigfloat(256)):
+            stored = MomentSequence.from_values(values, cfg)
+            exact = MomentSequence.from_values([to_fraction(v) for v in stored.values],
+                                               PrecisionConfig.rational())
+            assert validate_positive(stored, k) is validate_positive(exact, k)
+            got, want = outcome(moments_to_jacobi, stored, k), outcome(moments_to_jacobi, exact, k)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                q, b2, _ = _ldl_recurrence(list(exact.values), k)
+                want = JacobiMatrix.from_squares(q, b2[:k - 1], cfg)
+                assert (got._q, got._b) == (want._q, want._b)
+            assert hankel_determinants(stored, k) == rounded(hankel_determinants(exact, k), cfg)
+
+
 class TestValidatePositive:
     def test_positive_sequence(self, rational):
         s = MomentSequence.from_values([1, 0, 1, 0, 3], rational)
@@ -114,14 +178,20 @@ class TestValidatePositive:
         assert validate_positive(MomentSequence.from_values(vals, PrecisionConfig.rational()), 5) is False
         assert validate_positive(MomentSequence.from_values(vals, cfg), 5) is False
 
-    def test_precision_loss_propagates(self):
+    def test_precision_loss_propagates(self, monkeypatch):
         # three atoms {0, 2, 4} at k_max 4: the double-mode runs stop at
-        # different pivots, so no verdict is certified; 128 bits certify false
+        # different pivots, and the exact run on the stored values decides
+        # false, as in rational mode and at 128 bits
         vals = atomic_moments([0, 2, 4], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 8)
-        with pytest.raises(PrecisionLoss):
-            validate_positive(MomentSequence.from_values(vals, PrecisionConfig.double()), 4)
-        s = MomentSequence.from_values(vals, PrecisionConfig.bigfloat(128))
-        assert validate_positive(s, 4) is False
+        for cfg in (PrecisionConfig.rational(), PrecisionConfig.double(),
+                    PrecisionConfig.bigfloat(128)):
+            assert validate_positive(MomentSequence.from_values(vals, cfg), 4) is False
+        # k! held exactly at 53 bits: every pivot stays positive, and with the
+        # cap at 8t the 4t and 8t runs agree on 26.8 bits only
+        monkeypatch.setattr(moments, "_MAX_WORK_FACTOR", 8)
+        s = MomentSequence(tuple(factorial(k) for k in range(121)), PrecisionConfig.bigfloat(53))
+        with pytest.raises(PrecisionLoss, match=r"^moments->Jacobi stalled at 26\.8 agreeing"):
+            validate_positive(s, 60)
 
 
 class TestMomentsToJacobi:
@@ -211,11 +281,12 @@ def assert_gram_schmidt(s, n, length):
     """The kernel's coefficients from s[:length] are Gram-Schmidt's; given
     s_2n, which enters Gram-Schmidt only through a norm no output reads, the
     kernel adds b_n^2 = d_n / d_(n-1)."""
-    q, b2 = _ldl_recurrence(s[:length], n)
+    q, b2, dets = _ldl_recurrence(s[:length], n)
     assert (q, b2[:n - 1]) == gram_schmidt_recurrence(s, n)
     D = [1] + [hankel_det_oracle(s, k) for k in range(n + 1)]  # D_-1 = 1
     last = [D[n + 1] * D[n - 1] / D[n] ** 2]  # pivots are d_k = D_k / D_(k-1)
     assert b2[n - 1:] == (last if length == 2 * n + 1 else [])
+    assert dets == D[1:len(b2) + 2]
 
 
 class TestChebyshevKernel:
@@ -242,8 +313,9 @@ class TestChebyshevKernel:
         if not bad:
             assert_gram_schmidt(s, n, length)
             return
-        with pytest.raises(DegenerateHankel, match=rf"^Hankel pivot d_{bad[0]} is not positive"):
-            _ldl_recurrence(s[:length], n)
+        # the kernel runs on past a negative pivot and stops at a zero one
+        b2 = _ldl_recurrence(s[:length], n)[1]
+        assert _first_nonpositive(b2) == bad[0]
 
 
 class TestJacobiToMoments:
@@ -380,11 +452,12 @@ def shifted_six_atoms(c, t=53):
 
 @pytest.fixture
 def run_bits(monkeypatch):
-    """The working precision of every LDL^T run, in call order."""
+    """The working precision of every LDL^T run, in call order; "exact" for
+    the run on Fractions."""
     seen = []
 
     def counting(svals, n):
-        seen.append(mp.mp.prec)
+        seen.append("exact" if isinstance(svals[0], Fraction) else mp.mp.prec)
         return _ldl_recurrence(svals, n)
 
     monkeypatch.setattr(moments, "_ldl_recurrence", counting)
@@ -394,47 +467,68 @@ def run_bits(monkeypatch):
 class TestPrecisionEscalation:
     def exact_rounded(self, s, n):
         # the exact rational route, rounded once to the sequence's precision
-        q, b2 = _ldl_recurrence(list(s.values), n)
+        q, b2, _ = _ldl_recurrence(list(s.values), n)
         return JacobiMatrix.from_squares(q, b2[:n - 1], s.precision)
 
+    def test_runs_that_stay_positive_escalate_until_they_agree(self, run_bits):
+        # c = 2^20 costs about 200 bits: the 4t run keeps its pivots positive
+        # but is noise, and 8t against 16t certifies
+        t = 53
+        s = shifted_six_atoms(2 ** 20, t)
+        J = moments_to_jacobi(s, 5)
+        assert run_bits == [4 * t, 8 * t, 16 * t]
+        expect = self.exact_rounded(s, 5)
+        assert (J._q, J._b) == (expect._q, expect._b)
+
     def test_source_losing_ten_times_the_target_certifies(self, run_bits):
-        # c = 2^60 costs about 600 bits, over ten times t = 53: the runs up to
-        # 16t are noise or stop at a pivot, and 16t against 32t certifies
+        # c = 2^60 costs about 600 bits, over ten times t = 53: the 4t run
+        # stops at a pivot, and the exact run on the stored values answers
         t = 53
         s = shifted_six_atoms(2 ** 60, t)
         J = moments_to_jacobi(s, 5)
-        assert run_bits == [4 * t, 8 * t, 16 * t, 32 * t]
+        assert run_bits == [4 * t, "exact"]
         expect = self.exact_rounded(s, 5)
         assert (J._q, J._b) == (expect._q, expect._b)
 
     def test_run_with_a_nonpositive_pivot_escalates(self, run_bits):
-        # c = 2^30: the 4t run finds a nonpositive pivot, which counts as a
-        # failed agreement, so the loop doubles and 8t and 16t certify
+        # c = 2^30: the 4t run finds a nonpositive pivot and hands the stored
+        # values to one exact run, whose coefficients are rounded once
         t = 53
         s = shifted_six_atoms(2 ** 30, t)
         with mp.workprec(4 * t):
-            with pytest.raises(DegenerateHankel):
-                _ldl_recurrence([to_mpf(v) for v in s.values], 5)
+            assert _first_nonpositive(_ldl_recurrence([to_mpf(v) for v in s.values], 5)[1])
         J = moments_to_jacobi(s, 5)
-        assert run_bits == [4 * t, 8 * t, 16 * t]
+        assert run_bits == [4 * t, "exact"]
+        expect = self.exact_rounded(s, 5)
+        assert (J._q, J._b) == (expect._q, expect._b)
+
+    def test_variance_lost_to_cancellation_is_not_finite_support(self, run_bits):
+        # c = 2^400: every float run loses d_1, the variance, to cancellation;
+        # the exact run on the stored values finds it positive
+        t = 53
+        s = shifted_six_atoms(2 ** 400, t)
+        J = moments_to_jacobi(s, 5)
+        assert run_bits == [4 * t, "exact"]
         expect = self.exact_rounded(s, 5)
         assert (J._q, J._b) == (expect._q, expect._b)
 
     def test_cap_raises_precision_loss(self, run_bits, monkeypatch):
-        # the same input with the cap at 16t: no two runs agree before it
+        # k! held exactly at t = 53 bits, n = 60, with the cap at 8t: every
+        # pivot of both runs is positive, and they agree on 26.8 bits only
         t = 53
-        monkeypatch.setattr(moments, "_MAX_WORK_FACTOR", 16)
+        monkeypatch.setattr(moments, "_MAX_WORK_FACTOR", 8)
+        s = MomentSequence(tuple(factorial(k) for k in range(121)), PrecisionConfig.bigfloat(t))
         with pytest.raises(PrecisionLoss, match=(
-                rf"^moments->Jacobi stalled at .* agreeing bits \(target {t}\) "
-                rf"after escalating to {16 * t} bits$")):
-            moments_to_jacobi(shifted_six_atoms(2 ** 60, t), 5)
-        assert run_bits == [4 * t, 8 * t, 16 * t]
+                rf"^moments->Jacobi stalled at 26\.8 agreeing bits \(target {t}\) "
+                rf"after escalating to {8 * t} bits$")):
+            moments_to_jacobi(s, 60)
+        assert run_bits == [4 * t, 8 * t]
 
     @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(256)],
                              ids=["double", "bigfloat-256"])
     def test_finite_support_raises_after_two_runs(self, cfg, run_bits):
-        # three atoms: every run stops at d_3, as the exact factorization
-        # does, and the second run that agrees on it ends the escalation
+        # three atoms: the first run stops at d_3, and the exact run on the
+        # stored values names d_3, as the exact factorization does
         values = atomic_moments([-1, 0, 2], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 8)
         with pytest.raises(DegenerateHankel) as exact:
             moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.rational()), 4)
@@ -443,16 +537,16 @@ class TestPrecisionEscalation:
             moments_to_jacobi(MomentSequence.from_values(values, cfg), 4)
         assert str(got.value) == str(exact.value) == (
             "Hankel pivot d_3 is not positive (finite-support input)")
-        assert run_bits == [4 * cfg.bits, 8 * cfg.bits]
+        assert run_bits == [4 * cfg.bits, "exact"]
 
     def test_collapsing_offdiagonal_raises(self):
         # two atoms without s_2n: b_2^2 = d_2 / d_1 is zero, rounded to noise
-        # that no two runs agree on and that lies far below 2^-128 q^2
+        # that no two runs agree on and that lies far below 2^-128 q^2; the
+        # exact run on the stored values finds d_2 = 0
         vals = atomic_moments([-5, -1], [Fraction(2, 3), Fraction(1, 3)], 5)
         s = MomentSequence(tuple(vals), PrecisionConfig.bigfloat(64))
         with pytest.raises(DegenerateHankel, match=(
-                r"^Hankel pivot d_2 collapses below resolvable size \(finite-support input "
-                r"at this precision\)$")):
+                r"^Hankel pivot d_2 is not positive \(finite-support input\)$")):
             moments_to_jacobi(s, 3)
 
     @pytest.mark.parametrize("cfg", [PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
@@ -460,16 +554,15 @@ class TestPrecisionEscalation:
                              ids=["double", "bigfloat-64", "bigfloat-256"])
     def test_collapse_names_the_pivot_exact_factorization_stops_at(self, cfg):
         # five dyadic atoms with s_10 given: d_5 = 0 exactly; the float runs
-        # round it to noise that collapses, and the message names d_5 as the
-        # exact factorization does
+        # round it to noise that collapses, and the exact run on the stored
+        # values names d_5 as the rational factorization does
         vals = atomic_moments([-6, -2, Fraction(-1, 2), 0, 2],
                               [Fraction(1, 4), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4),
                                Fraction(1, 8)], 10)
         with pytest.raises(DegenerateHankel, match=r"^Hankel pivot d_5 is not positive"):
             moments_to_jacobi(MomentSequence.from_values(vals, PrecisionConfig.rational()), 5)
         with pytest.raises(DegenerateHankel, match=(
-                r"^Hankel pivot d_5 collapses below resolvable size \(finite-support input "
-                r"at this precision\)$")):
+                r"^Hankel pivot d_5 is not positive \(finite-support input\)$")):
             moments_to_jacobi(MomentSequence.from_values(vals, cfg), 5)
 
     @pytest.mark.parametrize("moment, n, pivot", [
@@ -483,8 +576,8 @@ class TestPrecisionEscalation:
         # them at the same pivot while 256 bits hold enough of each moment
         values = [moment(k) for k in range(2 * n + 1)]
         message = rf"^Hankel pivot d_{pivot} is not positive"
-        with pytest.raises(DegenerateHankel, match=message):
-            _ldl_recurrence([Fraction(float(v)) for v in values], n)
+        b2 = _ldl_recurrence([Fraction(float(v)) for v in values], n)[1]
+        assert _first_nonpositive(b2) == pivot
         with pytest.raises(DegenerateHankel, match=message):
             moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.double()), n)
         J = moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.bigfloat(256)), n)
@@ -498,7 +591,7 @@ class TestPrecisionEscalation:
         values = [0 if k % 2 else Fraction(prod(range(1, k, 2)), 2 ** (k // 2))
                   for k in range(49)]
         values = [float(v) for v in values]
-        _, b2 = _ldl_recurrence([Fraction(v) for v in values], 24)
+        _, b2, _ = _ldl_recurrence([Fraction(v) for v in values], 24)
         J = moments_to_jacobi(MomentSequence.from_values(values, PrecisionConfig.double()), 24)
         for k, (x, b) in enumerate(zip(b2, J.coefficients(24)[1]), 1):
             lo = (Fraction(b) + Fraction(nextafter(b, 0))) / 2
