@@ -37,13 +37,7 @@ from .jacobi import (
     weyl_radii,
 )
 from .measures import Measure, Multiplier, measure_to_jacobi
-from .moments import (
-    MomentSequence,
-    hankel_determinants,
-    jacobi_to_moments,
-    moments_to_jacobi,
-    validate_positive,
-)
+from .moments import MomentSequence, _validated, jacobi_to_moments, moments_to_jacobi
 from .precision import (
     BIGFLOAT,
     DOUBLE,
@@ -268,9 +262,8 @@ def _write_csv(path, checkpoints, radii, cfg):
 
 def _validate_moments(args):
     s = _load_moments(args)
-    dets = hankel_determinants(s, args.k_max)
-    return {"positive": validate_positive(s, args.k_max),
-            "determinants": [format_number(d, s.precision) for d in dets]}
+    positive, dets = _validated(s, args.k_max)
+    return {"positive": positive, "determinants": [format_number(d, s.precision) for d in dets]}
 
 
 def _pi_eval(args):

@@ -89,7 +89,7 @@ def index_of_determinacy(
     the first non-determinate level ends the scan.  An RKPW level that holds
     the whole support (``n_stored`` equals the number of atoms) becomes the
     section of its measure, so the levels after it are Christoffel steps.
-    The mass is never read: RKPW divides by the atom total itself.
+    Its mass is integrated once; the steps carry it on in their pivots.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")

@@ -54,7 +54,7 @@ class JacobiMatrix:
     once per row read; a matrix is either stored or generated.
     """
 
-    __slots__ = ("_q", "_b", "generator", "precision", "family", "_row")
+    __slots__ = ("_q", "_roots", "_b2", "generator", "precision", "family", "_row")
 
     def __init__(
         self,
@@ -65,30 +65,33 @@ class JacobiMatrix:
         family: Optional[str] = None,
     ):
         self._q = tuple(q)
-        self._b = tuple(b)
+        self._roots, self._b2 = list(b), None  # b_k, or None until rooted from _b2
         self.generator = generator
         self.precision = precision if precision is not None else PrecisionConfig()
         self.family = family
         self._row = (0, None, None)  # the last generated (k, q_k, b_k)
         if generator is not None:
-            if self._q or self._b:
+            if self._q or self._roots:
                 raise ValueError("a Jacobi matrix is either stored or generated, not both")
         elif not self._q:
             raise ValueError("a Jacobi matrix needs at least one diagonal entry")
-        elif len(self._b) != len(self._q) - 1:
+        elif len(self._roots) != len(self._q) - 1:
             raise ValueError("off-diagonal must be one entry shorter than diagonal")
-        if not all(is_finite_number(x) for x in self._q + self._b):
+        if not all(is_finite_number(x) for x in self._q + tuple(self._roots)):
             raise ValueError("Jacobi matrix entries must be finite")
-        for x in self._b:
+        for x in self._roots:
             if not x > 0:
                 raise ValueError("off-diagonal entries must be strictly positive")
 
     @classmethod
     def from_squares(cls, q, b2, cfg: PrecisionConfig) -> "JacobiMatrix":
-        """The matrix with diagonal ``q`` and squared off-diagonal ``b2``,
-        given exactly or at any precision, rounded once to ``cfg``: the
-        hand-off of both the moments and the measures routes."""
-        return cls(q=rounded(q, cfg), b=[sqrt_number(x, cfg) for x in b2], precision=cfg)
+        """The matrix with diagonal ``q``, rounded once to ``cfg``, and squared
+        off-diagonal ``b2``, checked as b is and kept: the hand-off of both
+        the moments and the measures routes.  b_k is rooted by ``sqrt_number``
+        when first read, into a slot of its own, so threads may share it."""
+        J = cls(q=rounded(q, cfg), b=b2, precision=cfg)
+        J._roots, J._b2 = [None] * len(b2), tuple(b2)
+        return J
 
     # -- coefficient access (1-indexed, mirroring the recurrence) ---------
 
@@ -104,9 +107,16 @@ class JacobiMatrix:
         return self._entry(k, 1, "diagonal", self._q)
 
     def offdiag(self, k: int):
-        return self._entry(k, 2, "off-diagonal", self._b)
+        b = self._entry(k, 2, "off-diagonal", self._roots)
+        if b is None:
+            b = self._roots[k - 1] = sqrt_number(self._b2[k - 1], self.precision)
+        return b
 
-    def _entry(self, k: int, i: int, name: str, stored: tuple):
+    @property
+    def _b(self) -> tuple:
+        return tuple(self.offdiag(k) for k in range(1, len(self._q)))
+
+    def _entry(self, k: int, i: int, name: str, stored):
         """Entry ``i`` of row (k, q_k, b_k), stored or generated.  A generated
         row is checked once and kept whole for the next request; the memo is
         replaced, never mutated, so threads sharing the matrix see no torn row."""
@@ -235,7 +245,8 @@ def pi_eval(J: JacobiMatrix, z, n: int):
         raise ValueError("n must be positive")
     cfg = J.precision
     with wp(cfg.bits + 16):
-        vals = list(islice(_stream(J, mp.mpc(z)), n))
+        pairs = ((to_mpf(q), to_mpf(b)) for q, b in J.pairs())
+        vals = list(islice(tridiag.recurrence(pairs, mp.mpc(z)), n))
     return rounded(vals, cfg)
 
 
@@ -256,31 +267,21 @@ def weyl_radius(J: JacobiMatrix, z, n: int):
     return weyl_radii(J, z, [n])[0]
 
 
-def _stream(J: JacobiMatrix, z):
-    """pi_1(z), pi_2(z), ... from the matrix's coefficient stream."""
-    pairs = ((to_mpf(q), to_mpf(b)) for q, b in J.pairs())
-    return tridiag.recurrence(pairs, z)
-
-
 def _radii(J: JacobiMatrix, z, bits: int, ns: Sequence[int]):
     """Yield r_n(z) for each n of the ascending ``ns`` from one forward pass
-    at ``bits + 16`` that reads coefficients only up to the n asked for.  The
-    precision is entered per radius, never held across a yield: ``classify``
-    interleaves two scans at different mantissas."""
+    of :func:`tridiag.weyl_scan` on ints of ``bits + 32`` bits that reads
+    rows only up to the n asked for.  Rows are read at ``bits + 16``, entered
+    per radius and never held across a yield: ``classify`` interleaves two
+    scans at different mantissas."""
     with wp(bits + 16):
         z = mp.mpc(z)
         if mp.im(z) == 0:
             raise RealPoint("Weyl radii are defined only off the real axis")
-        width = abs(z - mp.conj(z))
-        values = _stream(J, z)
-        total = mp.mpf(0)
-    k = 0
-    for n in ns:
+        rows = ((to_mpf(q), to_mpf(b)) for q, b in J.pairs())
+        scan = tridiag.weyl_scan(rows, z, ns, bits + 32)
+    for _ in ns:
         with wp(bits + 16):
-            for v in islice(values, n - k):
-                total += mp.re(v) ** 2 + mp.im(v) ** 2
-            k = n
-            r = 1 / (width * total)
+            r = next(scan)
         yield r
 
 
@@ -337,8 +338,8 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     Atoms sit at the section's eigenvalues with weights equal to squared
     first eigenvector components; the atomic measure reproduces the moment
     sequence of the matrix through order 2N-1.  It keeps the section, the
-    whole Jacobi matrix of its atoms, so its power lifts are Christoffel
-    steps (see :mod:`momprob.measures`); its JSON drops the section.
+    whole Jacobi matrix of its atoms, and its unit mass, so its power lifts
+    are Christoffel steps (see :mod:`momprob.measures`); JSON drops both.
     """
     from . import measures  # deferred: measures imports this module
 
@@ -349,4 +350,4 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     nodes, weights = tridiag.gauss_rule(q, b, cfg.bits)
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
     return measures.Measure.atomic(rounded(nodes, out_cfg), rounded(weights, out_cfg),
-                                   precision=out_cfg)._with_section(q, b)
+                                   precision=out_cfg)._with_section(q, b, 1)

@@ -13,10 +13,11 @@ damping exponents add exactly and are rounded once (alpha-additivity).  A
 scalar ``scale`` accumulates normalization constants.
 
 A measure may keep its section: the unrounded (q, b^2) of the whole Jacobi
-matrix of its atoms, stack included (``truncation_spectrum`` sets it).  A
-power lift maps the section by exact O(n) Christoffel steps
-(:func:`christoffel_step`, and :func:`inverse_christoffel_step` to divide),
-and ``measure_to_jacobi`` rounds its leading rows.  ``Measure._reweighted``,
+matrix of its atoms, stack included, and its mass at scale 1
+(``truncation_spectrum`` sets it).  A power lift maps the section by exact
+O(n) Christoffel steps (:func:`christoffel_step`, and
+:func:`inverse_christoffel_step` to divide), whose pivots give the mass, and
+``measure_to_jacobi`` rounds its leading rows.  ``Measure._reweighted``,
 the one place the stack changes, keeps the section a power lift maps and
 drops it for any other multiplier.  A measure without one runs the
 discretized Stieltjes procedure on the support points, computed by the
@@ -179,7 +180,7 @@ class Measure(object):
         self.transforms = tuple(transforms)
         self.scale = scale
         self._atoms = None
-        self._section = None  # unrounded (q, b^2) of the whole Jacobi matrix, or None
+        self._section = None  # unrounded (q, b^2, mass at scale 1), or None
         if kind == "atomic":
             pts = tuple(points)
             wts = tuple(weights)
@@ -225,11 +226,13 @@ class Measure(object):
             setattr(out, name, kw[name] if name in kw else getattr(self, name))
         return out
 
-    def _with_section(self, q, b) -> "Measure":
+    def _with_section(self, q, b, mass=None) -> "Measure":
         """This measure with (q, b) as its section, which must be the whole
-        Jacobi matrix of its atoms; in rational mode an inexact entry leaves
-        it without one, since steps from it could not be exact."""
-        return self._replace(_section=_squared(q, b, self.precision))
+        Jacobi matrix of its atoms, and its ``mass`` (integrated if None); in
+        rational mode an inexact entry leaves it without one, since steps
+        from it could not be exact."""
+        mass = self.total_mass() if mass is None else mass
+        return self._replace(_section=_squared(q, b, mass, self.scale, self.precision))
 
     # -- support atoms -------------------------------------------------------
 
@@ -338,8 +341,11 @@ class Measure(object):
     # -- normalization and transforms ----------------------------------------
 
     def normalize(self) -> Tuple["Measure", object]:
-        """Rescale to unit mass; returns (measure, previous total mass)."""
-        mass = self.total_mass()
+        """Rescale to unit mass; returns (measure, previous total mass).  A
+        measure with a section reads its mass there and integrates nothing."""
+        with wp(self.precision.bits + _SECTION_GUARD):  # for the section's product
+            mass = (self.total_mass() if self._section is None
+                    else rounded([self._section[2] * self.scale], self.precision)[0])
         if isinstance(mass, Fraction):
             if mass == 0:
                 raise ZeroMass("measure has zero total mass")
@@ -371,7 +377,8 @@ class Measure(object):
 
         Negative ``n`` is always integrable; positive ``n`` needs the lifted
         mass to stay finite, which is checked by the normalization.  A kept
-        section takes |n| Christoffel steps, inverse ones for n < 0.
+        section takes |n| Christoffel steps, inverse ones for n < 0, whose
+        mass factors give C.
         """
         mult = Multiplier("power_lift", n)  # checks that n is an integer
         if n == 0:
@@ -379,9 +386,12 @@ class Measure(object):
         section = self._section
         if section is not None:
             step = christoffel_step if n > 0 else inverse_christoffel_step
+            q, b2, mass = section
             with wp(self.precision.bits + _SECTION_GUARD):
                 for _ in range(abs(n)):
-                    section = step(*section)
+                    q, b2, factor = step(q, b2)
+                    mass *= factor
+            section = q, b2, mass
         return self._reweighted(mult, section)
 
     def _reweighted(self, mult: Multiplier, section=None) -> Tuple["Measure", object]:
@@ -497,7 +507,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
         n = len(atoms[0])
     cfg = mu.precision
     if mu._section is not None:
-        q, b2 = mu._section
+        q, b2, _ = mu._section
         return _jacobi_from_squares(q[:n], b2[:n - 1], mu, partial)
     pts, wts = mu.effective_atoms()
     exact = all_exact(cfg, pts, wts)
@@ -537,7 +547,7 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
 
 
 def christoffel_step(q, b2):
-    """(q, b^2) of (1+t^2) mu from (q, b^2) of mu, with the mass left out.
+    """(q, b^2) of (1+t^2) mu from (q, b^2) of mu, and the mass factor d_0.
 
     Multiplying by 1 + t^2 maps J to R J R^-1, where J^2 + I = R^T R is the
     banded Cholesky factorization (Galant, Math. Comp. 25, 1971; Kautsky &
@@ -546,7 +556,8 @@ def christoffel_step(q, b2):
     q'_i = q_i + g_i - g_(i-1) and b'_i^2 = b_i^2 d_(i+1) / d_i, read off in
     O(n) with only + - * /, so Fraction input gives the exact result.  The
     map is exact when J is the whole N x N matrix of an N-atom measure; on a
-    truncated matrix its last rows are wrong.
+    truncated matrix its last rows are wrong.  The first pivot
+    d_0 = (J^2 + I)_11 is the integral of 1 + t^2 against the normalized mu.
     """
     n = len(q)
     d, q_out = [], []
@@ -562,28 +573,30 @@ def christoffel_step(q, b2):
         q_out.append(q[i] + gi - g1)
         d.append(di)
         g1 = gi
-    return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)]
+    return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)], d[0]
 
 
 def inverse_christoffel_step(q, b2):
-    """(q, b^2) of mu / (1+t^2) from those of mu: U^-1 J U, J^2 + I = U U^T.
+    """(q, b^2) of mu / (1+t^2) from those of mu: U^-1 J U, J^2 + I = U U^T,
+    and the mass factor, the integral of 1/(1+t^2) against the normalized mu.
 
     With U upper triangular and P the index reversal, (PJP)^2 + I = R^T R for
     R = P U^T P, so U^-1 J U = P (R PJP R^-1) P: the forward step, reversed.
+    The factor 1/d_(N-1), d the pivots of that pass, is 1 / (J'^2 + I)_11.
     """
-    q, b2 = christoffel_step(q[::-1], b2[::-1])
-    return q[::-1], b2[::-1]
+    q, b2, _ = christoffel_step(q[::-1], b2[::-1])
+    return q[::-1], b2[::-1], 1 / (1 + q[-1] * q[-1] + sum(b2[-1:]))
 
 
-def _squared(q, b, cfg: PrecisionConfig):
-    """(q, b^2), exact for exact rational-mode entries (None for inexact
-    ones) and at the working precision plus the section guard otherwise."""
-    exact = all_exact(cfg, q, b)
+def _squared(q, b, mass, scale, cfg: PrecisionConfig):
+    """(q, b^2, mass / scale), exact for exact rational-mode entries (None for
+    inexact ones) and at the working precision plus the section guard else."""
+    exact = all_exact(cfg, q, b, [mass, scale])
     if cfg.mode == RATIONAL and not exact:
         return None
     num = to_fraction if exact else to_mpf
     with wp(cfg.bits + _SECTION_GUARD):
-        return [num(x) for x in q], [num(x) ** 2 for x in b]
+        return [num(x) for x in q], [num(x) ** 2 for x in b], num(mass) / num(scale)
 
 
 def _jacobi_from_squares(q, b2, mu: Measure, partial: bool) -> JacobiMatrix:

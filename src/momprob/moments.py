@@ -158,7 +158,8 @@ def _factorization(s: MomentSequence, n: int):
     Rational input is factored exactly.  In float modes the stored values
     are read at a working precision that starts at four times the requested
     mantissa and doubles until two consecutive runs agree to 8 bits past it
-    on every q_k, b_k^2 and D_k.  The first run that meets a nonpositive
+    on every q_k, b_k^2 and D_k: |a - b| <= 2^-(bits+8) max(|a|, |b|), one
+    pass at the run's precision.  The first run that meets a nonpositive
     pivot, or that disagrees with the last while a square lies below
     2^-(2 bits) max(1, |q|)^2, hands over to one exact run on the stored
     values, returned as it is.  Escalation gives up with PrecisionLoss when
@@ -168,8 +169,8 @@ def _factorization(s: MomentSequence, n: int):
     stored = s.values[: 2 * n + 1]
     target = s.precision.bits
     if s.precision.mode != RATIONAL:
-        floor_b2 = mp.mpf(2) ** (-2 * target)
-        p, prev, agree = 4 * target, None, -math.inf
+        floor_b2, tol = mp.ldexp(1, -2 * target), mp.ldexp(1, -(target + 8))
+        p, prev, last = 4 * target, None, None
         while p <= _MAX_WORK_FACTOR * target:
             with wp(p):
                 run = _ldl_recurrence([to_mpf(v) for v in stored], n)
@@ -177,14 +178,16 @@ def _factorization(s: MomentSequence, n: int):
                 if _first_nonpositive(b2) is not None:
                     break
                 if prev is not None:
-                    agree = min(agreeing_bits(a, b) for a, b in zip(prev, q + b2 + dets))
-                    if agree >= target + 8:
+                    if all(abs(a - b) <= tol * max(abs(a), abs(b))
+                           for a, b in zip(prev, q + b2 + dets)):
                         return run
                     scale = max([abs(x) for x in q] + [mp.mpf(1)])
                     if any(x < floor_b2 * scale * scale for x in b2):
                         break
-            prev, p = q + b2 + dets, 2 * p
+            last, prev, p = prev, q + b2 + dets, 2 * p
         else:
+            with wp(p // 2):
+                agree = min(map(agreeing_bits, last, prev)) if last else -math.inf
             raise PrecisionLoss(f"moments->Jacobi stalled at {agree:.1f} agreeing bits "
                                 f"(target {target}) after escalating to {p // 2} bits")
     return _ldl_recurrence([to_fraction(v) for v in stored], n)
@@ -225,13 +228,18 @@ def hankel_determinants(s: MomentSequence, k_max: int):
     certified (or exact on the stored values) in float modes, rounded once
     on return.  Past an exact zero pivot, where the recurrence stops, the
     remaining minors are eliminated exactly."""
+    return _validated(s, k_max)[1]
+
+
+def _validated(s: MomentSequence, k_max: int):
+    """:func:`validate_positive` and :func:`hankel_determinants`, one factorization."""
     _check_order(s, k_max)
-    dets = _factorization(s, k_max)[2]
+    _, b2, dets = _factorization(s, k_max)
     if len(dets) <= k_max:
         vals = [to_fraction(v) for v in s.values]
         dets += [_det_pivoted([vals[i:i + k + 1] for i in range(k + 1)])
                  for k in range(len(dets), k_max + 1)]
-    return rounded(dets, s.precision)
+    return _first_nonpositive(b2) is None, rounded(dets, s.precision)
 
 
 def validate_positive(s: MomentSequence, k_max: int) -> bool:

@@ -1,12 +1,15 @@
 """Shared kernels for symmetric tridiagonal (Jacobi) matrices.
 
-Three kernels live here, each written once for the whole package:
+Five kernels live here, each written once for the whole package:
 
 * the Sturm count (the LDL^T negative-pivot count), in Python ints scaled
   by a power of two: one pivot pass gives the count and the Newton step at
   once, and runs the bisection tree to a bracket per eigenvalue and the
   guarded Newton loop that polishes each bracket to the full working
   precision;
+* the Christoffel sum of the Gauss weights on the eigensolver's ints;
+* :func:`weyl_scan`, the Weyl radii from the monic recurrence on (q, b^2)
+  in Python ints, each quantity with its own exponent;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
   an iterable of coefficient pairs;
 * :func:`matvec`, the product of the matrix with a vector.
@@ -33,6 +36,7 @@ import math
 from itertools import islice
 
 import mpmath as mp
+from mpmath import libmp
 
 from .precision import to_mpf, wp
 
@@ -119,11 +123,16 @@ def _newton(q, b2, frac, idx, a, c, x, unit, tol):
             return x
 
 
+def _parts(v):
+    """(m, e) with the mpf ``v`` = m 2^e exactly."""
+    sign, man, exp, _ = v._mpf_
+    return -man if sign else man, exp
+
+
 def _fixed(v, shift):
     """floor(v 2^shift) for an mpf or int ``v``, exactly."""
-    sign, man, exp, _ = mp.mpf(v)._mpf_
-    man, exp = -man if sign else man, exp + shift
-    return man << exp if exp >= 0 else man >> -exp
+    man, exp = _parts(mp.mpf(v))
+    return man << exp + shift if exp + shift >= 0 else man >> -exp - shift
 
 
 def _scale(q, b, bits: int):
@@ -266,6 +275,48 @@ def _christoffel(Q, B2, x, frac: int, limit: int):
         if s > 0:
             p_prev, p, t, block = p_prev >> s, p >> s, t >> 2 * s, block + s
     return t, block
+
+
+def _sum(terms, prec: int):
+    """The sum of the (re + i im) 2^e of ``terms`` as (re, im, e): exact over
+    the top 2^16 bits of exponent, then cut to ``prec`` bits."""
+    live = [e for r, i, e in terms if r or i] or [0]
+    e = max(min(live), max(live) - (1 << 16))
+    re = im = 0
+    for r, i, f in terms:
+        re, im = ((re + (r << f - e), im + (i << f - e)) if f >= e
+                  else (re + (r >> e - f), im + (i >> e - f)))
+    s = max(re.bit_length(), im.bit_length()) - prec
+    return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
+
+
+def weyl_scan(rows, z, ns, prec: int):
+    """Yield the Weyl radius r_n(z) for each n of the ascending ``ns``, r_n
+    reading the first n - 1 mpf rows (q_k, b_k) of ``rows``.
+
+    The monic recurrence P_k = (z - q_k) P_(k-1) - b_(k-1)^2 P_(k-2) runs on
+    (re, im) Python ints, with T_(k+1) = b_k^2 T_k + |P_k|^2, T_1 = 1, and
+    W_k = b_1^2 ... b_k^2 for b_k^2 the exact square of b_k, so that
+    r_n = W_(n-1) / (|z - conj z| T_n), one division at the ambient
+    precision (Gautschi, Orthogonal Polynomials, 2004, ch. 1).  P_(k-1),
+    P_k, T and W each keep ``prec`` bits under an exponent of their own.
+    """
+    (x, xe), (y, ye) = _parts(z.real), _parts(z.imag)
+    old, cur, t, w, c, ce = (0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), 0, 0
+    rows, k = iter(rows), 1
+    for n in ns:
+        for q, b in islice(rows, n - k):
+            (qm, qe), (bm, be), (pr, pi, pe) = _parts(q), _parts(b), cur
+            cur, old = _sum([(x * pr, x * pi, xe + pe), (-qm * pr, -qm * pi, qe + pe),
+                             (-y * pi, y * pr, ye + pe), (-c * old[0], -c * old[1], ce + old[2])],
+                            prec), cur
+            c, ce = bm * bm, 2 * be
+            t = _sum([(c * t[0], 0, ce + t[2]), (cur[0] ** 2 + cur[1] ** 2, 0, 2 * cur[2])], prec)
+            w = _sum([(c * w[0], 0, ce + w[2])], prec)
+        k = n
+        yield mp.make_mpf(libmp.mpf_div(libmp.from_man_exp(w[0], w[2]),
+                                        libmp.from_man_exp(2 * abs(y) * t[0], ye + t[2]),
+                                        mp.mp.prec, libmp.round_nearest))
 
 
 def gauss_rule(q, b, bits: int):

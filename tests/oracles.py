@@ -4,10 +4,11 @@ Everything here is deliberately naive and separate from the library code:
 classical Gram-Schmidt driven by raw moments in exact rationals,
 permutation-expansion determinants, Lanczos with full
 reorthogonalization on atoms, the per-index Sturm bisection
-eigensolver and the mpf Golub-Welsch weight pass.  These are the oracles the main routes are checked against.
+eigensolver, the mpf Golub-Welsch weight pass and the mpc Weyl-radius
+scan.  These are the oracles the main routes are checked against.
 """
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import mpmath as mp
 
@@ -318,3 +319,25 @@ QUARTER_VARIANCE_MOMENTS = (
     Fraction(1), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(3, 16),
     Fraction(0), Fraction(15, 64), Fraction(0), Fraction(105, 256),
 )
+
+
+def mpf_weyl_radii(J, z, bits, ns):
+    """r_n(z) for each n of the ascending ``ns``, unrounded: the orthonormal
+    recurrence b_k p_k = (z - q_k) p_(k-1) - b_(k-1) p_(k-2) run forward in
+    mpc at ``bits + 16``, summing |p_k(z)|^2 over k < n, then
+    1 / (|z - conj z| sum).  Rows are read at that precision, one
+    checkpoint at a time."""
+    rows, radii, k = J.pairs(), [], 1
+    with wp(bits + 16):
+        z = mp.mpc(z)
+        width = abs(z - mp.conj(z))
+        prev, cur, b_prev, total = 0, mp.mpc(1), 0, mp.mpf(1)
+    for n in ns:
+        with wp(bits + 16):
+            for q, b in islice(rows, n - k):
+                q, b = to_mpf(q), to_mpf(b)
+                prev, cur, b_prev = cur, ((z - q) * cur - b_prev * prev) / b, b
+                total += mp.re(cur) ** 2 + mp.im(cur) ** 2
+            k = n
+            radii.append(1 / (width * total))
+    return radii

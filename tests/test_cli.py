@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -100,6 +101,22 @@ class TestValidateMoments:
                              "--in", write_json(tmp_path, "in.json", doc))
         assert code == 0
         assert calls == [5]  # d_3 = 0: D_4 by elimination
+
+    def test_positivity_and_determinants_share_one_factorization(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        # the Gaussian moments (2j-1)!! at k = 30 and 256 bits certify at 4x
+        # and 8x the bits; both answers are read from that one escalation
+        runs = []
+        ldl = momprob.moments._ldl_recurrence
+        monkeypatch.setattr(momprob.moments, "_ldl_recurrence",
+                            lambda svals, n: runs.append(mp.mp.prec) or ldl(svals, n))
+        values = [str(math.prod(range(k - 1, 0, -2))) if k % 2 == 0 else "0"
+                  for k in range(61)]
+        doc = {"values": values, "precision": {"mode": "bigfloat", "bits": 256}}
+        code, out, _ = run_cli(capsys, "validate-moments", "--k-max", "30",
+                               "--in", write_json(tmp_path, "in.json", doc))
+        assert code == 0 and json.loads(out)["positive"] is True
+        assert runs == [1024, 2048]
 
     def test_s0_checked_at_the_working_precision(self, capsys, tmp_path):
         # s_0 = 1 + 1e-13 is 2^-43 off, far above the 2^-128 floor of 256

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -317,3 +318,48 @@ class TestChristoffelScan:
         assert routes == ["rkpw"] * 4 and len(levels) == 4
         assert [(v.verdict, v.n_used) for _, v in report.per_level] == \
             per_level_rkpw_scan(damped, 4, depth=48)
+
+
+class TestPivotMasses:
+    """A sectioned measure takes its mass from the pivots of its Christoffel
+    steps; the integral over its atoms is the oracle."""
+
+    @staticmethod
+    def assert_masses_close(mu, power):
+        (nu, c), (ref, c_ref) = power_reweight(mu, power), power_reweight(without_section(mu), power)
+        bits = mu.precision.bits
+        with mp.workprec(2 * bits):
+            assert abs(c - c_ref) <= mp.ldexp(c_ref, 4 - bits)
+            assert abs(nu.scale - ref.scale) <= mp.ldexp(ref.scale, 4 - bits)
+            mass = normalize(nu)[1]  # from the section of nu
+            assert abs(mass - 1) <= mp.ldexp(1, 4 - bits)
+            assert abs(mass - without_section(nu).total_mass()) <= mp.ldexp(1, 4 - bits)
+
+    @pytest.mark.parametrize("power", [-1, -2, -3])
+    def test_lognormal_levels(self, lognormal_proxy40, power):
+        self.assert_masses_close(lognormal_proxy40, power)
+
+    @pytest.mark.parametrize("power", [-2, -1, 1, 2])
+    def test_hermite_section(self, hermite_proxy40, power):
+        self.assert_masses_close(hermite_proxy40, power)
+
+    @pytest.mark.parametrize("points, weights", [([0, 1], [1, 1]), ([0, 5], [1, 4])],
+                             ids=["b-1/2", "b-2"])
+    def test_rational_sections_exact(self, points, weights):
+        # b_1 is rational, so the section is exact; the masses are 2 and 5
+        mu = Measure.atomic(points, weights, precision=PrecisionConfig.rational())
+        nu = mu._with_section(*measure_to_jacobi(mu, 2).coefficients(2))
+        assert nu._section[2] == sum(weights)
+        for power in (1, 2, -1, -3):
+            (a, c), (b, c_ref) = power_reweight(nu, power), power_reweight(without_section(nu), power)
+            assert type(c) is Fraction and (c, a.scale) == (c_ref, b.scale)
+
+    @pytest.mark.parametrize("power", [0, -1, -2])
+    def test_scan_of_a_spectrum_integrates_nothing(self, monkeypatch, lognormal_proxy40, power):
+        expected = index_of_determinacy(power_reweight(lognormal_proxy40, power)[0], 4)
+
+        def refuse(self, f):
+            raise AssertionError("a sectioned measure integrated")
+
+        monkeypatch.setattr(Measure, "integrate", refuse)
+        assert index_of_determinacy(power_reweight(lognormal_proxy40, power)[0], 4) == expected

@@ -1,6 +1,8 @@
 """Cross-cutting robustness checks: threads, error paths, double mode."""
 import concurrent.futures
 import json
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -24,6 +26,7 @@ from momprob import (
 )
 from momprob.families import hermite_like
 from momprob.moments import MomentSequence
+from momprob.precision import sqrt_number
 
 from conftest import assert_close
 
@@ -64,6 +67,24 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
             for values in pool.map(job, range(24)):
                 assert values == ref
+
+    def test_threads_share_the_roots_of_one_matrix(self):
+        # rows of a from_squares matrix are rooted on first read; readers in
+        # eight orders see the roots eager rooting gives
+        cfg = PrecisionConfig.bigfloat(256)
+        b2 = [Fraction(k, 3) for k in range(1, 300)]
+        eager = [sqrt_number(x, cfg) for x in b2]
+        J = JacobiMatrix.from_squares([0] * 300, b2, cfg)
+
+        def job(seed):
+            order = list(range(1, 300))
+            random.Random(seed).shuffle(order)
+            return {k: J.offdiag(k) for k in order}
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for rows in pool.map(job, range(8)):
+                assert [rows[k] for k in range(1, 300)] == eager
+        assert list(J._b) == eager
 
 
 class TestErrorPaths:

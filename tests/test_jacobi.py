@@ -22,6 +22,7 @@ from momprob import (
     weyl_radius,
 )
 from momprob.families import hermite_like, lognormal
+from momprob.precision import sqrt_number
 
 from conftest import assert_close
 
@@ -120,6 +121,25 @@ class TestJacobiMatrix:
             J = JacobiMatrix(q=[mp.mpf(1) / 3, mp.mpf(2)], b=[mp.sqrt(2)], precision=cfg256)
         J2 = JacobiMatrix.from_json(J.to_json())
         assert J2._q == J._q and J2._b == J._b
+
+
+class TestFromSquares:
+    def test_squares_checked_as_the_off_diagonal(self, cfg256):
+        with pytest.raises(ValueError, match="strictly positive"):
+            JacobiMatrix.from_squares([0, 0], [0], cfg256)
+        with pytest.raises(ValueError, match="one entry shorter"):
+            JacobiMatrix.from_squares([0, 0], [1, 1], cfg256)
+
+    def test_rows_rooted_when_first_read(self, cfg256):
+        # a determinate scan roots only the rows it reads, and a root is
+        # the one sqrt_number rule gives the square
+        b2 = [Fraction(k, 2) for k in range(1, 40)]
+        J = JacobiMatrix.from_squares([0] * 40, b2, cfg256)
+        v = classify(J, ClassifyPolicy(n_max=40, eps_zero=0.2))
+        assert v.verdict == DETERMINATE and v.n_used < 40
+        assert [k for k, b in enumerate(J._roots, 1) if b is not None] == list(range(1, v.n_used))
+        assert J._b == tuple(sqrt_number(x, cfg256) for x in b2)
+        assert list(J._b) == hermite_like(cfg256).coefficients(40)[1]
 
 
 class TestPiEval:

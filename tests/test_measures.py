@@ -396,14 +396,16 @@ class TestChristoffelStep:
                     unique=True), st.data())
     def test_step_equals_gram_schmidt_of_lifted_moments(self, pts, data):
         # exact (q, b^2) at full depth before and after multiplying the
-        # weights by 1 + t^2, both from the Gram-Schmidt oracle
+        # weights by 1 + t^2, both from the Gram-Schmidt oracle, and the
+        # ratio of the two masses
         wts = data.draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
                                  min_size=len(pts), max_size=len(pts)), label="weights")
         n = len(pts)
         lifted = [w * (1 + t * t) for t, w in zip(pts, wts)]
         q, b2 = gram_schmidt_recurrence(atomic_moments(pts, wts, 2 * n), n)
-        assert christoffel_step(q, b2) == gram_schmidt_recurrence(
-            atomic_moments(pts, lifted, 2 * n), n)
+        q1, b21, factor = christoffel_step(q, b2)
+        assert (q1, b21) == gram_schmidt_recurrence(atomic_moments(pts, lifted, 2 * n), n)
+        assert factor == sum(lifted) / sum(wts)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=1, max_size=8),
@@ -413,8 +415,13 @@ class TestChristoffelStep:
         # matrix of a measure with as many atoms as rows
         b2 = data.draw(st.lists(st.fractions(Fraction(1, 20), 10, max_denominator=20),
                                 min_size=len(q) - 1, max_size=len(q) - 1), label="b2")
-        assert inverse_christoffel_step(*christoffel_step(q, b2)) == (q, b2)
-        assert christoffel_step(*inverse_christoffel_step(q, b2)) == (q, b2)
+        # the mass factors of a step and its inverse multiply to 1
+        q1, b21, up = christoffel_step(q, b2)
+        q0, b20, down = inverse_christoffel_step(q1, b21)
+        assert (q0, b20) == (q, b2) and up * down == 1
+        q1, b21, down = inverse_christoffel_step(q, b2)
+        q0, b20, up = christoffel_step(q1, b21)
+        assert (q0, b20) == (q, b2) and up * down == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=2, max_size=10,
@@ -425,8 +432,9 @@ class TestChristoffelStep:
         n = len(pts)
         divided = [w / (1 + t * t) for t, w in zip(pts, wts)]
         q, b2 = gram_schmidt_recurrence(atomic_moments(pts, wts, 2 * n), n)
-        assert inverse_christoffel_step(q, b2) == gram_schmidt_recurrence(
-            atomic_moments(pts, divided, 2 * n), n)
+        q1, b21, factor = inverse_christoffel_step(q, b2)
+        assert (q1, b21) == gram_schmidt_recurrence(atomic_moments(pts, divided, 2 * n), n)
+        assert factor == sum(divided) / sum(wts)
 
     def test_rational_levels_stay_exact(self):
         # b = 1/2 at level 0; level 1 has b^2 = 2/9, so its b is a rounded

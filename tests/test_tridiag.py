@@ -8,14 +8,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momprob import (
+    ClassifyPolicy,
     CoefficientExhausted,
     JacobiMatrix,
     PrecisionConfig,
+    index_of_determinacy,
+    measure_to_jacobi,
     pi_eval,
+    power_reweight,
     tridiag,
     truncation_spectrum,
+    weyl_radii,
 )
 from momprob.families import hermite_like, lognormal
+from momprob.jacobi import _radii
 from momprob.tridiag import (
     eigenvalues,
     eigenvector_columns,
@@ -24,8 +30,8 @@ from momprob.tridiag import (
     poly_values,
     recurrence,
 )
-from momprob.precision import to_fraction
-from oracles import golub_welsch_weights, sturm_newton_eigenvalues
+from momprob.precision import convert, rounded, to_fraction
+from oracles import golub_welsch_weights, mpf_weyl_radii, sturm_newton_eigenvalues
 
 
 def random_tridiag(n, seed):
@@ -476,3 +482,81 @@ def test_pi_eval_exhaustion_boundary():
     with pytest.raises(CoefficientExhausted,
                        match="^off-diagonal entry 4 requested but only 3 stored$"):
         pi_eval(J, 1j, J.n_stored + 1)
+
+
+# -- the Weyl radius kernel --------------------------------------------------
+#
+# jacobi._radii runs tridiag.weyl_scan; the oracle is the mpc recurrence
+# scan (oracles.mpf_weyl_radii), run at twice the bits for accuracy and at
+# the same bits for the rounded digits the kernel replaced
+
+KERNEL_MODES = [PrecisionConfig.double(), PrecisionConfig.bigfloat(64),
+                PrecisionConfig.bigfloat(256), PrecisionConfig.rational(128)]
+KERNEL_MODE_IDS = ["double", "bigfloat-64", "bigfloat-256", "rational-128"]
+
+
+@st.composite
+def positive_sections(draw):
+    n = draw(st.integers(2, 24), label="n")
+    q = draw(st.lists(st.fractions(-8, 8, max_denominator=64), min_size=n, max_size=n),
+             label="q")
+    b = draw(st.lists(st.fractions(Fraction(1, 16), 8, max_denominator=64),
+                      min_size=n - 1, max_size=n - 1), label="b")
+    return q, b
+
+
+def assert_radii_hold_to_the_oracle(J, z, bits, ns):
+    got = list(_radii(J, z, bits, ns))
+    want = mpf_weyl_radii(J, z, 2 * bits, ns)
+    with mp.workprec(2 * bits):
+        for n, g, w in zip(ns, got, want):
+            assert abs(g - w) <= mp.ldexp(w, 4 - bits), f"r_{n}"
+
+
+@pytest.mark.parametrize("z", [1j, 0.5 + 1j], ids=["i", "0.5+i"])
+@pytest.mark.parametrize("cfg", KERNEL_MODES, ids=KERNEL_MODE_IDS)
+@settings(max_examples=25, deadline=None)
+@given(section=positive_sections())
+def test_weyl_scan_holds_to_the_oracle_on_random_sections(cfg, z, section):
+    q, b = (convert(str(x), cfg) for x in section[0]), (convert(str(x), cfg) for x in section[1])
+    J = JacobiMatrix(q=list(q), b=list(b), precision=cfg)
+    n = J.n_stored
+    assert_radii_hold_to_the_oracle(J, z, cfg.bits, sorted({1, 2, (n + 1) // 2, n}))
+
+
+@pytest.mark.parametrize("z", [1j, 0.5 + 1j], ids=["i", "0.5+i"])
+@pytest.mark.parametrize("exponent", [0, -400, 400])
+def test_weyl_scan_holds_to_the_oracle_on_graded_sections(z, exponent):
+    # the 512-bit lognormal section, as it is and scaled by 2^+-400
+    q, b = lognormal_section(40, 512)
+    J = JacobiMatrix(q=[mp.ldexp(v, exponent) for v in q], b=[mp.ldexp(v, exponent) for v in b],
+                     precision=PrecisionConfig.bigfloat(512))
+    assert_radii_hold_to_the_oracle(J, z, 512, [1, 2, 8, 16, 32, 40])
+
+
+@pytest.mark.parametrize("z", [1j, 0.5 + 1j], ids=["i", "0.5+i"])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_hermite_radii_round_as_the_oracle(bits, z):
+    H = hermite_like(PrecisionConfig.bigfloat(bits))
+    ns = [8 * 2 ** k for k in range(11)]
+    assert weyl_radii(H, z, ns) == rounded(mpf_weyl_radii(H, z, bits, ns), H.precision)
+
+
+@pytest.mark.parametrize("n", [40, 52])
+def test_lognormal_radii_round_as_the_oracle(n):
+    L = lognormal(n, PrecisionConfig.bigfloat(512))
+    ns = ClassifyPolicy(n_max=n).checkpoints()
+    assert weyl_radii(L, 1j, ns) == rounded(mpf_weyl_radii(L, 1j, 512, ns), L.precision)
+
+
+@pytest.mark.parametrize("power", [-1, -2])
+def test_index_scan_radii_round_as_the_oracle(lognormal_proxy40, power):
+    # classify reports the radii of its scan at twice the bits, rounded
+    nu = power_reweight(lognormal_proxy40, power)[0]
+    report = index_of_determinacy(nu, 4)
+    assert str(report) == f"Finite({-power})"
+    for _, verdict in report.per_level:
+        J = measure_to_jacobi(nu, 40, partial=True)
+        want = mpf_weyl_radii(J, 1j, 2 * J.precision.bits, verdict.checkpoints)
+        assert verdict.radii == tuple(rounded(want, J.precision))
+        nu = power_reweight(nu, 1)[0]
