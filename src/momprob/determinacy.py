@@ -18,12 +18,12 @@ reweighted measures is precision-limited.
 Each level is ``power_reweight(nu, 1)`` of the level before, converted by
 :func:`~momprob.measures.measure_to_jacobi`.  A measure that keeps its
 section (``truncation_spectrum`` sets it) rounds it, and its lifts are
-exact O(N) (1+t^2) Christoffel steps of the section.  Any other runs the
-RKPW chase on its atoms; when that gives the whole N x N matrix of the
-N-atom support, the scan keeps it as the section, so later levels are
-steps.  An RKPW level that stops short of the support (partial
-resolution, or a ``depth`` cap), or a rational-mode level with an inexact
-entry, gives no section, and the next level runs RKPW again.
+O(N) (1+t^2) Christoffel steps of the section.  Any other runs the RKPW
+chase on its atoms; when that gives the whole N x N matrix of the N-atom
+support, the scan keeps its q and its unrooted b^2 as the section, so
+later levels are steps.  An RKPW level that stops short of the support
+(partial resolution, or a ``depth`` cap), or a rational-mode level with an
+inexact entry, gives no section, and the next level runs RKPW again.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ def index_of_determinacy(
             nu = power_reweight(nu, 1)[0]
         J = measure_to_jacobi(nu, level_depth, partial=True)
         if nu._section is None and J.n_stored == n_atoms:
-            nu = nu._with_section(*J.coefficients(n_atoms))
+            nu = nu._with_section(J._q, J._b2)  # the kept squares: no b is rooted
         verdict = classify(J, ClassifyPolicy(n_max=J.n_stored))
         trace.append((m, verdict))
         if verdict.verdict == INDETERMINATE:

@@ -33,6 +33,7 @@ from .precision import (
     is_finite_number,
     rounded,
     sqrt_number,
+    to_fraction,
     to_mpf,
     wp,
 )
@@ -349,5 +350,6 @@ def truncation_spectrum(J: JacobiMatrix, N: int):
     cfg = J.precision
     nodes, weights = tridiag.gauss_rule(q, b, cfg.bits)
     out_cfg = cfg if cfg.mode != RATIONAL else PrecisionConfig.bigfloat(cfg.bits)
+    b2 = [to_fraction(x) ** 2 for x in b]  # exact, so the section rounds them once
     return measures.Measure.atomic(rounded(nodes, out_cfg), rounded(weights, out_cfg),
-                                   precision=out_cfg)._with_section(q, b, 1)
+                                   precision=out_cfg)._with_section(q, b2, 1)

@@ -14,8 +14,9 @@ scalar ``scale`` accumulates normalization constants.
 
 A measure may keep its section: the unrounded (q, b^2) of the whole Jacobi
 matrix of its atoms, stack included, and its mass at scale 1
-(``truncation_spectrum`` sets it).  A power lift maps the section by exact
-O(n) Christoffel steps (:func:`christoffel_step`, and
+(``truncation_spectrum`` sets it).  A power lift maps the section by O(n)
+Christoffel steps (:func:`~momprob.tridiag.christoffel_step`, exact on
+Fractions, on Python ints at one scale for mpf entries, and
 :func:`inverse_christoffel_step` to divide), whose pivots give the mass, and
 ``measure_to_jacobi`` rounds its leading rows.  ``Measure._reweighted``,
 the one place the stack changes, keeps the section a power lift maps and
@@ -61,6 +62,7 @@ from .precision import (
     to_mpf,
     wp,
 )
+from .tridiag import christoffel_step
 
 REAL_LINE = "real_line"
 # guard bits of a section and its Christoffel steps: 32 lose 20 of 512 bits
@@ -226,13 +228,17 @@ class Measure(object):
             setattr(out, name, kw[name] if name in kw else getattr(self, name))
         return out
 
-    def _with_section(self, q, b, mass=None) -> "Measure":
-        """This measure with (q, b) as its section, which must be the whole
-        Jacobi matrix of its atoms, and its ``mass`` (integrated if None); in
-        rational mode an inexact entry leaves it without one, since steps
-        from it could not be exact."""
-        mass = self.total_mass() if mass is None else mass
-        return self._replace(_section=_squared(q, b, mass, self.scale, self.precision))
+    def _with_section(self, q, b2, mass=None) -> "Measure":
+        """This measure with its section: (q, b2), b2 the squared off-diagonal,
+        which must be the whole Jacobi matrix of its atoms, and ``mass``
+        (integrated if None), at the working precision plus the section
+        guard, or exact in rational mode, where an inexact entry gives none."""
+        cfg, mass = self.precision, self.total_mass() if mass is None else mass
+        exact = all_exact(cfg, q, b2, [mass, self.scale])
+        num = to_fraction if exact else to_mpf
+        with wp(cfg.bits + _SECTION_GUARD):
+            section = [num(x) for x in q], [num(x) for x in b2], num(mass) / num(self.scale)
+        return self._replace(_section=None if cfg.mode == RATIONAL and not exact else section)
 
     # -- support atoms -------------------------------------------------------
 
@@ -546,36 +552,6 @@ def measure_to_jacobi(mu: Measure, n: int, partial: bool = False) -> JacobiMatri
     return _jacobi_from_squares(q, b2[1:], mu, partial)
 
 
-def christoffel_step(q, b2):
-    """(q, b^2) of (1+t^2) mu from (q, b^2) of mu, and the mass factor d_0.
-
-    Multiplying by 1 + t^2 maps J to R J R^-1, where J^2 + I = R^T R is the
-    banded Cholesky factorization (Galant, Math. Comp. 25, 1971; Kautsky &
-    Golub, Linear Algebra Appl. 52/53, 1983).  With d the pivots of
-    J^2 + I and g_i = b_i R_(i,i+1) / R_ii, the new entries are
-    q'_i = q_i + g_i - g_(i-1) and b'_i^2 = b_i^2 d_(i+1) / d_i, read off in
-    O(n) with only + - * /, so Fraction input gives the exact result.  The
-    map is exact when J is the whole N x N matrix of an N-atom measure; on a
-    truncated matrix its last rows are wrong.  The first pivot
-    d_0 = (J^2 + I)_11 is the integral of 1 + t^2 against the normalized mu.
-    """
-    n = len(q)
-    d, q_out = [], []
-    g1 = h1 = 0  # g and h = q_i + q_(i+1) - g_(i-1) of the row before
-    for i in range(n):
-        b2i = b2[i] if i < n - 1 else 0
-        b2m = b2[i - 1] if i else 0
-        di = q[i] * q[i] + b2m + b2i + 1 - g1 * h1
-        if i > 1:
-            di -= b2[i - 2] * b2m / d[i - 2]
-        h1 = q[i] + q[i + 1] - g1 if i < n - 1 else 0
-        gi = b2i * h1 / di
-        q_out.append(q[i] + gi - g1)
-        d.append(di)
-        g1 = gi
-    return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)], d[0]
-
-
 def inverse_christoffel_step(q, b2):
     """(q, b^2) of mu / (1+t^2) from those of mu: U^-1 J U, J^2 + I = U U^T,
     and the mass factor, the integral of 1/(1+t^2) against the normalized mu.
@@ -586,17 +562,6 @@ def inverse_christoffel_step(q, b2):
     """
     q, b2, _ = christoffel_step(q[::-1], b2[::-1])
     return q[::-1], b2[::-1], 1 / (1 + q[-1] * q[-1] + sum(b2[-1:]))
-
-
-def _squared(q, b, mass, scale, cfg: PrecisionConfig):
-    """(q, b^2, mass / scale), exact for exact rational-mode entries (None for
-    inexact ones) and at the working precision plus the section guard else."""
-    exact = all_exact(cfg, q, b, [mass, scale])
-    if cfg.mode == RATIONAL and not exact:
-        return None
-    num = to_fraction if exact else to_mpf
-    with wp(cfg.bits + _SECTION_GUARD):
-        return [num(x) for x in q], [num(x) ** 2 for x in b], num(mass) / num(scale)
 
 
 def _jacobi_from_squares(q, b2, mu: Measure, partial: bool) -> JacobiMatrix:

@@ -1,6 +1,6 @@
 """Shared kernels for symmetric tridiagonal (Jacobi) matrices.
 
-Five kernels live here, each written once for the whole package:
+Six kernels live here, each written once for the whole package:
 
 * the Sturm count (the LDL^T negative-pivot count), in Python ints scaled
   by a power of two: one pivot pass gives the count and the Newton step at
@@ -10,6 +10,8 @@ Five kernels live here, each written once for the whole package:
 * the Christoffel sum of the Gauss weights on the eigensolver's ints;
 * :func:`weyl_scan`, the Weyl radii from the monic recurrence on (q, b^2)
   in Python ints, each quantity with its own exponent;
+* :func:`christoffel_step`, the (1+t^2) Christoffel step of (q, b^2) on
+  Python ints at one scale;
 * :func:`recurrence`, the orthonormal three-term recurrence, streamed from
   an iterable of coefficient pairs;
 * :func:`matvec`, the product of the matrix with a vector.
@@ -33,6 +35,7 @@ arithmetic of their arguments (``Fraction``, mpf or mpc alike).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import islice
 
 import mpmath as mp
@@ -131,7 +134,7 @@ def _parts(v):
 
 def _fixed(v, shift):
     """floor(v 2^shift) for an mpf or int ``v``, exactly."""
-    man, exp = _parts(mp.mpf(v))
+    man, exp = _parts(v) if isinstance(v, mp.mpf) else (v, 0)
     return man << exp + shift if exp + shift >= 0 else man >> -exp - shift
 
 
@@ -317,6 +320,65 @@ def weyl_scan(rows, z, ns, prec: int):
         yield mp.make_mpf(libmp.mpf_div(libmp.from_man_exp(w[0], w[2]),
                                         libmp.from_man_exp(2 * abs(y) * t[0], ye + t[2]),
                                         mp.mp.prec, libmp.round_nearest))
+
+
+def christoffel_step(q, b2):
+    """(q, b^2) of (1+t^2) mu from (q, b^2) of mu, and the mass factor d_0.
+
+    Multiplying by 1 + t^2 maps J to R J R^-1, J^2 + I = R^T R (Galant,
+    Math. Comp. 25, 1971; Kautsky & Golub, Linear Algebra Appl. 52/53, 1983),
+    exactly when J is the whole matrix of its atoms.  With d the pivots,
+    rho_i = b_i^2 / d_i and h_i = q_i + q_(i+1) - g_(i-1), one reciprocal a row:
+    d_i = q_i^2 + b_(i-1)^2 + b_i^2 + 1 - g_(i-1) h_(i-1) - b_(i-1)^2 rho_(i-2),
+    g_i = rho_i h_i, q'_i = q_i + g_i - g_(i-1), b'_i^2 = b_i^2 d_(i+1) / d_i,
+    and d_0 is the integral of 1 + t^2 against the normalized mu.  Int and
+    Fraction sections run exactly, others on Python ints at one scale 2^S,
+    S = prec + 32 - min(0, least exponent of a nonzero entry), prec the
+    ambient precision; each output is rounded once to prec.  As d_i >= 1,
+    rho_i is one int division; b'^2 is the quotient of the exact ints
+    B_i D_(i+1) and D_i.  D_i is off by about 2 + b_(i-1)^2 + h_(i-1)^2 units
+    of 2^-S: where that exceeds 2^-(prec+8) d_i, S grows and the pass reruns.
+    """
+    n, exact, margin = len(q), all(isinstance(v, (int, Fraction)) for v in (*q, *b2)), -1
+    if exact:
+        vals, s, fix, mul, div = (*q, *b2), 0, lambda v, s: v, lambda x, y: x * y, Fraction
+    else:
+        vals = [v if isinstance(v, mp.mpf) else to_mpf(v) for v in (*q, *b2)]
+        prec, fix = mp.mp.prec, _fixed
+        s = prec + 32 - min(0, min((e + abs(m).bit_length() for m, e in map(_parts, vals) if m),
+                                   default=0))
+        mul, div = lambda x, y: x * y >> s, lambda x, y: (x << s) // y
+    while margin < 0:
+        ints = [fix(v, s) for v in vals]
+        Q, B, d, q_out = [*ints[:n], 0], [*ints[n:], 0], [], []
+        g = h = r1 = r2 = b2m = 0  # g, h, b^2 and rho of the row before, rho of the one before
+        margin = 0 if exact else s
+        for i in range(n):
+            qi, b2i = Q[i], B[i]
+            di = mul(qi, qi) + b2m + b2i + (1 << s) - mul(g, h) - mul(b2m, r2)
+            if not exact:  # the bits of D_i above its error bound and prec + 8
+                margin = min(margin, di.bit_length() - prec - 8 - max(
+                    2, b2m.bit_length() - s, 2 * (abs(h).bit_length() - s)))
+            r, h = div(b2i, di), qi + Q[i + 1] - g
+            gi = mul(r, h)
+            q_out.append(qi + gi - g)
+            d.append(di)
+            g, b2m, r2, r1 = gi, b2i, r1, r
+        if margin < 0:
+            s -= margin - 8
+    if exact:
+        return q_out, [div(b * dn, dd) for b, dd, dn in zip(B, d, d[1:])], d[0]
+
+    def to_prec(num, e, den=1):
+        if den > 1:  # num / den to prec + 3 bits and a sticky bit, so it rounds exactly
+            k = prec + 3 + den.bit_length() - num.bit_length()
+            quo, rem = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+            num, e = quo << 1 | (rem > 0), e - k - 1
+        return mp.make_mpf(libmp.normalize(int(num < 0), abs(num), e, abs(num).bit_length(), prec,
+                                           libmp.round_nearest))
+
+    return ([to_prec(v, -s) for v in q_out],
+            [to_prec(b * dn, -s, dd) for b, dd, dn in zip(B, d, d[1:])], to_prec(d[0], -s))
 
 
 def gauss_rule(q, b, bits: int):

@@ -4,8 +4,9 @@ Everything here is deliberately naive and separate from the library code:
 classical Gram-Schmidt driven by raw moments in exact rationals,
 permutation-expansion determinants, Lanczos with full
 reorthogonalization on atoms, the per-index Sturm bisection
-eigensolver, the mpf Golub-Welsch weight pass and the mpc Weyl-radius
-scan.  These are the oracles the main routes are checked against.
+eigensolver, the mpf Golub-Welsch weight pass, the mpc Weyl-radius
+scan and the mpf/Fraction Christoffel step.  These are the oracles the
+main routes are checked against.
 """
 from fractions import Fraction
 from itertools import islice, permutations
@@ -341,3 +342,28 @@ def mpf_weyl_radii(J, z, bits, ns):
             k = n
             radii.append(1 / (width * total))
     return radii
+
+
+def mpf_christoffel_step(q, b2):
+    """(q', b'^2, d_0) of one (1+t^2) Christoffel step in the arithmetic of
+    the entries: exact on Fractions, rounded at each mpf operation else.
+
+    With d the pivots of J^2 + I and g_i = b_i R_(i,i+1) / R_ii for
+    J^2 + I = R^T R, q'_i = q_i + g_i - g_(i-1) and
+    b'_i^2 = b_i^2 d_(i+1) / d_i.
+    """
+    n = len(q)
+    d, q_out = [], []
+    g1 = h1 = 0  # g and h = q_i + q_(i+1) - g_(i-1) of the row before
+    for i in range(n):
+        b2i = b2[i] if i < n - 1 else 0
+        b2m = b2[i - 1] if i else 0
+        di = q[i] * q[i] + b2m + b2i + 1 - g1 * h1
+        if i > 1:
+            di -= b2[i - 2] * b2m / d[i - 2]
+        h1 = q[i] + q[i + 1] - g1 if i < n - 1 else 0
+        gi = b2i * h1 / di
+        q_out.append(q[i] + gi - g1)
+        d.append(di)
+        g1 = gi
+    return q_out, [b2[i] * d[i + 1] / d[i] for i in range(n - 1)], d[0]

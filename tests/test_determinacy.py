@@ -20,6 +20,7 @@ from momprob import (
     gauss_damp,
     index_of_determinacy,
     infinite_index_probe,
+    jacobi,
     measure_to_jacobi,
     normalize,
     power_reweight,
@@ -291,6 +292,35 @@ class TestChristoffelScan:
         assert str(report) == "Finite(2)" and len(levels) == 3
         assert routes == ["rkpw", "section", "section"]
 
+    def test_rational_rkpw_level_keeps_its_exact_squares(self, monkeypatch):
+        # b^2 = 156/25, 530/169, 3822/2809 are exact, their roots are not: the
+        # level keeps its squares as an exact section, and the levels after
+        # it are exact steps (every level is read as determinate here, so
+        # the scan goes on past this 4-atom measure's inconclusive verdict)
+        mu = Measure.atomic([0, 1, 3, 7], [1, 2, 1, 1], precision=PrecisionConfig.rational())
+        real_classify = determinacy.classify
+        monkeypatch.setattr(determinacy, "classify", lambda J, policy: replace(
+            real_classify(J, policy), verdict=DETERMINATE))
+        _, levels, routes = recorded_scan(monkeypatch, mu, 3)
+        assert routes == ["rkpw", "section", "section"]
+        assert levels[0]._b2 == (Fraction(156, 25), Fraction(530, 169), Fraction(3822, 2809))
+        for m, J in enumerate(levels):
+            ref = measure_to_jacobi(power_reweight(mu, m)[0], 4)
+            assert all(type(x) is Fraction for x in J._q + J._b2)
+            assert (J._q, J._b2) == (ref._q, ref._b2)
+
+    def test_kept_level_roots_only_the_rows_classify_reads(self, monkeypatch, lognormal_proxy40):
+        # read back from JSON, nu(-1) has no section: its RKPW level is kept
+        # by its squares, so the only roots are those of the 8 + 40 rows
+        # classify reads, 7 + 39 off-diagonal entries
+        nu1 = Measure.from_json(power_reweight(lognormal_proxy40, -1)[0].to_json())
+        calls = []
+        real_sqrt = jacobi.sqrt_number
+        monkeypatch.setattr(jacobi, "sqrt_number", lambda *a: calls.append(a) or real_sqrt(*a))
+        report = index_of_determinacy(nu1, 4)
+        assert [v.n_used for _, v in report.per_level] == [8, 40]
+        assert len(calls) == 7 + 39
+
     def test_scan_ignores_the_mass(self, lognormal_proxy40):
         # neither route reads the mass, so the scan need not normalize
         nu2, _ = power_reweight(lognormal_proxy40, -2)
@@ -348,7 +378,8 @@ class TestPivotMasses:
     def test_rational_sections_exact(self, points, weights):
         # b_1 is rational, so the section is exact; the masses are 2 and 5
         mu = Measure.atomic(points, weights, precision=PrecisionConfig.rational())
-        nu = mu._with_section(*measure_to_jacobi(mu, 2).coefficients(2))
+        J = measure_to_jacobi(mu, 2)
+        nu = mu._with_section(J._q, J._b2)
         assert nu._section[2] == sum(weights)
         for power in (1, 2, -1, -3):
             (a, c), (b, c_ref) = power_reweight(nu, power), power_reweight(without_section(nu), power)

@@ -22,6 +22,8 @@ from momprob import (
     measure_to_jacobi,
     moments_of,
     moments_to_jacobi,
+    power_reweight,
+    truncation_spectrum,
     weyl_radius,
 )
 from momprob.families import hermite_like
@@ -52,6 +54,22 @@ class TestConcurrency:
                 assert val == ref256
             else:
                 assert val == ref128
+
+    def test_christoffel_steps_across_threads(self):
+        """Steps of sections at two precisions, run in eight threads, read
+        the ambient precision of their own power_reweight only."""
+        mus = [truncation_spectrum(hermite_like(PrecisionConfig.bigfloat(bits)), 24)
+               for bits in (128, 256)]
+        jobs = [(mu, power) for mu in mus for power in (-2, -1, 1, 2)]
+        ref = [power_reweight(mu, power)[0]._section for mu, power in jobs]
+
+        def job(i):
+            mu, power = jobs[i % len(jobs)]
+            return power_reweight(mu, power)[0]._section
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for i, section in enumerate(pool.map(job, range(4 * len(jobs)))):
+                assert section == ref[i % len(jobs)]
 
     def test_concurrent_conversions_are_reproducible(self):
         cfg = PrecisionConfig.bigfloat(192)

@@ -436,11 +436,19 @@ class TestChristoffelStep:
         assert (q1, b21) == gram_schmidt_recurrence(atomic_moments(pts, divided, 2 * n), n)
         assert factor == sum(divided) / sum(wts)
 
+    def test_int_section_steps_exactly(self):
+        # atoms at -1 and 1: 1 + t^2 = 2 on both, so the mass doubles and
+        # the matrix stays; int entries give Fractions, never floats
+        assert christoffel_step([0, 0], [1]) == ([0, 0], [1], 2)
+        q1, b21, factor = christoffel_step([0, 1, 3], [2, 5])
+        assert all(type(x) is Fraction for x in q1 + b21) and factor == 3
+
     def test_rational_levels_stay_exact(self):
         # b = 1/2 at level 0; level 1 has b^2 = 2/9, so its b is a rounded
         # root, but the steps carry the exact squares on
         mu = Measure.atomic([0, 1], [1, 1], precision=PrecisionConfig.rational())
-        nu = mu._with_section(*measure_to_jacobi(mu, 2).coefficients(2))
+        J = measure_to_jacobi(mu, 2)
+        nu = mu._with_section(J._q, J._b2)
         for m in (1, 2, 3):
             nu = power_reweight(nu, 1)[0]
             assert all(type(x) is Fraction for x in nu._section[0] + nu._section[1])
@@ -454,7 +462,8 @@ class TestChristoffelStep:
         mu = Measure.atomic([-1, 1], [1, 3], precision=PrecisionConfig.rational())
         J = measure_to_jacobi(mu, 2)
         assert type(J._b[0]) is mp.mpf
-        nu = mu._with_section(*J.coefficients(2))
+        q, b = J.coefficients(2)
+        nu = mu._with_section(q, [x * x for x in b])
         assert nu._section is None and power_reweight(nu, 1)[0]._section is None
 
 

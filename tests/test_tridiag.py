@@ -14,6 +14,7 @@ from momprob import (
     PrecisionConfig,
     index_of_determinacy,
     measure_to_jacobi,
+    measures,
     pi_eval,
     power_reweight,
     tridiag,
@@ -31,7 +32,12 @@ from momprob.tridiag import (
     recurrence,
 )
 from momprob.precision import convert, rounded, to_fraction
-from oracles import golub_welsch_weights, mpf_weyl_radii, sturm_newton_eigenvalues
+from oracles import (
+    golub_welsch_weights,
+    mpf_christoffel_step,
+    mpf_weyl_radii,
+    sturm_newton_eigenvalues,
+)
 
 
 def random_tridiag(n, seed):
@@ -560,3 +566,142 @@ def test_index_scan_radii_round_as_the_oracle(lognormal_proxy40, power):
         want = mpf_weyl_radii(J, 1j, 2 * J.precision.bits, verdict.checkpoints)
         assert verdict.radii == tuple(rounded(want, J.precision))
         nu = power_reweight(nu, 1)[0]
+
+
+def step_entries(step, q, b2):
+    q1, b21, factor = step(q, b2)
+    return [*q1, *b21, factor]
+
+
+def at_bits(values, bits):
+    return [convert(v, PrecisionConfig.bigfloat(bits)) for v in values]
+
+
+def worst_error(got, ref):
+    """The largest error of a step's entries (q', b'^2, d_0) against ``ref``:
+    q'_i relative to its row's scale max(|q'_i|, b'_(i-1), b'_i) in ``ref``,
+    b'^2 and d_0 relative to themselves."""
+    n = len(ref) // 2
+    b = [mp.sqrt(v) for v in ref[n:-1]]
+    scales = [max([abs(r)] + b[max(i - 1, 0):i + 1]) for i, r in enumerate(ref[:n])]
+    scales += [abs(r) for r in ref[n:]]
+    return max(abs(g - r) / scale if scale else abs(g) for g, r, scale in zip(got, ref, scales))
+
+
+def assert_step_holds_to_the_oracle(q, b2, bits):
+    """christoffel_step at ``bits`` within 2^-(bits-8) of the mpf step at
+    twice ``bits`` on the same inputs (:func:`worst_error`), or no farther from it
+    than the mpf step at ``bits`` is.  A q' that cancels is held to its
+    row's scale: the ints resolve it absolutely, not relatively."""
+    q, b2 = at_bits(q, bits), at_bits(b2, bits)
+    with mp.workprec(bits):
+        got = step_entries(tridiag.christoffel_step, q, b2)
+        try:
+            mpf = step_entries(mpf_christoffel_step, q, b2)
+        except ZeroDivisionError:  # a pivot lost to cancellation
+            mpf = None
+    with mp.workprec(2 * bits):
+        ref = step_entries(mpf_christoffel_step, q, b2)
+        assert len(got) == len(ref) == 2 * len(q)
+        bound = mp.ldexp(1, 8 - bits)
+        if mpf is not None:
+            bound = max(bound, worst_error(mpf, ref))
+        assert worst_error(got, ref) <= bound
+
+
+@st.composite
+def scaled_sections(draw):
+    # J scaled by 2^s: q by 2^s, b^2 by 2^(2s)
+    n = draw(st.integers(1, 12), label="n")
+    s = draw(st.integers(20, 400), label="s") * draw(st.sampled_from([-1, 1]), label="sign")
+    q = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n), label="q")
+    b2 = draw(st.lists(st.floats(1e-3, 3), min_size=n - 1, max_size=n - 1), label="b2")
+    with mp.workprec(64):
+        return [mp.ldexp(v, s) for v in q], [mp.ldexp(v, 2 * s) for v in b2]
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256, 512])
+@settings(max_examples=40, deadline=None)
+@given(section=scaled_sections())
+def test_christoffel_step_holds_to_the_oracle_on_random_sections(bits, section):
+    assert_step_holds_to_the_oracle(*section, bits)
+
+
+def lognormal_squares(exponent):
+    # the 512-bit lognormal (Stieltjes-Wigert) section scaled by 2^exponent,
+    # with the squares of its b
+    q, b = lognormal_section(40, 512)
+    with mp.workprec(1100):
+        return [mp.ldexp(v, exponent) for v in q], [mp.ldexp(v * v, 2 * exponent) for v in b]
+
+
+def powers_of_ten_squares():
+    q, b = graded_powers_of_ten()
+    return q, [v * v for v in b]
+
+
+STEP_CASES = [
+    pytest.param(lambda: ([2 ** 100 * (k + 1) for k in range(10)], [1] * 9), id="q-2^100(k+1)"),
+    pytest.param(lambda: ([(-1) ** k * 2 ** 100 for k in range(10)], [1] * 9),
+                 id="q-alternating-2^100"),
+    pytest.param(lambda: ([Fraction(k, 2) for k in range(10)],
+                          [1e-12 if k % 2 else 1 for k in range(9)]), id="b-1e-6-beside-1"),
+    pytest.param(powers_of_ten_squares, id="graded-10^k"),
+    pytest.param(lambda: lognormal_squares(-400), id="lognormal-2^-400"),
+    pytest.param(lambda: lognormal_squares(400), id="lognormal-2^400"),
+    pytest.param(lambda: ([0] * 3, [2 ** 98] * 2), id="cancelling-pivot"),
+]
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256, 512])
+@pytest.mark.parametrize("make", STEP_CASES)
+def test_christoffel_step_holds_to_the_oracle_on_hard_sections(make, bits):
+    assert_step_holds_to_the_oracle(*make(), bits)
+
+
+@pytest.mark.parametrize("power", [0, -1, -2, -3])
+def test_christoffel_step_rounds_the_scan_sections_as_the_oracle(lognormal_proxy40, power):
+    # the sections an index scan steps, at its 512 + 64 bits: the forward and
+    # the reversed step, rounded to 512 bits, are those of the mpf step
+    nu = power_reweight(lognormal_proxy40, power)[0] if power else lognormal_proxy40
+    q, b2, _ = nu._section
+    cfg = PrecisionConfig.bigfloat(512)
+    for q, b2 in [(q, b2), (q[::-1], b2[::-1])]:
+        with mp.workprec(576):
+            got = step_entries(tridiag.christoffel_step, q, b2)
+            ref = step_entries(mpf_christoffel_step, q, b2)
+        assert len(got) == 80 and rounded(got, cfg) == rounded(ref, cfg)
+
+
+def test_christoffel_step_reruns_a_cancelling_pivot():
+    # d_2 = 2^98 + 1 - 2^196 / (2^98 + 1), about 2, cancels 98 bits: at 64
+    # bits one pass gives b'_1^2 = 2.5 and the mpf step divides by a zero
+    # pivot; the rerun at a larger scale rounds as the exact step
+    q, b2 = [0] * 3, [2 ** 98] * 2
+    exact = step_entries(tridiag.christoffel_step, q, b2)
+    with mp.workprec(64):
+        got = step_entries(tridiag.christoffel_step, at_bits(q, 64), at_bits(b2, 64))
+    assert got == rounded(exact, PrecisionConfig.bigfloat(64))
+
+
+FORWARD_FIRST = (measures.christoffel_step, measures.inverse_christoffel_step)
+INVERSE_FIRST = FORWARD_FIRST[::-1]
+
+
+@pytest.mark.parametrize("bits", [53, 256, 512])
+@pytest.mark.parametrize("make, orders", [
+    *(pytest.param(case.values[0], [FORWARD_FIRST, INVERSE_FIRST], id=case.id)
+      for case in STEP_CASES[:4]),
+    # the order of an index scan: its sections are inverse steps, lifted by
+    # forward ones; forward first, both routes lose about 130 of 512 bits here
+    pytest.param(lambda: lognormal_squares(0), [INVERSE_FIRST], id="lognormal"),
+])
+def test_step_and_inverse_step_factors_multiply_to_one(make, orders, bits):
+    # (1+t^2) and 1/(1+t^2) cancel, so do their mass factors
+    q, b2 = make()
+    q, b2 = at_bits(q, bits), at_bits(b2, bits)
+    with mp.workprec(bits):
+        for first, second in orders:
+            q1, b21, f1 = first(q, b2)
+            f2 = second(q1, b21)[2]
+            assert abs(f1 * f2 - 1) <= mp.ldexp(1, 4 - bits)
